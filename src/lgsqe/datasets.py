@@ -46,8 +46,9 @@ class ImageSet:
             raise GeometryError(f"images must be square, got {h}x{w}")
         if c not in (1, 3):
             raise GeometryError(f"channel count must be 1 or 3, got {c}")
-        if px.size and (px.min() < 0.0 or px.max() > 1.0):
-            raise ValueError("pixel values must lie in [0, 1]")
+        # min and max propagate NaN, and NaN fails both comparisons.
+        if px.size and not (px.min() >= 0.0 and px.max() <= 1.0):
+            raise ValueError("pixel values must be finite and lie in [0, 1]")
         if self.provenance not in (REAL, GENERATED):
             raise ValueError(f"provenance must be 'real' or 'generated', got {self.provenance!r}")
         px = np.ascontiguousarray(px)
@@ -133,6 +134,13 @@ def save_raw_tensor(images: ImageSet, path) -> None:
         fh.write(np.ascontiguousarray(images.pixels, dtype="<f4").tobytes())
 
 
+def _looks_like_cifar(path) -> bool:
+    """Whole 3073-byte records, each starting with a CIFAR-10 label byte 0-9."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    return len(raw) % CIFAR_RECORD_BYTES == 0 and max(raw[::CIFAR_RECORD_BYTES], default=0) <= 9
+
+
 def load_images(path, fmt: str = "auto", provenance: str | None = None) -> ImageSet:
     """Load by explicit format name or by sniffing magic bytes / record size."""
     if fmt == "auto":
@@ -142,8 +150,10 @@ def load_images(path, fmt: str = "auto", provenance: str | None = None) -> Image
             fmt = "lgt"
         elif len(head) == 4 and struct.unpack(">I", head)[0] == IDX_IMAGE_MAGIC:
             fmt = "idx"
-        else:
+        elif _looks_like_cifar(path):
             fmt = "cifar"
+        else:
+            raise FormatError(f"{path}: unknown image format (not LGT, IDX or CIFAR-10)")
     if fmt == "idx":
         loaded = load_idx(path)
     elif fmt == "cifar":

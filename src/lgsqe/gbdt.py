@@ -2,16 +2,23 @@
 
 Boosting follows the second-order scheme: per round, gradients g = p - y and
 hessians h = p(1 - p) are computed from the current margin, a binary tree is
-grown by exact greedy split search, and leaf weights are -G/(H + lambda).
+grown by histogram split search, and leaf weights are -G/(H + lambda).
 Split gain is
 
     0.5 * [G_L^2/(H_L + lambda) + G_R^2/(H_R + lambda) - (G_L+G_R)^2/(H_L+H_R + lambda)]
 
-with candidate thresholds at midpoints between consecutive distinct sorted
-feature values. Gain ties break toward the lowest feature index, then the
-lowest threshold, so fits are fully deterministic. Everything runs on plain
-numpy ops (sorts, gathers, cumsums) whose results do not depend on BLAS
-thread counts, which keeps refits byte-identical.
+Each feature column is quantized once per fit into at most MAX_BINS = 256
+uint8 bins with cuts at rank quantiles; a column with at most 256 distinct
+values gets one bin per value, and on such columns the search picks the same
+splits as exact greedy.
+Per node, (g, h, count) histograms come from one ``np.bincount`` each; only
+the smaller child is counted, the larger one is its parent minus it (as in
+XGBoost ``hist`` and LightGBM). A split's threshold is the node-local
+midpoint between the largest value going left and the smallest going right.
+Gain ties break toward the lowest feature index, then the lowest threshold,
+so fits are fully deterministic. Everything runs on plain numpy ops (sorts,
+gathers, bincounts, cumsums) whose results do not depend on BLAS thread
+counts, which keeps refits byte-identical.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import numpy as np
 from .errors import GeometryError
 
 _PROB_EPS = 1e-15
+MAX_BINS = 256  # uint8 codes
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -121,9 +129,33 @@ class Tree:
         )
 
 
+def _quantize(x: np.ndarray) -> np.ndarray:
+    """Code each column into at most MAX_BINS uint8 bins, monotone in value.
+
+    A column with at most MAX_BINS distinct values gets one bin per value;
+    otherwise a value's bin is its first rank scaled to MAX_BINS, so cuts sit
+    at rank quantiles and equal values always share a bin.
+    """
+    n, d = x.shape
+    cols = np.ascontiguousarray(x.T)
+    order = np.argsort(cols, axis=1)  # equal values get equal codes in any order
+    ranked = np.take_along_axis(cols, order, axis=1)
+    starts = np.ones((d, n), dtype=bool)
+    starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    dense = np.cumsum(starts, axis=1, dtype=np.int32) - 1
+    first = np.maximum.accumulate(np.where(starts, np.arange(n), 0), axis=1)
+    ranked_codes = np.where(dense[:, -1:] < MAX_BINS, dense, first * MAX_BINS // n)
+    codes = np.empty((d, n), dtype=np.uint8)
+    np.put_along_axis(codes, order, ranked_codes.astype(np.uint8), axis=1)
+    return np.ascontiguousarray(codes.T)
+
+
 class _TreeBuilder:
-    def __init__(self, x, g, h, params: GbdtParams):
+    """Grows one tree from (g, h, count) histograms over quantized features."""
+
+    def __init__(self, x, flat, g, h, params: GbdtParams):
         self.x = x
+        self.flat = flat  # (n, d) index feature * MAX_BINS + code
         self.g = g
         self.h = h
         self.params = params
@@ -141,69 +173,88 @@ class _TreeBuilder:
         self.value.append(0.0)
         return len(self.feature) - 1
 
-    def build(self, order: np.ndarray, depth: int) -> int:
-        """Grow a node from the per-feature sorted index matrix (rows x feats)."""
-        node = self._new_node()
-        rows = order[:, 0]
-        n_node = rows.size
-        lam = self.params.reg_lambda
-        g_sum = float(self.g[rows].sum())
-        h_sum = float(self.h[rows].sum())
+    def grow(self, rows: np.ndarray) -> Tree:
+        """Grow a tree over ascending row indices."""
+        self._build(rows, self._histogram(rows) if self._can_split(rows.size, 0) else None, 0)
+        return Tree(
+            feature=np.asarray(self.feature, dtype=np.int64),
+            threshold=np.asarray(self.threshold, dtype=np.float64),
+            left=np.asarray(self.left, dtype=np.int64),
+            right=np.asarray(self.right, dtype=np.int64),
+            value=np.asarray(self.value, dtype=np.float64),
+        )
 
-        split = None
-        if depth < self.params.max_depth and n_node >= 2 * self.params.min_samples_leaf:
-            split = self._best_split(order)
+    def _can_split(self, n_rows: int, depth: int) -> bool:
+        return depth < self.params.max_depth and n_rows >= 2 * self.params.min_samples_leaf
+
+    def _histogram(self, rows: np.ndarray) -> np.ndarray:
+        """(3, d, MAX_BINS) sums of g, h and row counts per feature bin."""
+        d = self.flat.shape[1]
+        idx = self.flat[rows].ravel()
+        size = d * MAX_BINS
+        hist = np.stack([
+            np.bincount(idx, weights=np.repeat(self.g[rows], d), minlength=size),
+            np.bincount(idx, weights=np.repeat(self.h[rows], d), minlength=size),
+            np.bincount(idx, minlength=size).astype(np.float64),
+        ])
+        return hist.reshape(3, d, MAX_BINS)
+
+    def _build(self, rows: np.ndarray, hist: np.ndarray | None, depth: int) -> int:
+        """Grow a node; hist is None iff the node cannot split."""
+        node = self._new_node()
+        split = None if hist is None else self._best_split(hist)
         if split is None:
-            denom = h_sum + lam
-            self.value[node] = -g_sum / denom if denom > 0 else 0.0
+            denom = float(self.h[rows].sum()) + self.params.reg_lambda
+            self.value[node] = -float(self.g[rows].sum()) / denom if denom > 0 else 0.0
             return node
 
-        feat, pos, thr = split
-        is_left = np.zeros(self.x.shape[0], dtype=bool)
-        is_left[order[: pos + 1, feat]] = True
-        mask = is_left[order]  # (n_node, n_feats), same count per column
-        n_left = pos + 1
-        left_order = order.T[mask.T].reshape(order.shape[1], n_left).T
-        right_order = order.T[~mask.T].reshape(order.shape[1], n_node - n_left).T
+        feat, bin_ = split
+        goes_left = self.flat[rows, feat] <= feat * MAX_BINS + bin_
+        left_rows, right_rows = rows[goes_left], rows[~goes_left]
+        need_left = self._can_split(left_rows.size, depth + 1)
+        need_right = self._can_split(right_rows.size, depth + 1)
+        left_hist = right_hist = None
+        if need_left or need_right:  # then the larger child can split
+            if left_rows.size <= right_rows.size:
+                left_hist = self._histogram(left_rows)
+                right_hist = hist - left_hist
+            else:
+                right_hist = self._histogram(right_rows)
+                left_hist = hist - right_hist
 
+        values = self.x[rows, feat]
         self.feature[node] = feat
-        self.threshold[node] = thr
-        self.left[node] = self.build(left_order, depth + 1)
-        self.right[node] = self.build(right_order, depth + 1)
+        self.threshold[node] = float(values[goes_left].max() + values[~goes_left].min()) / 2.0
+        self.left[node] = self._build(left_rows, left_hist if need_left else None, depth + 1)
+        self.right[node] = self._build(right_rows, right_hist if need_right else None, depth + 1)
         return node
 
-    def _best_split(self, order: np.ndarray) -> tuple[int, int, float] | None:
-        n_node, n_feats = order.shape
+    def _best_split(self, hist: np.ndarray) -> tuple[int, int] | None:
+        """(feature, last left bin) of the best split, or None if none gains."""
         lam = self.params.reg_lambda
         min_leaf = self.params.min_samples_leaf
-
-        vals = self.x[order, np.arange(n_feats)[None, :]]
-        g_cum = np.cumsum(self.g[order], axis=0)
-        h_cum = np.cumsum(self.h[order], axis=0)
-        g_tot = g_cum[-1]
-        h_tot = h_cum[-1]
-
-        gl = g_cum[:-1]
-        hl = h_cum[:-1]
+        g_cum, h_cum, n_cum = np.cumsum(hist, axis=2)
+        n_node = n_cum[0, -1]
+        # One candidate per distinct partition: the last non-empty bin going
+        # left. Ascending feature-major order makes argmax tie-break
+        # (feature, threshold).
+        cand = np.flatnonzero((hist[2] > 0) & (n_cum >= min_leaf) & (n_cum <= n_node - min_leaf))
+        if cand.size == 0:
+            return None
+        feat = cand // MAX_BINS
+        gl = g_cum.ravel()[cand]
+        hl = h_cum.ravel()[cand]
+        g_tot = g_cum[feat, -1]
+        h_tot = h_cum[feat, -1]
         gr = g_tot - gl
         hr = h_tot - hl
         with np.errstate(divide="ignore", invalid="ignore"):
             gain = 0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - g_tot**2 / (h_tot + lam))
         gain = np.where(np.isfinite(gain), gain, -np.inf)
-
-        counts = np.arange(1, n_node)[:, None]
-        valid = (vals[:-1] != vals[1:]) & (counts >= min_leaf) & (n_node - counts >= min_leaf)
-        gain = np.where(valid, gain, -np.inf)
-        if not np.isfinite(gain).any():
+        best = int(np.argmax(gain))
+        if gain[best] <= 0.0:
             return None
-
-        # Feature-major flattening makes argmax tie-break (feature, threshold).
-        flat = np.argmax(gain.T)
-        feat, pos = divmod(int(flat), n_node - 1)
-        if gain[pos, feat] <= 0.0:
-            return None
-        thr = (vals[pos, feat] + vals[pos + 1, feat]) / 2.0
-        return feat, pos, float(thr)
+        return divmod(int(cand[best]), MAX_BINS)
 
 
 @dataclass(eq=False)
@@ -272,7 +323,8 @@ def fit_ensemble(features: np.ndarray, labels: np.ndarray, params: GbdtParams | 
 
     base = float(np.log(n1 / (y.size - n1)))
     margin = np.full(y.size, base)
-    root_order = np.argsort(x, axis=0, kind="stable").astype(np.int32)
+    flat = _quantize(x) + np.arange(x.shape[1], dtype=np.intp) * MAX_BINS
+    all_rows = np.arange(y.size)
     rng = np.random.default_rng(params.seed)
 
     trees: list[Tree] = []
@@ -282,22 +334,11 @@ def fit_ensemble(features: np.ndarray, labels: np.ndarray, params: GbdtParams | 
         g = p - y
         h = p * (1.0 - p)
         if params.subsample < 1.0:
-            picked = np.zeros(y.size, dtype=bool)
-            picked[rng.choice(y.size, size=max(2, int(params.subsample * y.size)), replace=False)] = True
-            keep = picked[root_order]
-            n_keep = int(picked.sum())
-            order = root_order.T[keep.T].reshape(x.shape[1], n_keep).T
+            picked = rng.choice(y.size, size=max(2, int(params.subsample * y.size)), replace=False)
+            rows = np.sort(picked)
         else:
-            order = root_order
-        builder = _TreeBuilder(x, g, h, params)
-        builder.build(order, depth=0)
-        tree = Tree(
-            feature=np.asarray(builder.feature, dtype=np.int64),
-            threshold=np.asarray(builder.threshold, dtype=np.float64),
-            left=np.asarray(builder.left, dtype=np.int64),
-            right=np.asarray(builder.right, dtype=np.int64),
-            value=np.asarray(builder.value, dtype=np.float64),
-        )
+            rows = all_rows
+        tree = _TreeBuilder(x, flat, g, h, params).grow(rows)
         trees.append(tree)
         margin = margin + params.learning_rate * tree.predict_margin(x)
         losses.append(_log_loss(y, _sigmoid(margin)))

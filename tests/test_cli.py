@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -78,6 +79,17 @@ class TestFit:
         code = main(["fit", str(real_path), str(junk), "-o", str(tmp_path / "m.json"), *FIT_FLAGS])
         assert code == 1
         assert capsys.readouterr().err.startswith("lgsqe: error:")
+
+    def test_nan_pixel_rejected(self, cli_data, tmp_path, capsys):
+        tmp, real_path, _ = cli_data
+        raw = bytearray(real_path.read_bytes())
+        raw[21:25] = struct.pack("<f", float("nan"))  # first pixel after the 21-byte header
+        bad = tmp_path / "nan.lgt"
+        bad.write_bytes(bytes(raw))
+        code = main(["fit", str(real_path), str(bad), "-o", str(tmp_path / "m.json"), *FIT_FLAGS])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("lgsqe: error:") and "pixel values" in err[0]
 
 
 class TestScore:

@@ -134,6 +134,12 @@ class TestAutoDetect:
         assert lgsqe.load_images(cifar_path).side == 32
         assert lgsqe.load_images(lgt_path).side == 4
 
+    def test_unknown_magic_rejected(self, tmp_path):
+        fake_png = tmp_path / "image.png"
+        fake_png.write_bytes(b"\x89PNG\r\n\x1a\n" + bytes(3073 - 8))
+        with pytest.raises(FormatError):
+            lgsqe.load_images(fake_png)
+
 
 class TestSplit:
     def test_counts_arithmetic(self):
@@ -209,6 +215,13 @@ class TestImageSet:
     def test_rejects_out_of_range_pixels(self):
         with pytest.raises(ValueError):
             lgsqe.ImageSet(np.full((1, 4, 4, 1), 1.5, dtype=np.float32))
+
+    def test_rejects_non_finite_pixels(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            pixels = np.full((2, 4, 4, 1), 0.5, dtype=np.float32)
+            pixels[1, 2, 3, 0] = bad
+            with pytest.raises(ValueError):
+                lgsqe.ImageSet(pixels)
 
     def test_rejects_non_square(self):
         with pytest.raises(Exception):
