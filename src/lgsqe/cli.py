@@ -14,12 +14,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from .datasets import ImageSet, load_images, save_raw_tensor
+from .datasets import load_images, save_raw_tensor
 from .dft import write_ranking_csv
 from .errors import LgsqeError
 from .evaluate import filter_samples, histogram_svg, write_scores_csv
-from .gbdt import GbdtParams
 from .pipeline import (
+    CONFIG_FIELDS,
     PipelineModel,
     RunConfig,
     fit_pipeline,
@@ -34,82 +34,30 @@ def _log(message: str) -> None:
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per config key, named and documented by the field's metadata."""
     group = parser.add_argument_group("pipeline configuration")
     group.add_argument("--config", help="key=value config file; explicit flags override it")
-    group.add_argument("--patch-size", type=int, help="patch side length F")
-    group.add_argument("--stride", type=int, help="patch stride S")
-    group.add_argument("--channels", type=int, help="expected channel count C (validated against the data)")
-    group.add_argument("--energy-threshold", type=float, help="cumulative-energy fraction for kept kernels")
-    group.add_argument("--k1", type=int, help="explicit first-hop channel count (overrides the energy rule)")
-    group.add_argument("--cw-k", type=int, help="explicit per-channel spectral component count")
-    group.add_argument("--num-bins", type=int, help="number of uniform bins for the feature test")
-    group.add_argument("--top-k", type=int, help="how many discriminant features to keep")
-    group.add_argument("--elbow", action="store_true", help="select features at the loss-curve elbow instead of top-k")
-    group.add_argument("--threshold", type=float, help="decision threshold t on the soft score")
-    group.add_argument("--histogram-bins", type=int, help="score histogram bin count")
-    group.add_argument("--test-fraction", type=float, help="held-out fraction per source")
-    group.add_argument("--real-fraction", type=float, help="fraction of real training samples used")
-    group.add_argument("--seed", type=int, help="master seed")
-    group.add_argument("--rounds", type=int, help="boosting rounds")
-    group.add_argument("--max-depth", type=int, help="tree depth limit")
-    group.add_argument("--learning-rate", type=float, help="boosting learning rate")
-    group.add_argument("--reg-lambda", type=float, help="L2 leaf regularization")
-    group.add_argument("--min-samples-leaf", type=int, help="minimum samples per leaf")
-    group.add_argument("--subsample", type=float, help="per-round row subsample fraction")
-
-
-_FLAG_TO_CONFIG = {
-    "patch_size": "patch_size",
-    "stride": "stride",
-    "channels": "channels",
-    "energy_threshold": "energy_threshold",
-    "k1": "k1",
-    "cw_k": "cw_k",
-    "num_bins": "num_bins",
-    "top_k": "top_k",
-    "threshold": "threshold",
-    "histogram_bins": "histogram_bins",
-    "test_fraction": "test_fraction",
-    "real_fraction": "real_fraction",
-    "seed": "seed",
-}
-_FLAG_TO_GBDT = {
-    "rounds": "n_rounds",
-    "max_depth": "max_depth",
-    "learning_rate": "learning_rate",
-    "reg_lambda": "reg_lambda",
-    "min_samples_leaf": "min_samples_leaf",
-    "subsample": "subsample",
-}
+    for key, (f, types) in CONFIG_FIELDS.items():
+        flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+        if "const" in f.metadata:
+            how = {"action": "store_const", "const": f.metadata["const"]}
+        else:
+            how = {"type": types[0], "metavar": flag[2:].replace("-", "_").upper()}
+        group.add_argument(flag, dest=key, help=f.metadata["help"], **how)
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    doc = RunConfig().to_dict()
-    if getattr(args, "config", None):
-        doc.update(parse_config_file(args.config))
-    for flag, key in _FLAG_TO_CONFIG.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            doc[key] = value
-    for flag, key in _FLAG_TO_GBDT.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            doc[f"gbdt_{key}"] = value
-    if getattr(args, "elbow", False):
-        doc["select_mode"] = "elbow"
+    doc = parse_config_file(args.config) if args.config else {}
+    doc.update({key: value for key in CONFIG_FIELDS if (value := getattr(args, key)) is not None})
     config = RunConfig.from_dict(doc)
     config.validate()
     return config
 
 
-def _load_source(path: str, fmt: str, provenance: str) -> ImageSet:
-    return load_images(path, fmt=fmt, provenance=provenance)
-
-
 def cmd_fit(args) -> int:
     config = _build_config(args)
-    real = _load_source(args.real, args.real_format, "real")
-    generated = _load_source(args.generated, args.generated_format, "generated")
+    real = load_images(args.real, fmt=args.real_format, provenance="real")
+    generated = load_images(args.generated, fmt=args.generated_format, provenance="generated")
     model, timings = fit_pipeline(real, generated, config)
     model.save(args.out)
     if args.ranking_csv:
@@ -138,8 +86,8 @@ def cmd_score(args) -> int:
 
 def cmd_eval(args) -> int:
     model = PipelineModel.load(args.model)
-    real = _load_source(args.real, args.real_format, "real")
-    generated = _load_source(args.generated, args.generated_format, "generated")
+    real = load_images(args.real, fmt=args.real_format, provenance="real")
+    generated = load_images(args.generated, fmt=args.generated_format, provenance="generated")
 
     use = args.use
     if use == "auto":
@@ -197,8 +145,8 @@ def cmd_sweep(args) -> int:
     if not args.fractions:
         raise LgsqeError("at least one real-sample fraction is required")
     config = _build_config(args)
-    real = _load_source(args.real, args.real_format, "real")
-    generated = _load_source(args.generated, args.generated_format, "generated")
+    real = load_images(args.real, fmt=args.real_format, provenance="real")
+    generated = load_images(args.generated, fmt=args.generated_format, provenance="generated")
     rows = []
     for fraction in args.fractions:
         run_config = replace(config, real_fraction=fraction)

@@ -121,7 +121,10 @@ def load_raw_tensor(path) -> ImageSet:
         raise LengthError(f"{path}: header declares {expected} bytes, file has {len(raw)}")
     values = np.frombuffer(raw, dtype="<f4", offset=21)
     pixels = values.reshape(count, height, width, channels)
-    return ImageSet(pixels, GENERATED if flag else REAL)
+    try:
+        return ImageSet(pixels, GENERATED if flag else REAL)
+    except ValueError as exc:  # pixel range
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_raw_tensor(images: ImageSet, path) -> None:

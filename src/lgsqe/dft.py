@@ -86,8 +86,6 @@ class DftRanking:
 
     losses: np.ndarray
     thresholds: np.ndarray
-    f_min: np.ndarray
-    f_max: np.ndarray
     order: np.ndarray
     num_bins: int
 
@@ -113,8 +111,6 @@ def rank_features(features: np.ndarray, labels: np.ndarray, num_bins: int = 32) 
     return DftRanking(
         losses=losses,
         thresholds=thresholds,
-        f_min=features.min(axis=0),
-        f_max=features.max(axis=0),
         order=np.argsort(losses, kind="stable"),
         num_bins=num_bins,
     )

@@ -49,13 +49,18 @@ def _log_loss(y: np.ndarray, p: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class GbdtParams:
-    n_rounds: int = 200
-    max_depth: int = 4
-    learning_rate: float = 0.1
-    reg_lambda: float = 1.0
-    min_samples_leaf: int = 5
-    subsample: float = 1.0
-    seed: int = 0
+    """Boosting parameters; each is also the config key ``gbdt_<name>``.
+
+    Field metadata holds the CLI help text and, where it is not
+    ``--<name-with-dashes>``, the flag.
+    """
+
+    n_rounds: int = field(default=200, metadata={"help": "boosting rounds", "flag": "--rounds"})
+    max_depth: int = field(default=4, metadata={"help": "tree depth limit"})
+    learning_rate: float = field(default=0.1, metadata={"help": "boosting learning rate"})
+    reg_lambda: float = field(default=1.0, metadata={"help": "L2 leaf regularization"})
+    min_samples_leaf: int = field(default=5, metadata={"help": "minimum samples per leaf"})
+    subsample: float = field(default=1.0, metadata={"help": "per-round row subsample fraction"})
 
     def validate(self):
         if self.n_rounds < 0:
@@ -70,21 +75,6 @@ class GbdtParams:
             raise ValueError("min_samples_leaf must be >= 1")
         if not 0.0 < self.subsample <= 1.0:
             raise ValueError("subsample must lie in (0, 1]")
-
-    def to_dict(self) -> dict:
-        return {
-            "n_rounds": self.n_rounds,
-            "max_depth": self.max_depth,
-            "learning_rate": self.learning_rate,
-            "reg_lambda": self.reg_lambda,
-            "min_samples_leaf": self.min_samples_leaf,
-            "subsample": self.subsample,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "GbdtParams":
-        return cls(**doc)
 
 
 @dataclass(eq=False)
@@ -265,7 +255,6 @@ class BoostedEnsemble:
     learning_rate: float
     base_score: float
     n_features: int
-    params: GbdtParams
     train_loss: list[float] = field(default_factory=list)
 
     def predict_margin(self, features: np.ndarray) -> np.ndarray:
@@ -288,7 +277,6 @@ class BoostedEnsemble:
             "base_score": float(self.base_score),
             "learning_rate": float(self.learning_rate),
             "n_features": self.n_features,
-            "params": self.params.to_dict(),
             "train_loss": [float(v) for v in self.train_loss],
             "trees": [t.to_dict() for t in self.trees],
         }
@@ -300,13 +288,17 @@ class BoostedEnsemble:
             learning_rate=doc["learning_rate"],
             base_score=doc["base_score"],
             n_features=doc["n_features"],
-            params=GbdtParams.from_dict(doc["params"]),
             train_loss=list(doc["train_loss"]),
         )
 
 
-def fit_ensemble(features: np.ndarray, labels: np.ndarray, params: GbdtParams | None = None) -> BoostedEnsemble:
-    """Train on binary labels; 1 is the positive (generated) class."""
+def fit_ensemble(
+    features: np.ndarray, labels: np.ndarray, params: GbdtParams | None = None, seed: int = 0
+) -> BoostedEnsemble:
+    """Train on binary labels; 1 is the positive (generated) class.
+
+    ``seed`` drives only the per-round row subsample.
+    """
     params = params or GbdtParams()
     params.validate()
     x = np.asarray(features, dtype=np.float64)
@@ -325,7 +317,7 @@ def fit_ensemble(features: np.ndarray, labels: np.ndarray, params: GbdtParams | 
     margin = np.full(y.size, base)
     flat = _quantize(x) + np.arange(x.shape[1], dtype=np.intp) * MAX_BINS
     all_rows = np.arange(y.size)
-    rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(seed)
 
     trees: list[Tree] = []
     losses: list[float] = []
@@ -348,6 +340,5 @@ def fit_ensemble(features: np.ndarray, labels: np.ndarray, params: GbdtParams | 
         learning_rate=params.learning_rate,
         base_score=base,
         n_features=x.shape[1],
-        params=params,
         train_loss=losses,
     )

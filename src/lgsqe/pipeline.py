@@ -16,7 +16,8 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import Field, asdict, dataclass, field, fields
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .evaluate import EvaluationReport, aggregate_report
 from .gbdt import BoostedEnsemble, GbdtParams, fit_ensemble
 from .saab import SaabModel, build_representation, fit_representation
 
-MODEL_VERSION = "1.0.0"
+MODEL_VERSION = "2.0.0"
 
 
 def derive_seed(master: int, stage: str) -> int:
@@ -47,22 +48,39 @@ def imageset_fingerprint(images: ImageSet) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every tunable of the pipeline; defaults match the 28x28 grayscale setup."""
+    """Every tunable of the pipeline; defaults match the 28x28 grayscale setup.
 
-    patch_size: int = 5
-    stride: int = 2
-    channels: int | None = None
-    energy_threshold: float = 0.99
-    k1: int | None = None
-    cw_k: int | None = None
-    num_bins: int = 32
-    select_mode: str = "top_k"
-    top_k: int = 400
-    threshold: float = 0.5
-    histogram_bins: int = 50
-    test_fraction: float = 0.2
-    real_fraction: float = 1.0
-    seed: int = 0
+    The fields are the config schema: the flat config keys (``gbdt`` expands
+    to ``gbdt_<name>``), their types, and the CLI flags all derive from them.
+    Field metadata holds the flag's help text and, where the flag is not
+    ``--<name-with-dashes>``, the flag itself.
+    """
+
+    patch_size: int = field(default=5, metadata={"help": "patch side length F"})
+    stride: int = field(default=2, metadata={"help": "patch stride S"})
+    channels: int | None = field(
+        default=None, metadata={"help": "expected channel count C (validated against the data)"}
+    )
+    energy_threshold: float = field(default=0.99, metadata={"help": "cumulative-energy fraction for kept kernels"})
+    k1: int | None = field(
+        default=None, metadata={"help": "explicit first-hop channel count (overrides the energy rule)"}
+    )
+    cw_k: int | None = field(default=None, metadata={"help": "explicit per-channel spectral component count"})
+    num_bins: int = field(default=32, metadata={"help": "number of uniform bins for the feature test"})
+    select_mode: str = field(
+        default="top_k",
+        metadata={
+            "help": "select features at the loss-curve elbow instead of top-k",
+            "flag": "--elbow",
+            "const": "elbow",
+        },
+    )
+    top_k: int = field(default=400, metadata={"help": "how many discriminant features to keep"})
+    threshold: float = field(default=0.5, metadata={"help": "decision threshold t on the soft score"})
+    histogram_bins: int = field(default=50, metadata={"help": "score histogram bin count"})
+    test_fraction: float = field(default=0.2, metadata={"help": "held-out fraction per source"})
+    real_fraction: float = field(default=1.0, metadata={"help": "fraction of real training samples used"})
+    seed: int = field(default=0, metadata={"help": "master seed"})
     gbdt: GbdtParams = field(default_factory=GbdtParams)
 
     def validate(self):
@@ -85,47 +103,35 @@ class RunConfig:
         self.gbdt.validate()
 
     def to_dict(self) -> dict:
-        doc = {
-            "patch_size": self.patch_size,
-            "stride": self.stride,
-            "channels": self.channels,
-            "energy_threshold": self.energy_threshold,
-            "k1": self.k1,
-            "cw_k": self.cw_k,
-            "num_bins": self.num_bins,
-            "select_mode": self.select_mode,
-            "top_k": self.top_k,
-            "threshold": self.threshold,
-            "histogram_bins": self.histogram_bins,
-            "test_fraction": self.test_fraction,
-            "real_fraction": self.real_fraction,
-            "seed": self.seed,
-        }
-        doc.update({f"gbdt_{k}": v for k, v in self.gbdt.to_dict().items()})
+        doc = asdict(self)
+        doc.update({f"gbdt_{k}": v for k, v in doc.pop("gbdt").items()})
         return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
+        """Inverse of to_dict; missing keys take their defaults."""
         gbdt_kwargs = {k[5:]: v for k, v in doc.items() if k.startswith("gbdt_")}
         plain = {k: v for k, v in doc.items() if not k.startswith("gbdt_")}
         return cls(gbdt=GbdtParams(**gbdt_kwargs), **plain)
 
 
-_CONFIG_TYPES = None
+def _config_fields() -> dict[str, tuple[Field, tuple[type, ...]]]:
+    out = {}
+    for prefix, cls in (("", RunConfig), ("gbdt_", GbdtParams)):
+        hints = get_type_hints(cls)
+        for f in fields(cls):
+            if f.name != "gbdt":
+                out[prefix + f.name] = (f, get_args(hints[f.name]) or (hints[f.name],))
+    return out
 
 
-def _config_field_types() -> dict:
-    global _CONFIG_TYPES
-    if _CONFIG_TYPES is None:
-        defaults = RunConfig().to_dict()
-        _CONFIG_TYPES = {k: type(v) for k, v in defaults.items() if v is not None}
-        _CONFIG_TYPES.update({"channels": int, "k1": int, "cw_k": int})
-    return _CONFIG_TYPES
+# Flat config key -> (dataclass field, accepted types), in RunConfig.to_dict
+# order. The first type is the value type; optional fields also accept None.
+CONFIG_FIELDS = _config_fields()
 
 
 def parse_config_file(path) -> dict:
     """Flat key=value lines; '#' starts a comment; 'none' clears a field."""
-    types = _config_field_types()
     out: dict = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -135,14 +141,16 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in types:
+            if key not in CONFIG_FIELDS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            if value.lower() == "none":
+            types = CONFIG_FIELDS[key][1]
+            if value.lower() == "none" and type(None) in types:
                 out[key] = None
-            elif types[key] is str:
-                out[key] = value
-            else:
-                out[key] = types[key](value)
+                continue
+            try:
+                out[key] = types[0](value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} expects {types[0].__name__}, got {value!r}") from None
     return out
 
 
@@ -157,13 +165,10 @@ def _saab_to_dict(model: SaabModel) -> dict:
         "dc_kernel": model.dc_kernel.tolist(),
         "ac_kernels": model.ac_kernels.tolist(),
         "eigenvalues": model.eigenvalues.tolist(),
-        "patch_mean": model.patch_mean.tolist(),
         "input_side": model.input_side,
         "channels": model.channels,
         "patch_size": model.patch_size,
         "stride": model.stride,
-        "energy_threshold": model.energy_threshold,
-        "explicit_channels": model.explicit_channels,
     }
     if model.cw_models is not None:
         doc["cw_models"] = [_saab_to_dict(sub) for sub in model.cw_models]
@@ -177,13 +182,10 @@ def _saab_from_dict(doc: dict) -> SaabModel:
         dc_kernel=np.asarray(doc["dc_kernel"], dtype=np.float64),
         ac_kernels=np.asarray(doc["ac_kernels"], dtype=np.float64).reshape(-1, dim),
         eigenvalues=np.asarray(doc["eigenvalues"], dtype=np.float64),
-        patch_mean=np.asarray(doc["patch_mean"], dtype=np.float64),
         input_side=doc["input_side"],
         channels=doc["channels"],
         patch_size=doc["patch_size"],
         stride=doc["stride"],
-        energy_threshold=doc["energy_threshold"],
-        explicit_channels=doc["explicit_channels"],
         cw_models=tuple(_saab_from_dict(sub) for sub in cw) if cw is not None else None,
     )
 
@@ -236,8 +238,6 @@ class PipelineModel:
             "dft": {
                 "losses": self.ranking.losses.tolist(),
                 "thresholds": self.ranking.thresholds.tolist(),
-                "f_min": self.ranking.f_min.tolist(),
-                "f_max": self.ranking.f_max.tolist(),
                 "num_bins": self.ranking.num_bins,
                 "entropy_base": "e",
             },
@@ -260,8 +260,6 @@ class PipelineModel:
         ranking = DftRanking(
             losses=losses,
             thresholds=np.asarray(doc["dft"]["thresholds"], dtype=np.float64),
-            f_min=np.asarray(doc["dft"]["f_min"], dtype=np.float64),
-            f_max=np.asarray(doc["dft"]["f_max"], dtype=np.float64),
             order=np.argsort(losses, kind="stable"),
             num_bins=doc["dft"]["num_bins"],
         )
@@ -319,13 +317,7 @@ def fit_pipeline(real: ImageSet, generated: ImageSet, config: RunConfig) -> tupl
 
     timings: dict[str, float] = {}
     tick = time.perf_counter()
-    split = make_labeled_split(
-        real,
-        generated,
-        test_fraction=config.test_fraction,
-        real_fraction=config.real_fraction,
-        seed=derive_seed(config.seed, "split"),
-    )
+    split = _labeled_split(real, generated, config)
     train_pixels, train_labels = split.train_union()
     train_images = ImageSet(train_pixels, REAL)
     timings["split"] = time.perf_counter() - tick
@@ -352,19 +344,15 @@ def fit_pipeline(real: ImageSet, generated: ImageSet, config: RunConfig) -> tupl
     timings["dft"] = time.perf_counter() - tick
 
     tick = time.perf_counter()
-    gbdt_params = replace(config.gbdt, seed=derive_seed(config.seed, "gbdt"))
-    ensemble = fit_ensemble(features.data[:, selection.indices], train_labels, gbdt_params)
+    ensemble = fit_ensemble(
+        features.data[:, selection.indices], train_labels, config.gbdt, seed=derive_seed(config.seed, "gbdt")
+    )
     timings["gbdt"] = time.perf_counter() - tick
 
     train_scores = ensemble.predict_score(features.data[:, selection.indices])
     train_correct = int(np.sum((train_scores >= config.threshold) == (train_labels == 1)))
     training = {
         "fingerprints": {"real": imageset_fingerprint(real), "generated": imageset_fingerprint(generated)},
-        "split": {
-            "seed": derive_seed(config.seed, "split"),
-            "test_fraction": config.test_fraction,
-            "real_fraction": config.real_fraction,
-        },
         "representation_width": features.width,
         "selected_count": int(selection.indices.size),
         "train_counts": {"real": split.train_real.count, "generated": split.train_generated.count},
@@ -382,16 +370,19 @@ def fit_pipeline(real: ImageSet, generated: ImageSet, config: RunConfig) -> tupl
     return model, timings
 
 
-def holdout_split(model: PipelineModel, real: ImageSet, generated: ImageSet):
-    """Recompute the deterministic train/test split recorded in the model."""
-    rec = model.training["split"]
+def _labeled_split(real: ImageSet, generated: ImageSet, config: RunConfig):
     return make_labeled_split(
         real,
         generated,
-        test_fraction=rec["test_fraction"],
-        real_fraction=rec["real_fraction"],
-        seed=rec["seed"],
+        test_fraction=config.test_fraction,
+        real_fraction=config.real_fraction,
+        seed=derive_seed(config.seed, "split"),
     )
+
+
+def holdout_split(model: PipelineModel, real: ImageSet, generated: ImageSet):
+    """Recompute the deterministic train/test split the model was fitted on."""
+    return _labeled_split(real, generated, model.config)
 
 
 def matches_training_data(model: PipelineModel, real: ImageSet, generated: ImageSet) -> bool:

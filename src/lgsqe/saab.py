@@ -57,9 +57,7 @@ class SaabModel:
     """A fitted Saab transform for one stage.
 
     ``ac_kernels`` holds the kept AC kernels as rows (may be empty);
-    ``eigenvalues`` holds the full AC spectrum, nonincreasing. ``patch_mean``
-    is the mean DC-removed patch that was subtracted before the covariance
-    estimate; it is kept for provenance and serialization, not reapplied.
+    ``eigenvalues`` holds the full AC spectrum, nonincreasing.
     ``cw_models`` is set only on the first-hop model and holds one sub-model
     per kept channel, fitted on the pooled maps.
     """
@@ -67,13 +65,10 @@ class SaabModel:
     dc_kernel: np.ndarray
     ac_kernels: np.ndarray
     eigenvalues: np.ndarray
-    patch_mean: np.ndarray
     input_side: int
     channels: int
     patch_size: int
     stride: int
-    energy_threshold: float | None
-    explicit_channels: int | None
     cw_models: tuple["SaabModel", ...] | None = None
 
     @property
@@ -192,13 +187,10 @@ def fit_saab(
         dc_kernel=dc,
         ac_kernels=kernels[:kept],
         eigenvalues=eigvals,
-        patch_mean=patch_mean,
         input_side=patches.input_side,
         channels=patches.channels,
         patch_size=patches.patch_size,
         stride=patches.stride,
-        energy_threshold=energy_threshold,
-        explicit_channels=explicit_channels,
     )
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import lgsqe
-from lgsqe.cli import main
+from lgsqe.cli import _build_config, build_parser, main
+from lgsqe.pipeline import RunConfig, parse_config_file, write_config_file
 
 FIT_FLAGS = [
     "--patch-size", "3", "--stride", "2", "--top-k", "25",
@@ -90,6 +91,7 @@ class TestFit:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("lgsqe: error:") and "pixel values" in err[0]
+        assert str(bad) in err[0]
 
 
 class TestScore:
@@ -112,6 +114,16 @@ class TestScore:
         main(["score", str(fitted_model), str(gen_path), "-o", str(a)])
         main(["score", str(fitted_model), str(gen_path), "-o", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_old_major_version_refused(self, cli_data, fitted_model, tmp_path, capsys):
+        _, _, gen_path = cli_data
+        doc = json.loads(fitted_model.read_text())
+        doc["format_version"] = "1.0.0"
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc))
+        assert main(["score", str(old), str(gen_path), "-o", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("lgsqe: error:") and "'1.0.0'" in err[0]
 
     def test_empty_sample_file(self, cli_data, fitted_model, tmp_path):
         empty = tmp_path / "empty.lgt"
@@ -232,3 +244,64 @@ class TestSweep:
         tmp, real_path, gen_path = cli_data
         with pytest.raises(SystemExit):
             main(["sweep", str(real_path), str(gen_path), "-o", str(tmp_path / "s.csv"), "--fractions"])
+
+
+# One valid non-default value per config key.
+NON_DEFAULT = {
+    "patch_size": 3,
+    "stride": 1,
+    "channels": 3,
+    "energy_threshold": 0.95,
+    "k1": 7,
+    "cw_k": 4,
+    "num_bins": 16,
+    "select_mode": "elbow",
+    "top_k": 12,
+    "threshold": 0.4,
+    "histogram_bins": 20,
+    "test_fraction": 0.25,
+    "real_fraction": 0.5,
+    "seed": 7,
+    "gbdt_n_rounds": 9,
+    "gbdt_max_depth": 2,
+    "gbdt_learning_rate": 0.3,
+    "gbdt_reg_lambda": 0.5,
+    "gbdt_min_samples_leaf": 2,
+    "gbdt_subsample": 0.8,
+}
+FLAG_ARGS = {"gbdt_n_rounds": ["--rounds", "9"], "select_mode": ["--elbow"]}
+
+
+def _fit_config(*extra):
+    return _build_config(build_parser().parse_args(["fit", "real.lgt", "gen.lgt", "-o", "m.json", *extra]))
+
+
+class TestConfigSchema:
+    def test_every_key_covered(self):
+        assert list(NON_DEFAULT) == list(RunConfig().to_dict())
+
+    @pytest.mark.parametrize("key", list(NON_DEFAULT))
+    def test_key_reaches_config_and_round_trips(self, key, tmp_path):
+        value = NON_DEFAULT[key]
+        expected = {**RunConfig().to_dict(), key: value}
+        assert expected != RunConfig().to_dict()
+        flag = "--" + key.removeprefix("gbdt_").replace("_", "-")
+        via_flag = _fit_config(*FLAG_ARGS.get(key, [flag, str(value)]))
+        cfg = tmp_path / "in.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        via_file = _fit_config("--config", str(cfg))
+        for config in (via_flag, via_file):
+            assert config.to_dict() == expected
+            out = tmp_path / "out.cfg"
+            write_config_file(config, out)
+            parsed = parse_config_file(out)
+            assert parsed == expected
+            assert [type(v) for v in parsed.values()] == [type(v) for v in expected.values()]
+            assert RunConfig.from_dict(parsed) == config
+
+    def test_gbdt_seed_is_not_a_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gbdt_subsample=0.5\ngbdt_seed=7\n")
+        assert main(["fit", "real.lgt", "gen.lgt", "-o", str(tmp_path / "m.json"), "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "unknown config key 'gbdt_seed'" in err[0]

@@ -205,8 +205,6 @@ class TestSelectFeatures:
         return lgsqe.DftRanking(
             losses=losses,
             thresholds=np.zeros_like(losses),
-            f_min=np.zeros_like(losses),
-            f_max=np.ones_like(losses),
             order=np.argsort(losses, kind="stable"),
             num_bins=8,
         )

@@ -57,6 +57,13 @@ class TestRunConfig:
         parsed = parse_config_file(path)
         assert parsed == {"patch_size": 3, "k1": None}
 
+    @pytest.mark.parametrize("line", ["patch_size=none", "top_k=1.5", "seed=x"])
+    def test_bad_value_names_the_line(self, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"# header\n{line}\n")
+        with pytest.raises(ValueError, match=f"bad.cfg:2: {line.split('=')[0]} expects int"):
+            parse_config_file(path)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RunConfig(select_mode="best").validate()
