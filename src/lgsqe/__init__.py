@@ -46,6 +46,7 @@ from .saab import (
     fit_cw_saab,
     fit_representation,
     fit_saab,
+    representation_layout,
 )
 from .synthetic import gaussian_degrade, stroke_images
 

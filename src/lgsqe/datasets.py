@@ -44,6 +44,8 @@ class ImageSet:
         n, h, w, c = px.shape
         if h != w:
             raise GeometryError(f"images must be square, got {h}x{w}")
+        if h == 0:
+            raise GeometryError("image side must be at least 1, got 0")
         if c not in (1, 3):
             raise GeometryError(f"channel count must be 1 or 3, got {c}")
         # min and max propagate NaN, and NaN fails both comparisons.
@@ -84,7 +86,7 @@ def load_idx(path) -> ImageSet:
     if len(raw) != expected:
         raise LengthError(f"{path}: expected {expected} bytes for {count} {rows}x{cols} images, got {len(raw)}")
     data = np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(count, rows, cols, 1)
-    return ImageSet(data.astype(np.float32) / 255.0, REAL)
+    return _image_set(path, data.astype(np.float32) / 255.0, REAL)
 
 
 def load_cifar_bin(path, provenance: str = REAL) -> ImageSet:
@@ -99,7 +101,7 @@ def load_cifar_bin(path, provenance: str = REAL) -> ImageSet:
     records = np.frombuffer(raw, dtype=np.uint8).reshape(count, CIFAR_RECORD_BYTES)
     planes = records[:, 1:].reshape(count, 3, 32, 32)  # channel-planar R,G,B
     pixels = np.transpose(planes, (0, 2, 3, 1)).astype(np.float32) / 255.0
-    return ImageSet(pixels.reshape(count, 32, 32, 3), provenance)
+    return _image_set(path, pixels.reshape(count, 32, 32, 3), provenance)
 
 
 def load_raw_tensor(path) -> ImageSet:
@@ -120,11 +122,15 @@ def load_raw_tensor(path) -> ImageSet:
     if len(raw) != expected:
         raise LengthError(f"{path}: header declares {expected} bytes, file has {len(raw)}")
     values = np.frombuffer(raw, dtype="<f4", offset=21)
-    pixels = values.reshape(count, height, width, channels)
+    return _image_set(path, values.reshape(count, height, width, channels), GENERATED if flag else REAL)
+
+
+def _image_set(path, pixels: np.ndarray, provenance: str) -> ImageSet:
+    """The ImageSet of a loaded file; when the tensor is rejected, the error names the file."""
     try:
-        return ImageSet(pixels, GENERATED if flag else REAL)
-    except ValueError as exc:  # pixel range
-        raise ValueError(f"{path}: {exc}") from None
+        return ImageSet(pixels, provenance)
+    except (GeometryError, ValueError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def save_raw_tensor(images: ImageSet, path) -> None:
@@ -138,10 +144,12 @@ def save_raw_tensor(images: ImageSet, path) -> None:
 
 
 def _looks_like_cifar(path) -> bool:
-    """Whole 3073-byte records, each starting with a CIFAR-10 label byte 0-9."""
+    """At least one whole 3073-byte record, each starting with a CIFAR-10 label byte 0-9."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    return len(raw) % CIFAR_RECORD_BYTES == 0 and max(raw[::CIFAR_RECORD_BYTES], default=0) <= 9
+    if not raw or len(raw) % CIFAR_RECORD_BYTES:
+        return False
+    return max(raw[::CIFAR_RECORD_BYTES]) <= 9
 
 
 def load_images(path, fmt: str = "auto", provenance: str | None = None) -> ImageSet:

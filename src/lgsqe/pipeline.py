@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import Field, asdict, dataclass, field, fields
+from dataclasses import Field, asdict, dataclass, field, fields, replace
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -26,9 +26,9 @@ from .dft import DftRanking, FeatureSelection, rank_features, select_features
 from .errors import GeometryError, VersionError
 from .evaluate import EvaluationReport, aggregate_report
 from .gbdt import BoostedEnsemble, GbdtParams, fit_ensemble
-from .saab import SaabModel, build_representation, fit_representation
+from .saab import SaabModel, build_representation, column_positions, fit_representation
 
-MODEL_VERSION = "2.0.0"
+MODEL_VERSION = "3.0.0"
 
 
 def derive_seed(master: int, stage: str) -> int:
@@ -162,7 +162,6 @@ def write_config_file(config: RunConfig, path) -> None:
 
 def _saab_to_dict(model: SaabModel) -> dict:
     doc = {
-        "dc_kernel": model.dc_kernel.tolist(),
         "ac_kernels": model.ac_kernels.tolist(),
         "eigenvalues": model.eigenvalues.tolist(),
         "input_side": model.input_side,
@@ -171,32 +170,37 @@ def _saab_to_dict(model: SaabModel) -> dict:
         "stride": model.stride,
     }
     if model.cw_models is not None:
-        doc["cw_models"] = [_saab_to_dict(sub) for sub in model.cw_models]
+        doc["cw_models"] = [None if sub is None else _saab_to_dict(sub) for sub in model.cw_models]
     return doc
 
 
 def _saab_from_dict(doc: dict) -> SaabModel:
     cw = doc.get("cw_models")
-    dim = len(doc["dc_kernel"])
+    dim = doc["patch_size"] ** 2 * doc["channels"]
     return SaabModel(
-        dc_kernel=np.asarray(doc["dc_kernel"], dtype=np.float64),
         ac_kernels=np.asarray(doc["ac_kernels"], dtype=np.float64).reshape(-1, dim),
         eigenvalues=np.asarray(doc["eigenvalues"], dtype=np.float64),
         input_side=doc["input_side"],
         channels=doc["channels"],
         patch_size=doc["patch_size"],
         stride=doc["stride"],
-        cw_models=tuple(_saab_from_dict(sub) for sub in cw) if cw is not None else None,
+        cw_models=tuple(None if sub is None else _saab_from_dict(sub) for sub in cw) if cw is not None else None,
     )
 
 
 @dataclass(eq=False)
 class PipelineModel:
-    """A fully fitted pipeline plus the record of how it was trained."""
+    """A fully fitted pipeline plus the record of how it was trained.
+
+    ``columns`` holds the provenance of each selected representation column
+    (see ``saab.representation_layout``), in ``selection.indices`` order; scoring
+    computes only those columns.
+    """
 
     saab: SaabModel
     ranking: DftRanking
     selection: FeatureSelection
+    columns: tuple[tuple, ...]
     ensemble: BoostedEnsemble
     config: RunConfig
     training: dict
@@ -207,8 +211,7 @@ class PipelineModel:
 
     def score_images(self, images: ImageSet) -> np.ndarray:
         """Soft score per image; near 0 means realistic, near 1 detectable."""
-        features = build_representation(images, self.saab)
-        return self.ensemble.predict_score(features.data[:, self.selection.indices])
+        return self.ensemble.predict_score(build_representation(images, self.saab, self.columns).data)
 
     def evaluate(
         self,
@@ -246,6 +249,7 @@ class PipelineModel:
                 "k": self.selection.k,
                 "elbow_index": self.selection.elbow_index,
                 "indices": [int(i) for i in self.selection.indices],
+                "provenance": [list(col) for col in self.columns],
             },
             "ensemble": self.ensemble.to_dict(),
             "training": self.training,
@@ -273,6 +277,7 @@ class PipelineModel:
             saab=_saab_from_dict(doc["saab"]),
             ranking=ranking,
             selection=selection,
+            columns=tuple((col[0], *map(int, col[1:])) for col in doc["selection"]["provenance"]),
             ensemble=BoostedEnsemble.from_dict(doc["ensemble"]),
             config=RunConfig.from_dict(doc["config"]),
             training=doc["training"],
@@ -291,6 +296,11 @@ class PipelineModel:
             raise GeometryError(
                 f"ensemble expects {self.ensemble.n_features} features, selection has {self.selection.indices.size}"
             )
+        if len(self.columns) != self.selection.indices.size:
+            raise GeometryError(
+                f"selection has {self.selection.indices.size} indices but {len(self.columns)} column provenances"
+            )
+        column_positions(self.saab, self.columns)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -351,6 +361,10 @@ def fit_pipeline(real: ImageSet, generated: ImageSet, config: RunConfig) -> tupl
 
     train_scores = ensemble.predict_score(features.data[:, selection.indices])
     train_correct = int(np.sum((train_scores >= config.threshold) == (train_labels == 1)))
+    columns = tuple(features.provenance[i] for i in selection.indices)
+    # Scoring reads only the c/w sub-models of channels with a selected spectral column.
+    read = {col[1] for col in columns if col[0] == "spectral"}
+    saab = replace(saab, cw_models=tuple(sub if ch in read else None for ch, sub in enumerate(saab.cw_models)))
     training = {
         "fingerprints": {"real": imageset_fingerprint(real), "generated": imageset_fingerprint(generated)},
         "representation_width": features.width,
@@ -363,6 +377,7 @@ def fit_pipeline(real: ImageSet, generated: ImageSet, config: RunConfig) -> tupl
         saab=saab,
         ranking=ranking,
         selection=selection,
+        columns=columns,
         ensemble=ensemble,
         config=config,
         training=training,

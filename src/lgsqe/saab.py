@@ -21,6 +21,7 @@ refits.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,17 +60,17 @@ class SaabModel:
     ``ac_kernels`` holds the kept AC kernels as rows (may be empty);
     ``eigenvalues`` holds the full AC spectrum, nonincreasing.
     ``cw_models`` is set only on the first-hop model and holds one sub-model
-    per kept channel, fitted on the pooled maps.
+    per kept channel, fitted on the pooled maps; a fitted pipeline replaces
+    the sub-models of channels it never reads with ``None``.
     """
 
-    dc_kernel: np.ndarray
     ac_kernels: np.ndarray
     eigenvalues: np.ndarray
     input_side: int
     channels: int
     patch_size: int
     stride: int
-    cw_models: tuple["SaabModel", ...] | None = None
+    cw_models: tuple["SaabModel | None", ...] | None = None
 
     @property
     def num_channels(self) -> int:
@@ -78,11 +79,25 @@ class SaabModel:
 
     @property
     def patch_dim(self) -> int:
-        return self.dc_kernel.shape[0]
+        return self.patch_size * self.patch_size * self.channels
+
+    @property
+    def pooled_side(self) -> int:
+        """Side of the pooled response map: half the patch placement grid."""
+        return ((self.input_side - self.patch_size) // self.stride + 1) // 2
+
+    @property
+    def dc_kernel(self) -> np.ndarray:
+        return _dc_kernel(self.patch_dim)
 
     def kernel_matrix(self) -> np.ndarray:
         """(K1, K) projection matrix with the DC kernel as row 0."""
         return np.concatenate([self.dc_kernel[None, :], self.ac_kernels], axis=0)
+
+
+def _dc_kernel(dim: int) -> np.ndarray:
+    """The constant unit vector; it is the same for every fit of a given dimension."""
+    return np.full(dim, 1.0 / np.sqrt(dim))
 
 
 def extract_patches(images: ImageSet, patch_size: int, stride: int) -> PatchMatrix:
@@ -110,8 +125,7 @@ def _complement_basis(dim: int) -> np.ndarray:
     Built from the Householder reflection mapping e0 onto the DC kernel, so
     the basis is deterministic.
     """
-    dc = np.full(dim, 1.0 / np.sqrt(dim))
-    v = dc - np.eye(dim)[0]
+    v = _dc_kernel(dim) - np.eye(dim)[0]
     norm = np.linalg.norm(v)
     if norm < 1e-15:  # dim == 1: no complement
         return np.empty((dim, 0))
@@ -167,7 +181,7 @@ def fit_saab(
     if n_rows < dim:
         warnings.warn(f"only {n_rows} patches for dimension {dim}; fit proceeds with reduced rank")
 
-    dc = np.full(dim, 1.0 / np.sqrt(dim))
+    dc = _dc_kernel(dim)
     dc_coeff = data @ dc
     residual = data - np.outer(dc_coeff, dc)
     patch_mean = residual.mean(axis=0)
@@ -184,7 +198,6 @@ def fit_saab(
 
     kept = _kept_ac_count(eigvals, energy_threshold, explicit_channels)
     return SaabModel(
-        dc_kernel=dc,
         ac_kernels=kernels[:kept],
         eigenvalues=eigvals,
         input_side=patches.input_side,
@@ -213,17 +226,23 @@ def apply_saab(model: SaabModel, images: ImageSet) -> np.ndarray:
 def abs_max_pool(responses: np.ndarray) -> np.ndarray:
     """2x2 non-overlapping pooling keeping the signed element of max magnitude.
 
-    An odd trailing row/column is dropped.
+    Ties go to the first element in row-major window order, as with
+    ``np.argmax`` over the window's magnitudes. An odd trailing row/column is
+    dropped.
     """
     n, height, width, channels = responses.shape
     if height < 2 or width < 2:
         raise GeometryError(f"need a spatial extent of at least 2 to pool, got {height}x{width}")
-    h2, w2 = height // 2, width // 2
-    cropped = responses[:, : h2 * 2, : w2 * 2]
-    windows = cropped.reshape(n, h2, 2, w2, 2, channels)
-    windows = np.transpose(windows, (0, 1, 3, 5, 2, 4)).reshape(n, h2, w2, channels, 4)
-    pick = np.argmax(np.abs(windows), axis=-1)
-    return np.take_along_axis(windows, pick[..., None], axis=-1)[..., 0]
+    rows, cols = height // 2 * 2, width // 2 * 2
+    top, bottom = responses[:, 0:rows:2], responses[:, 1:rows:2]
+    # A pairwise tournament; each comparison is strict, so the earlier element wins a tie.
+    upper = _larger_magnitude(top[:, :, 0:cols:2], top[:, :, 1:cols:2])
+    lower = _larger_magnitude(bottom[:, :, 0:cols:2], bottom[:, :, 1:cols:2])
+    return _larger_magnitude(upper, lower)
+
+
+def _larger_magnitude(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(second) > np.abs(first), second, first)
 
 
 def _channel_rows(pooled: np.ndarray, channel: int) -> PatchMatrix:
@@ -250,12 +269,17 @@ def fit_cw_saab(
     return tuple(models)
 
 
-def apply_cw_saab(models: tuple[SaabModel, ...], pooled: np.ndarray) -> np.ndarray:
-    """Concatenate every channel's spectral coefficients into one block."""
+def apply_cw_saab(models: tuple[SaabModel | None, ...], pooled: np.ndarray) -> np.ndarray:
+    """Concatenate the spectral coefficients of every channel that has a sub-model.
+
+    A ``None`` entry contributes no columns.
+    """
     if pooled.shape[3] != len(models):
         raise GeometryError(f"pooled tensor has {pooled.shape[3]} channels, model has {len(models)}")
-    blocks = []
+    blocks = [np.empty((pooled.shape[0], 0))]
     for ch, model in enumerate(models):
+        if model is None:
+            continue
         rows = _channel_rows(pooled, ch)
         if rows.patch_dim != model.patch_dim:
             raise GeometryError(f"channel {ch}: pooled map size {rows.patch_dim} != fitted size {model.patch_dim}")
@@ -301,16 +325,63 @@ def fit_representation(
     return replace(hop, cw_models=cw)
 
 
-def build_representation(images: ImageSet, model: SaabModel) -> FeatureMatrix:
-    """Concatenate pooled spatial responses with the c/w spectral block."""
-    if model.cw_models is None:
-        raise ValueError("model has no channel-wise sub-models; call fit_representation first")
-    pooled = abs_max_pool(apply_saab(model, images))
-    n, h2, w2, k1 = pooled.shape
-    spatial = pooled.reshape(n, h2 * w2 * k1)
-    spectral = apply_cw_saab(model.cw_models, pooled)
-    provenance = [("spatial", int(r), int(c), int(ch)) for r in range(h2) for c in range(w2) for ch in range(k1)]
+def representation_layout(model: SaabModel) -> tuple[tuple, ...]:
+    """Provenance of every representation column, in column order: the pooled
+    spatial responses, then each channel's spectral block.
+
+    A column is ``("spatial", row, col, channel)``, a pooled first-hop
+    response, or ``("spectral", channel, component)``, a coefficient of that
+    channel's c/w sub-model.
+    """
+    if model.cw_models is None or any(sub is None for sub in model.cw_models):
+        raise ValueError("model lacks channel-wise sub-models; call fit_representation first")
+    side, k1 = model.pooled_side, model.num_channels
+    layout = [("spatial", r, c, ch) for r in range(side) for c in range(side) for ch in range(k1)]
     for ch, sub in enumerate(model.cw_models):
-        provenance.extend(("spectral", ch, comp) for comp in range(sub.num_channels))
-    data = np.concatenate([spatial, spectral], axis=1)
-    return FeatureMatrix(np.ascontiguousarray(data), tuple(provenance))
+        layout.extend(("spectral", ch, comp) for comp in range(sub.num_channels))
+    return tuple(layout)
+
+
+def column_positions(model: SaabModel, columns: Sequence[tuple]) -> tuple[frozenset[int], list[int]]:
+    """Where each named column sits in the table ``build_representation`` gathers from.
+
+    The table is the flattened pooled responses followed by the spectral
+    blocks of the channels that ``columns`` names, in channel order. Returns
+    those channels and the positions. A column the model cannot produce
+    raises ``GeometryError``.
+    """
+    side, k1 = model.pooled_side, model.num_channels
+    subs = model.cw_models or ()
+    channels = sorted({col[1] for col in columns if col[0] == "spectral" and len(col) == 3})
+    start, offset = {}, side * side * k1
+    for ch in channels:
+        if not 0 <= ch < len(subs) or subs[ch] is None:
+            raise GeometryError(f"a spectral column names channel {ch!r}, which has no channel-wise sub-model")
+        start[ch] = offset
+        offset += subs[ch].num_channels
+    positions = []
+    for col in columns:
+        if col[0] == "spatial" and len(col) == 4 and all(0 <= v < n for v, n in zip(col[1:], (side, side, k1))):
+            positions.append((col[1] * side + col[2]) * k1 + col[3])
+        elif col[0] == "spectral" and len(col) == 3 and 0 <= col[2] < subs[col[1]].num_channels:
+            positions.append(start[col[1]] + col[2])
+        else:
+            raise GeometryError(f"the model has no representation column {tuple(col)!r}")
+    return frozenset(channels), positions
+
+
+def build_representation(images: ImageSet, model: SaabModel, columns: Sequence[tuple] | None = None) -> FeatureMatrix:
+    """The representation columns named by ``columns`` (provenance tuples as in
+    ``representation_layout``; by default every column, which fitting needs).
+
+    Only the c/w sub-models of the named channels run, each with its full
+    kernel matrix, so a column's value does not depend on which other columns
+    are asked for.
+    """
+    columns = representation_layout(model) if columns is None else tuple(columns)
+    channels, positions = column_positions(model, columns)
+    pooled = abs_max_pool(apply_saab(model, images))
+    n, side, _, k1 = pooled.shape
+    kept = tuple(sub if ch in channels else None for ch, sub in enumerate(model.cw_models or ()))
+    table = np.concatenate([pooled.reshape(n, side * side * k1), apply_cw_saab(kept, pooled)], axis=1)
+    return FeatureMatrix(table[:, positions], columns)

@@ -1,6 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 import lgsqe
 
@@ -51,3 +54,42 @@ def random_image_set(count, side=8, channels=1, seed=0, provenance="real"):
     rng = np.random.default_rng(seed)
     pixels = rng.random((count, side, side, channels), dtype=np.float32)
     return lgsqe.ImageSet(pixels, provenance)
+
+
+def image_file_bytes(side=4) -> dict[str, tuple[bytes, list[int]]]:
+    """A small valid file per format (two side x side grayscale images for IDX
+    and LGT, two CIFAR records) with the offsets of its header bytes."""
+    rng = np.random.default_rng(side)
+    idx = struct.pack(">IIII", 0x00000803, 2, side, side)
+    idx += rng.integers(0, 256, 2 * side * side, dtype=np.uint8).tobytes()
+    records = rng.integers(0, 256, (2, 3073), dtype=np.uint8)
+    records[:, 0] = [3, 7]  # CIFAR-10 label bytes
+    lgt = b"LGT1" + struct.pack("<IIII", 2, side, side, 1) + bytes([1])
+    lgt += rng.random(2 * side * side, dtype=np.float32).astype("<f4").tobytes()
+    return {
+        "idx": (idx, list(range(16))),
+        "cifar": (records.tobytes(), [0, 3073]),
+        "lgt": (lgt, list(range(21))),
+    }
+
+
+def damaged_file(data, fmt: str, side: int = 4) -> bytes:
+    """Draw a damaged file of format ``fmt``: a truncated valid file, one with
+    corrupted header bytes, or (IDX and LGT) a header with small random shape
+    fields and a payload of exactly the length they declare."""
+    raw, header = image_file_bytes(side)[fmt]
+    how = data.draw(st.sampled_from(["truncate", "corrupt"] + (["forge"] if fmt != "cifar" else [])), label="how")
+    if how == "truncate":
+        return raw[: data.draw(st.integers(0, len(raw) - 1), label="cut")]
+    if how == "forge":
+        fields = 3 if fmt == "idx" else 4
+        shape = data.draw(st.lists(st.integers(0, 4), min_size=fields, max_size=fields), label="shape")
+        size = int(np.prod(shape))
+        if fmt == "idx":
+            return struct.pack(">IIII", 0x00000803, *shape) + bytes(size)
+        return b"LGT1" + struct.pack("<IIII", *shape) + bytes([1]) + np.full(size, 0.5, dtype="<f4").tobytes()
+    out = bytearray(raw)
+    edits = st.tuples(st.sampled_from(header), st.integers(0, 255))
+    for offset, value in data.draw(st.lists(edits, min_size=1, max_size=4), label="edits"):
+        out[offset] = value
+    return bytes(out)

@@ -1,13 +1,20 @@
 import csv
+import io
 import json
 import struct
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lgsqe
 from lgsqe.cli import _build_config, build_parser, main
+from lgsqe.errors import LgsqeError
 from lgsqe.pipeline import RunConfig, parse_config_file, write_config_file
+
+from conftest import damaged_file
 
 FIT_FLAGS = [
     "--patch-size", "3", "--stride", "2", "--top-k", "25",
@@ -125,6 +132,23 @@ class TestScore:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("lgsqe: error:") and "'1.0.0'" in err[0]
 
+    def test_format_2_refused(self, cli_data, fitted_model, tmp_path, capsys):
+        _, _, gen_path = cli_data
+        doc = json.loads(fitted_model.read_text())
+        doc["format_version"] = "2.0.0"
+        old = tmp_path / "v2.json"
+        old.write_text(json.dumps(doc))
+        assert main(["score", str(old), str(gen_path), "-o", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["lgsqe: error: unsupported model format version '2.0.0'"]
+
+    def test_zero_byte_file_names_the_file(self, fitted_model, tmp_path, capsys):
+        empty = tmp_path / "empty.bin"
+        empty.write_bytes(b"")
+        assert main(["score", str(fitted_model), str(empty), "-o", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"lgsqe: error: {empty}: unknown image format")
+
     def test_empty_sample_file(self, cli_data, fitted_model, tmp_path):
         empty = tmp_path / "empty.lgt"
         lgsqe.save_raw_tensor(
@@ -133,6 +157,29 @@ class TestScore:
         out = tmp_path / "scores.csv"
         assert main(["score", str(fitted_model), str(empty), "-o", str(out)]) == 0
         assert out.read_text() == "sample_id,provenance,score\n"
+
+
+class TestLoaderFuzz:
+    @given(fmt=st.sampled_from(["idx", "cifar", "lgt"]), data=st.data())
+    @settings(max_examples=80)
+    def test_one_error_line_or_scores(self, fitted_model, tmp_path_factory, fmt, data):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        path = tmp / f"damaged.{fmt}"
+        path.write_bytes(damaged_file(data, fmt, side=16))  # the fitted model's side, so some files score
+        try:
+            lgsqe.load_images(path)
+            load_error = None
+        except (LgsqeError, ValueError) as exc:
+            load_error = str(exc)
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = main(["score", str(fitted_model), str(path), "-o", str(tmp / "s.csv")])
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert load_error is None and lines == []
+        else:
+            assert code == 1 and len(lines) == 1 and lines[0].startswith("lgsqe: error: ")
+            assert load_error is None or lines[0] == f"lgsqe: error: {load_error}"
 
 
 class TestEval:

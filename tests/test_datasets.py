@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lgsqe
-from lgsqe.errors import FormatError, LengthError, VersionError
+from lgsqe.errors import FormatError, GeometryError, LengthError, LgsqeError, VersionError
 
-from conftest import random_image_set
+from conftest import damaged_file, random_image_set
 
 
 def write_idx(path, images: np.ndarray) -> None:
@@ -39,6 +39,12 @@ class TestIdx:
         path = tmp_path / "short.idx"
         path.write_bytes(struct.pack(">IIII", 0x00000803, 2, 3, 3) + bytes(17))
         with pytest.raises(LengthError):
+            lgsqe.load_idx(path)
+
+    def test_non_square_names_the_file(self, tmp_path):
+        path = tmp_path / "wide.idx"
+        path.write_bytes(struct.pack(">IIII", 0x00000803, 1, 3, 4) + bytes(12))
+        with pytest.raises(GeometryError, match="wide.idx: images must be square"):
             lgsqe.load_idx(path)
 
 
@@ -109,6 +115,20 @@ class TestLgt:
         with pytest.raises(LengthError):
             lgsqe.load_raw_tensor(path)
 
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ((1, 0, 0, 1), "image side must be at least 1"),
+            ((1, 2, 3, 1), "must be square"),
+            ((1, 2, 2, 2), "channel count"),
+        ],
+    )
+    def test_bad_geometry_names_the_file(self, tmp_path, shape, message):
+        path = tmp_path / "odd.lgt"
+        path.write_bytes(b"LGT1" + struct.pack("<IIII", *shape) + bytes([0]) + bytes(4 * int(np.prod(shape))))
+        with pytest.raises(GeometryError, match=f"odd.lgt: .*{message}"):
+            lgsqe.load_raw_tensor(path)
+
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "v2.lgt"
         path.write_bytes(b"LGT2" + struct.pack("<IIII", 0, 2, 2, 1) + bytes([0]))
@@ -139,6 +159,30 @@ class TestAutoDetect:
         fake_png.write_bytes(b"\x89PNG\r\n\x1a\n" + bytes(3073 - 8))
         with pytest.raises(FormatError):
             lgsqe.load_images(fake_png)
+
+    def test_empty_file_rejected(self, tmp_path):
+        empty = tmp_path / "empty.bin"
+        empty.write_bytes(b"")
+        with pytest.raises(FormatError, match="empty.bin: unknown image format"):
+            lgsqe.load_images(empty)
+
+
+class TestLoaderFuzz:
+    """Damaged files either load as a valid ImageSet or fail with an error naming the file."""
+
+    @given(fmt=st.sampled_from(["idx", "cifar", "lgt"]), explicit=st.booleans(), data=st.data())
+    @settings(max_examples=300)
+    def test_damaged_header(self, tmp_path_factory, fmt, explicit, data):
+        path = tmp_path_factory.mktemp("fuzz") / f"damaged.{fmt}"
+        path.write_bytes(damaged_file(data, fmt))
+        try:
+            images = lgsqe.load_images(path, fmt=fmt if explicit else "auto")
+        except (LgsqeError, ValueError) as exc:
+            assert str(path) in str(exc)
+            return
+        assert isinstance(images, lgsqe.ImageSet)
+        assert images.side >= 1 and images.channels in (1, 3)
+        assert images.pixels.size == 0 or 0.0 <= images.pixels.min() <= images.pixels.max() <= 1.0
 
 
 class TestSplit:
@@ -222,6 +266,10 @@ class TestImageSet:
             pixels[1, 2, 3, 0] = bad
             with pytest.raises(ValueError):
                 lgsqe.ImageSet(pixels)
+
+    def test_rejects_zero_side(self):
+        with pytest.raises(GeometryError):
+            lgsqe.ImageSet(np.zeros((3, 0, 0, 1), dtype=np.float32))
 
     def test_rejects_non_square(self):
         with pytest.raises(Exception):

@@ -101,6 +101,46 @@ class TestPipelineModel:
         with pytest.raises(GeometryError):
             lgsqe.PipelineModel.from_dict(doc)
 
+    def test_provenance_and_indices_disagree(self, small_pipeline):
+        model, _, _ = small_pipeline
+        doc = json.loads(model.to_json())
+        doc["selection"]["provenance"].pop()
+        with pytest.raises(GeometryError, match="column provenances"):
+            lgsqe.PipelineModel.from_dict(doc)
+
+    def test_spectral_column_of_a_dropped_sub_model(self, small_pipeline):
+        model, _, _ = small_pipeline
+        doc = json.loads(model.to_json())
+        dropped = doc["saab"]["cw_models"].index(None)
+        doc["selection"]["provenance"][0] = ["spectral", dropped, 0]
+        with pytest.raises(GeometryError, match="no channel-wise sub-model"):
+            lgsqe.PipelineModel.from_dict(doc)
+
+    def test_only_read_cw_models_kept(self, small_pipeline, tmp_path):
+        model, real, generated = small_pipeline
+        read = {col[1] for col in model.columns if col[0] == "spectral"}
+        assert [sub is not None for sub in model.saab.cw_models] == [
+            ch in read for ch in range(model.saab.num_channels)
+        ]
+        assert None in model.saab.cw_models
+        model.save(tmp_path / "model.json")
+        loaded = lgsqe.PipelineModel.load(tmp_path / "model.json")
+        assert loaded.columns == model.columns
+        assert [sub is None for sub in loaded.saab.cw_models] == [sub is None for sub in model.saab.cw_models]
+        # The columns are the selected ones of the full representation, and so are the scores.
+        split = holdout_split(model, real, generated)
+        pixels, _ = split.train_union()
+        config = model.config
+        full = lgsqe.fit_representation(
+            lgsqe.ImageSet(pixels), config.patch_size, config.stride, energy_threshold=config.energy_threshold
+        )
+        features = lgsqe.build_representation(split.test_real, full)
+        assert model.columns == tuple(features.provenance[i] for i in model.selection.indices)
+        np.testing.assert_array_equal(
+            loaded.score_images(split.test_real),
+            model.ensemble.predict_score(features.data[:, model.selection.indices]),
+        )
+
     def test_holdout_split_reproducible(self, small_pipeline):
         model, real, generated = small_pipeline
         a = holdout_split(model, real, generated)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -188,6 +190,21 @@ class TestAbsMaxPool:
                         expected = window[np.argmax(np.abs(window))]
                         assert pooled[n, r, c, ch] == expected
 
+    @given(seed=st.integers(0, 2**32 - 1), height=st.integers(2, 7), channels=st.integers(1, 3))
+    @settings(max_examples=40)
+    def test_ties_go_to_the_first_window_element(self, seed, height, channels):
+        rng = np.random.default_rng(seed)
+        magnitudes = rng.integers(0, 3, size=(2, height, height, channels)).astype(np.float64)
+        responses = np.where(rng.random(magnitudes.shape) < 0.5, -magnitudes, magnitudes)  # zeros become -0.0 or 0.0
+        pooled = lgsqe.abs_max_pool(responses)
+        for n in range(2):
+            for r in range(height // 2):
+                for c in range(height // 2):
+                    for ch in range(channels):
+                        window = responses[n, 2 * r : 2 * r + 2, 2 * c : 2 * c + 2, ch].ravel()
+                        expected = window[np.argmax(np.abs(window))]
+                        assert pooled[n, r, c, ch].tobytes() == expected.tobytes()
+
 
 class TestChannelWiseSaab:
     def test_identical_maps_keep_dc_only(self):
@@ -252,3 +269,52 @@ class TestBuildRepresentation:
         model = lgsqe.fit_representation(small_images, 3, 2)
         features = lgsqe.build_representation(small_images, model)
         assert np.isfinite(features.data).all()
+
+
+class TestSelectedColumns:
+    """The selected-column path against the full representation, bit for bit."""
+
+    @pytest.fixture(scope="class", params=[(16, 1), (32, 3)], ids=["16x16x1", "32x32x3"])
+    def fitted(self, request):
+        side, channels = request.param
+        model = lgsqe.fit_representation(random_image_set(240, side=side, channels=channels, seed=side), 3, 1)
+        layout = lgsqe.representation_layout(model)
+        rng = np.random.default_rng(side)
+        spectral_start = sum(col[0] == "spatial" for col in layout)
+        indices = np.concatenate([
+            rng.choice(spectral_start, size=40, replace=False),
+            rng.choice(np.arange(spectral_start, len(layout)), size=20, replace=False),
+        ])
+        rng.shuffle(indices)
+        columns = tuple(layout[i] for i in indices)
+        read = {col[1] for col in columns if col[0] == "spectral"}
+        assert 1 < len(read) < model.num_channels  # some sub-models run, some are dropped
+        dropped = replace(model, cw_models=tuple(s if ch in read else None for ch, s in enumerate(model.cw_models)))
+        return model, dropped, indices, columns, side, channels
+
+    @pytest.mark.parametrize("count", [0, 1, 25])
+    def test_equals_full_representation_columns(self, fitted, count):
+        model, dropped, indices, columns, side, channels = fitted
+        images = random_image_set(count, side=side, channels=channels, seed=100 + count)
+        pooled = lgsqe.abs_max_pool(lgsqe.apply_saab(model, images))
+        spatial = pooled.reshape(count, int(np.prod(pooled.shape[1:])))
+        full = np.concatenate([spatial, lgsqe.apply_cw_saab(model.cw_models, pooled)], axis=1)
+        np.testing.assert_array_equal(lgsqe.build_representation(images, model).data, full)
+        selected = lgsqe.build_representation(images, dropped, columns)
+        assert selected.data.shape == (count, len(columns)) and selected.provenance == columns
+        np.testing.assert_array_equal(selected.data, full[:, indices])
+
+    def test_column_of_a_dropped_sub_model_rejected(self, fitted):
+        model, dropped, _, _, side, channels = fitted
+        gone = next(ch for ch, sub in enumerate(dropped.cw_models) if sub is None)
+        image = random_image_set(1, side=side, channels=channels)
+        with pytest.raises(GeometryError):
+            lgsqe.build_representation(image, dropped, [("spectral", gone, 0)])
+
+    @pytest.mark.parametrize(
+        "column", [("spatial", 99, 0, 0), ("spatial", 0, 0, -1), ("spectral", 0, 10**6), ("pooled", 0)]
+    )
+    def test_unknown_column_rejected(self, fitted, column):
+        model, _, _, _, side, channels = fitted
+        with pytest.raises(GeometryError):
+            lgsqe.build_representation(random_image_set(1, side=side, channels=channels), model, [column])
