@@ -70,15 +70,13 @@ def _pr_points(scores: np.ndarray, labels: np.ndarray) -> list[tuple[float, floa
     flat to recall zero so the trapezoid covers [0, max recall].
     """
     thresholds = np.unique(np.concatenate([scores, [0.0, 1.0]]))[::-1]
-    positives = int(np.sum(labels == 1))
-    points: list[tuple[float, float]] = []
-    for t in thresholds:
-        predicted = scores >= t
-        tp = int(np.sum(predicted & (labels == 1)))
-        pp = int(predicted.sum())
-        if pp == 0:
-            continue
-        points.append((tp / positives, tp / pp))
+    order = np.argsort(scores, kind="stable")
+    positives_below = np.concatenate([[0], np.cumsum(labels[order] == 1)])
+    below = np.searchsorted(scores[order], thresholds, side="left")  # scores < t
+    predicted = scores.size - below
+    tp = positives_below[-1] - positives_below[below]
+    valid = predicted > 0
+    points = list(zip((tp[valid] / positives_below[-1]).tolist(), (tp[valid] / predicted[valid]).tolist()))
     if points:
         points.insert(0, (0.0, points[0][1]))
     return points

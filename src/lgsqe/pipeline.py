@@ -333,7 +333,7 @@ def fit_pipeline(real: ImageSet, generated: ImageSet, config: RunConfig) -> tupl
     timings["split"] = time.perf_counter() - tick
 
     tick = time.perf_counter()
-    saab = fit_representation(
+    saab, features = fit_representation(
         train_images,
         patch_size=config.patch_size,
         stride=config.stride,
@@ -341,7 +341,6 @@ def fit_pipeline(real: ImageSet, generated: ImageSet, config: RunConfig) -> tupl
         explicit_channels=config.k1,
         cw_explicit_channels=config.cw_k,
     )
-    features = build_representation(train_images, saab)
     timings["representation"] = time.perf_counter() - tick
 
     tick = time.perf_counter()

@@ -12,16 +12,24 @@ patches, ordered by nonincreasing eigenvalue. Responses are plain projections
 of raw patches onto that basis (no mean is subtracted at apply time), so a
 constant patch always has zero AC response.
 
+The first hop streams over the images in chunks of whole images of about
+``CHUNK_ROWS`` patch rows. Fitting accumulates the patch moments chunk by
+chunk; applying the hop extracts, projects and pools one chunk at a time.
+Fitting and building the representation never hold a patch matrix or response
+tensor of the whole set, so their memory grows with the image count only
+through the pooled values and columns they keep.
+
 Covariance accumulation deliberately goes through ``np.einsum`` rather than
 BLAS matmul: BLAS may split the long contraction axis across threads, which
 changes summation order with the thread count and would break byte-identical
-refits.
+refits. The first hop's fit therefore depends on ``CHUNK_ROWS`` (the order in
+which chunk moments merge), not on the thread count.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,6 +38,10 @@ from .datasets import ImageSet
 from .errors import GeometryError
 
 _ZERO_ENERGY = 1e-12
+
+# Patch rows per first-hop chunk (about 14 MB of float64 at 27 dimensions). A
+# chunk holds whole images, at least one.
+CHUNK_ROWS = 2**16
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,8 +127,17 @@ def extract_patches(images: ImageSet, patch_size: int, stride: int) -> PatchMatr
     # windows: (n, side-F+1, side-F+1, C, F, F) -> stride the grid, flatten F,F,C
     windows = windows[:, ::stride, ::stride]
     windows = np.moveaxis(windows, 3, 5)  # (n, grid, grid, F, F, C)
-    data = windows.reshape(n_img * grid_n * grid_n, patch_size * patch_size * channels)
-    return PatchMatrix(np.ascontiguousarray(data, dtype=np.float64), n_img, grid_n, patch_size, stride, channels, side)
+    data = np.ascontiguousarray(windows, dtype=np.float64).reshape(n_img * grid_n * grid_n, -1)
+    return PatchMatrix(data, n_img, grid_n, patch_size, stride, channels, side)
+
+
+def _image_chunks(images: ImageSet, patch_size: int, stride: int) -> Iterator[tuple[int, ImageSet]]:
+    """Consecutive runs of whole images, about ``CHUNK_ROWS`` patch rows each,
+    with the index of their first image. An empty set is one empty chunk."""
+    grid_n = max(1, (images.side - patch_size) // max(1, stride) + 1)
+    step = max(1, CHUNK_ROWS // (grid_n * grid_n))
+    for lo in range(0, max(images.count, 1), step):
+        yield lo, ImageSet(images.pixels[lo : lo + step], images.provenance)
 
 
 def _complement_basis(dim: int) -> np.ndarray:
@@ -161,37 +182,46 @@ def _kept_ac_count(eigenvalues: np.ndarray, energy_threshold: float | None, expl
 
 
 def fit_saab(
-    patches: PatchMatrix,
+    patches: PatchMatrix | Iterable[PatchMatrix],
     energy_threshold: float | None = 0.99,
     explicit_channels: int | None = None,
 ) -> SaabModel:
-    """Fit DC/AC kernels on a patch sample.
+    """Fit DC/AC kernels on a patch sample, given whole or as consecutive blocks.
 
-    The DC response is removed from every patch, the residuals are mean
-    centered, and the covariance (1/(n-1) normalization) is eigendecomposed
-    inside the DC-orthogonal subspace, which keeps every AC kernel exactly
-    orthogonal to the DC kernel even for rank-deficient input.
+    The covariance (1/(n-1) normalization) of the DC-removed, mean-centered
+    patches is eigendecomposed inside the DC-orthogonal subspace, which keeps
+    every AC kernel exactly orthogonal to the DC kernel even for rank-deficient
+    input. Projecting a raw patch onto a basis of that subspace removes its DC
+    response, so each block is projected, centered on its own mean, and its
+    moments are merged into the running ones in block order with the
+    Chan-Golub-LeVeque pairwise update. A ``PatchMatrix`` is one block.
     """
-    data = patches.data
-    n_rows, dim = data.shape
-    if n_rows == 0:
+    blocks = [patches] if isinstance(patches, PatchMatrix) else patches
+    first, count = None, 0
+    for block in blocks:
+        data = block.data
+        if not np.isfinite(data).all():
+            raise ValueError("patches contain non-finite values")
+        if first is None:
+            first, basis = block, _complement_basis(block.patch_dim)  # (dim, dim-1)
+            mean, m2 = np.zeros(basis.shape[1]), np.zeros((basis.shape[1], basis.shape[1]))
+        rows = data.shape[0]
+        if rows == 0:
+            continue
+        projected = data @ basis
+        block_mean = projected.mean(axis=0)
+        projected -= block_mean
+        delta, total = block_mean - mean, count + rows
+        mean = mean + delta * (rows / total)
+        m2 = m2 + np.einsum("ij,ik->jk", projected, projected) + np.outer(delta, delta) * (count * rows / total)
+        count = total
+    if count == 0:
         raise ValueError("cannot fit a Saab model on zero patches")
-    if not np.isfinite(data).all():
-        raise ValueError("patches contain non-finite values")
-    if n_rows < dim:
-        warnings.warn(f"only {n_rows} patches for dimension {dim}; fit proceeds with reduced rank")
+    dim = first.patch_dim
+    if count < dim:
+        warnings.warn(f"only {count} patches for dimension {dim}; fit proceeds with reduced rank")
 
-    dc = _dc_kernel(dim)
-    dc_coeff = data @ dc
-    residual = data - np.outer(dc_coeff, dc)
-    patch_mean = residual.mean(axis=0)
-    centered = residual - patch_mean
-
-    basis = _complement_basis(dim)  # (dim, dim-1)
-    projected = centered @ basis
-    denom = n_rows - 1 if n_rows > 1 else 1
-    cov = np.einsum("ij,ik->jk", projected, projected) / denom
-    eigvals, eigvecs = np.linalg.eigh(cov)
+    eigvals, eigvecs = np.linalg.eigh(m2 / (count - 1 if count > 1 else 1))
     order = np.argsort(eigvals)[::-1]
     eigvals = np.clip(eigvals[order], 0.0, None)
     kernels = _fix_signs((basis @ eigvecs[:, order]).T)  # (dim-1, dim)
@@ -200,10 +230,10 @@ def fit_saab(
     return SaabModel(
         ac_kernels=kernels[:kept],
         eigenvalues=eigvals,
-        input_side=patches.input_side,
-        channels=patches.channels,
-        patch_size=patches.patch_size,
-        stride=patches.stride,
+        input_side=first.input_side,
+        channels=first.channels,
+        patch_size=first.patch_size,
+        stride=first.stride,
     )
 
 
@@ -247,7 +277,7 @@ def _larger_magnitude(first: np.ndarray, second: np.ndarray) -> np.ndarray:
 
 def _channel_rows(pooled: np.ndarray, channel: int) -> PatchMatrix:
     n, h2, w2 = pooled.shape[0], pooled.shape[1], pooled.shape[2]
-    rows = pooled[..., channel].reshape(n, h2 * w2).astype(np.float64)
+    rows = np.ascontiguousarray(pooled[..., channel].reshape(n, h2 * w2), dtype=np.float64)  # a view when contiguous
     return PatchMatrix(rows, n, 1, h2, 1, 1, h2)
 
 
@@ -269,22 +299,30 @@ def fit_cw_saab(
     return tuple(models)
 
 
-def apply_cw_saab(models: tuple[SaabModel | None, ...], pooled: np.ndarray) -> np.ndarray:
+def apply_cw_saab(
+    models: tuple[SaabModel | None, ...], pooled: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Concatenate the spectral coefficients of every channel that has a sub-model.
 
-    A ``None`` entry contributes no columns.
+    A ``None`` entry contributes no columns. The coefficients are written into
+    ``out`` when it is given (count x total component count) and returned.
     """
     if pooled.shape[3] != len(models):
         raise GeometryError(f"pooled tensor has {pooled.shape[3]} channels, model has {len(models)}")
-    blocks = [np.empty((pooled.shape[0], 0))]
-    for ch, model in enumerate(models):
-        if model is None:
-            continue
+    kept = [(ch, model) for ch, model in enumerate(models) if model is not None]
+    shape = (pooled.shape[0], sum(model.num_channels for _, model in kept))
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise GeometryError(f"output has shape {out.shape}, the coefficients {shape}")
+    offset = 0
+    for ch, model in kept:
         rows = _channel_rows(pooled, ch)
         if rows.patch_dim != model.patch_dim:
             raise GeometryError(f"channel {ch}: pooled map size {rows.patch_dim} != fitted size {model.patch_dim}")
-        blocks.append(rows.data @ model.kernel_matrix().T)
-    return np.concatenate(blocks, axis=1)
+        out[:, offset : offset + model.num_channels] = rows.data @ model.kernel_matrix().T
+        offset += model.num_channels
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,7 +339,8 @@ class FeatureMatrix:
     def __post_init__(self):
         if self.data.shape[1] != len(self.provenance):
             raise GeometryError("provenance length must match the column count")
-        if self.data.size and not np.isfinite(self.data).all():
+        # min and max propagate NaN, and are infinite if any value is.
+        if self.data.size and not (np.isfinite(self.data.min()) and np.isfinite(self.data.max())):
             raise ValueError("feature matrix contains non-finite values")
 
     @property
@@ -316,13 +355,57 @@ def fit_representation(
     energy_threshold: float | None = 0.99,
     explicit_channels: int | None = None,
     cw_explicit_channels: int | None = None,
-) -> SaabModel:
-    """Fit the full one-hop representation (first-hop Saab + c/w sub-models)."""
-    patches = extract_patches(images, patch_size, stride)
-    hop = fit_saab(patches, energy_threshold=energy_threshold, explicit_channels=explicit_channels)
-    pooled = abs_max_pool(apply_saab(hop, images))
+) -> tuple[SaabModel, FeatureMatrix]:
+    """Fit the full one-hop representation (first-hop Saab + c/w sub-models) and
+    return it with the full representation of ``images`` (every column of
+    ``representation_layout``).
+
+    Two streamed passes run over the images: the first accumulates the
+    first-hop moments, the second applies the fitted hop and pools. The pooled
+    tensor feeds both the c/w fits and the representation, so the images are
+    pooled once.
+    """
+    chunks = _image_chunks(images, patch_size, stride)
+    hop = fit_saab(
+        (extract_patches(chunk, patch_size, stride) for _, chunk in chunks),
+        energy_threshold=energy_threshold,
+        explicit_channels=explicit_channels,
+    )
+    n, side, k1 = images.count, hop.pooled_side, hop.num_channels
+    spatial = side * side * k1
+    pooled = np.empty((n, spatial))
+    for lo, block in _pooled_chunks(images, hop, np.arange(spatial)):
+        pooled[lo : lo + block.shape[0]] = block
+    pooled = pooled.reshape(n, side, side, k1)
     cw = fit_cw_saab(pooled, energy_threshold=energy_threshold, explicit_channels=cw_explicit_channels)
-    return replace(hop, cw_models=cw)
+    model = replace(hop, cw_models=cw)
+    data = np.empty((n, spatial + sum(sub.num_channels for sub in cw)))
+    data[:, :spatial] = pooled.reshape(n, spatial)
+    apply_cw_saab(cw, pooled, out=data[:, spatial:])
+    return model, FeatureMatrix(data, representation_layout(model))
+
+
+def _pooled_chunks(images: ImageSet, model: SaabModel, positions: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Pooled first-hop responses at the flat pooled positions ``positions``
+    (``(row * pooled_side + col) * K1 + channel``), one chunk of whole images
+    at a time: the index of the chunk's first image and a (chunk count x
+    len(positions)) block.
+
+    Only the 2x2 windows at ``positions`` are pooled, by ``abs_max_pool``'s
+    tournament, so each value equals the full pooled tensor's bit for bit.
+    """
+    grid_n = (model.input_side - model.patch_size) // model.stride + 1
+    if model.pooled_side < 1:
+        raise GeometryError(f"need a spatial extent of at least 2 to pool, got {grid_n}x{grid_n}")
+    k1 = model.num_channels
+    cell, channel = np.divmod(np.asarray(positions, dtype=np.intp), k1)
+    row, col = np.divmod(cell, model.pooled_side)
+    # corners[a, b, i]: where element (a, b) of window i sits in a chunk's flattened responses.
+    offsets = np.array([[0, 1], [grid_n, grid_n + 1]]) * k1
+    corners = offsets[:, :, None] + ((2 * row * grid_n + 2 * col) * k1 + channel)
+    for lo, chunk in _image_chunks(images, model.patch_size, model.stride):
+        responses = apply_saab(model, chunk).reshape(chunk.count, grid_n * grid_n * k1)
+        yield lo, abs_max_pool(responses[:, corners]).reshape(chunk.count, corners.shape[2])
 
 
 def representation_layout(model: SaabModel) -> tuple[tuple, ...]:
@@ -343,12 +426,10 @@ def representation_layout(model: SaabModel) -> tuple[tuple, ...]:
 
 
 def column_positions(model: SaabModel, columns: Sequence[tuple]) -> tuple[frozenset[int], list[int]]:
-    """Where each named column sits in the table ``build_representation`` gathers from.
-
-    The table is the flattened pooled responses followed by the spectral
-    blocks of the channels that ``columns`` names, in channel order. Returns
-    those channels and the positions. A column the model cannot produce
-    raises ``GeometryError``.
+    """Where each named column sits in the flattened pooled responses followed
+    by the spectral blocks of the channels that ``columns`` names, in channel
+    order. Returns those channels and the positions. A column the model cannot
+    produce raises ``GeometryError``.
     """
     side, k1 = model.pooled_side, model.num_channels
     subs = model.cw_models or ()
@@ -372,16 +453,31 @@ def column_positions(model: SaabModel, columns: Sequence[tuple]) -> tuple[frozen
 
 def build_representation(images: ImageSet, model: SaabModel, columns: Sequence[tuple] | None = None) -> FeatureMatrix:
     """The representation columns named by ``columns`` (provenance tuples as in
-    ``representation_layout``; by default every column, which fitting needs).
+    ``representation_layout``; by default every column).
 
-    Only the c/w sub-models of the named channels run, each with its full
-    kernel matrix, so a column's value does not depend on which other columns
-    are asked for.
+    Only the pooled windows the columns read are computed: those of the
+    spatial columns and the whole maps of the channels that a spectral column
+    names. Only the c/w sub-models of those channels run, each with its full
+    kernel matrix on the whole map, so a column's value does not depend on
+    which other columns are asked for.
     """
     columns = representation_layout(model) if columns is None else tuple(columns)
     channels, positions = column_positions(model, columns)
-    pooled = abs_max_pool(apply_saab(model, images))
-    n, side, _, k1 = pooled.shape
-    kept = tuple(sub if ch in channels else None for ch, sub in enumerate(model.cw_models or ()))
-    table = np.concatenate([pooled.reshape(n, side * side * k1), apply_cw_saab(kept, pooled)], axis=1)
-    return FeatureMatrix(table[:, positions], columns)
+    positions = np.asarray(positions, dtype=np.intp)
+    n, side, k1 = images.count, model.pooled_side, model.num_channels
+    read = sorted(channels)
+    is_spatial = np.array([col[0] == "spatial" for col in columns], dtype=bool)
+    spatial, spectral = np.flatnonzero(is_spatial), np.flatnonzero(~is_spatial)
+    # The read channels' maps, (row, col) major, then the spatial columns' windows.
+    map_positions = (np.arange(side * side)[:, None] * k1 + np.array(read, dtype=np.intp)).ravel()
+    data = np.empty((n, len(columns)))
+    maps = np.empty((n, map_positions.size))
+    for lo, block in _pooled_chunks(images, model, np.concatenate([map_positions, positions[spatial]])):
+        hi = lo + block.shape[0]
+        maps[lo:hi] = block[:, : map_positions.size]
+        data[lo:hi, spatial] = block[:, map_positions.size :]
+    if spectral.size:
+        subs = tuple(model.cw_models[ch] for ch in read)
+        coefficients = apply_cw_saab(subs, maps.reshape(n, side, side, len(read)))
+        data[:, spectral] = coefficients[:, positions[spectral] - side * side * k1]
+    return FeatureMatrix(data, columns)

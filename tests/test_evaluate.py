@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 import lgsqe
 from lgsqe.errors import GeometryError
-from lgsqe.evaluate import histogram_svg
+from lgsqe.evaluate import _pr_points, histogram_svg
 
 
-def pr_auc_oracle(scores, labels):
-    """Brute force: every distinct score plus {0,1} as a threshold."""
+def pr_points_oracle(scores, labels):
+    """Brute force: every distinct score plus {0,1} as a threshold, one scan each."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     positives = int(np.sum(labels == 1))
@@ -26,6 +26,11 @@ def pr_auc_oracle(scores, labels):
         points.append((tp / positives, tp / pp))
     if points:
         points.insert(0, (0.0, points[0][1]))
+    return points
+
+
+def pr_auc_oracle(scores, labels):
+    points = pr_points_oracle(scores, labels)
     area = 0.0
     for (r0, p0), (r1, p1) in zip(points[:-1], points[1:]):
         area += (r1 - r0) * (p0 + p1) / 2.0
@@ -127,6 +132,22 @@ class TestPrAuc:
         if labels.sum() in (0, n):
             labels[0] = 1 - labels[0]
         assert lgsqe.pr_auc(scores, labels) == pytest.approx(pr_auc_oracle(scores, labels), abs=1e-12)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 400),
+        levels=st.lists(st.sampled_from([0.0, 1.0, 0.25, 0.5, 0.5 + 1e-12]) | st.floats(0, 1), min_size=1, max_size=8),
+    )
+    @settings(max_examples=150)
+    def test_equals_the_threshold_loop_bit_for_bit(self, seed, n, levels):
+        """Many tied scores, 0 and 1 among them: the points and the area equal a
+        scan of all scores per threshold exactly, not only to a tolerance."""
+        rng = np.random.default_rng(seed)
+        scores = rng.choice(np.array(levels), size=n)
+        labels = rng.integers(0, 2, size=n).astype(np.int8)
+        labels[: 2] = [0, 1]
+        assert _pr_points(scores, labels) == pr_points_oracle(scores, labels)
+        assert lgsqe.pr_auc(scores, labels) == pr_auc_oracle(scores, labels)
 
 
 class TestRocAuc:

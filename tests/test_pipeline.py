@@ -131,7 +131,7 @@ class TestPipelineModel:
         split = holdout_split(model, real, generated)
         pixels, _ = split.train_union()
         config = model.config
-        full = lgsqe.fit_representation(
+        full, _ = lgsqe.fit_representation(
             lgsqe.ImageSet(pixels), config.patch_size, config.stride, energy_threshold=config.energy_threshold
         )
         features = lgsqe.build_representation(split.test_real, full)

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lgsqe
+from lgsqe import saab
 from lgsqe.errors import GeometryError
 from lgsqe.saab import PatchMatrix
 
@@ -241,7 +246,7 @@ class TestChannelWiseSaab:
 
 class TestBuildRepresentation:
     def test_width_matches_provenance_arithmetic(self, small_images):
-        model = lgsqe.fit_representation(small_images, 3, 2)
+        model, _ = lgsqe.fit_representation(small_images, 3, 2)
         features = lgsqe.build_representation(small_images, model)
         patches_grid = (16 - 3) // 2 + 1
         pooled_side = patches_grid // 2
@@ -252,23 +257,30 @@ class TestBuildRepresentation:
         assert all(p[0] == "spectral" for p in features.provenance[spatial:])
 
     def test_zero_images(self, small_images):
-        model = lgsqe.fit_representation(small_images, 3, 2)
+        model, _ = lgsqe.fit_representation(small_images, 3, 2)
         empty = lgsqe.ImageSet(np.empty((0, 16, 16, 1), dtype=np.float32), "real")
         features = lgsqe.build_representation(empty, model)
         reference = lgsqe.build_representation(small_images, model)
         assert features.data.shape == (0, reference.width)
 
     def test_deterministic(self, small_images):
-        a = lgsqe.fit_representation(small_images, 3, 2)
-        b = lgsqe.fit_representation(small_images, 3, 2)
+        a, _ = lgsqe.fit_representation(small_images, 3, 2)
+        b, _ = lgsqe.fit_representation(small_images, 3, 2)
         fa = lgsqe.build_representation(small_images, a)
         fb = lgsqe.build_representation(small_images, b)
         np.testing.assert_array_equal(fa.data, fb.data)
 
     def test_finite_values_enforced(self, small_images):
-        model = lgsqe.fit_representation(small_images, 3, 2)
+        model, _ = lgsqe.fit_representation(small_images, 3, 2)
         features = lgsqe.build_representation(small_images, model)
         assert np.isfinite(features.data).all()
+
+
+def unchunked_representation(model, images):
+    """The full representation from whole-set calls: apply, pool, then the c/w blocks."""
+    pooled = lgsqe.abs_max_pool(lgsqe.apply_saab(model, images))
+    spatial = pooled.reshape(images.count, int(np.prod(pooled.shape[1:])))
+    return np.concatenate([spatial, lgsqe.apply_cw_saab(model.cw_models, pooled)], axis=1)
 
 
 class TestSelectedColumns:
@@ -277,7 +289,7 @@ class TestSelectedColumns:
     @pytest.fixture(scope="class", params=[(16, 1), (32, 3)], ids=["16x16x1", "32x32x3"])
     def fitted(self, request):
         side, channels = request.param
-        model = lgsqe.fit_representation(random_image_set(240, side=side, channels=channels, seed=side), 3, 1)
+        model, _ = lgsqe.fit_representation(random_image_set(240, side=side, channels=channels, seed=side), 3, 1)
         layout = lgsqe.representation_layout(model)
         rng = np.random.default_rng(side)
         spectral_start = sum(col[0] == "spatial" for col in layout)
@@ -296,9 +308,7 @@ class TestSelectedColumns:
     def test_equals_full_representation_columns(self, fitted, count):
         model, dropped, indices, columns, side, channels = fitted
         images = random_image_set(count, side=side, channels=channels, seed=100 + count)
-        pooled = lgsqe.abs_max_pool(lgsqe.apply_saab(model, images))
-        spatial = pooled.reshape(count, int(np.prod(pooled.shape[1:])))
-        full = np.concatenate([spatial, lgsqe.apply_cw_saab(model.cw_models, pooled)], axis=1)
+        full = unchunked_representation(model, images)
         np.testing.assert_array_equal(lgsqe.build_representation(images, model).data, full)
         selected = lgsqe.build_representation(images, dropped, columns)
         assert selected.data.shape == (count, len(columns)) and selected.provenance == columns
@@ -318,3 +328,150 @@ class TestSelectedColumns:
         model, _, _, _, side, channels = fitted
         with pytest.raises(GeometryError):
             lgsqe.build_representation(random_image_set(1, side=side, channels=channels), model, [column])
+
+
+def smooth_image_set(count, side, channels, seed):
+    """Random images blurred along both axes, so the patch spectrum decays and
+    its eigenvalues are well separated."""
+    rng = np.random.default_rng(seed)
+    noise = rng.random((count, side + 4, side + 4, channels))
+    blurred = sum(noise[:, i : i + side, j : j + side] * w for i, j, w in [(0, 0, 1), (1, 2, 2), (4, 1, 1), (2, 4, 3)])
+    return lgsqe.ImageSet((blurred / 7).astype(np.float32))
+
+
+def chunk_images(side, images_per_chunk, patch_size=3, stride=1):
+    """A CHUNK_ROWS value that puts ``images_per_chunk`` whole images in a chunk."""
+    grid_n = (side - patch_size) // stride + 1
+    return images_per_chunk * grid_n * grid_n + grid_n  # not a multiple of an image's rows
+
+
+@pytest.mark.filterwarnings("ignore:only .* patches for dimension")  # c/w fits on few samples
+class TestStreamedFirstHop:
+    """The first hop runs in chunks of whole images; results must not show the seams."""
+
+    @pytest.mark.parametrize("side,channels", [(16, 1), (32, 3)], ids=["16x16x1", "32x32x3"])
+    def test_chunk_seams_bit_exact(self, monkeypatch, side, channels):
+        monkeypatch.setattr(saab, "CHUNK_ROWS", chunk_images(side, 3))
+        images = random_image_set(11, side=side, channels=channels, seed=side + 1)
+        assert [chunk.count for _, chunk in saab._image_chunks(images, 3, 1)] == [3, 3, 3, 2]
+        model, features = lgsqe.fit_representation(images, 3, 1)
+        np.testing.assert_array_equal(features.data, unchunked_representation(model, images))
+        assert features.provenance == lgsqe.representation_layout(model)
+
+        fresh = random_image_set(10, side=side, channels=channels, seed=side + 2)
+        reference = unchunked_representation(model, fresh)
+        np.testing.assert_array_equal(lgsqe.build_representation(fresh, model).data, reference)
+        layout = lgsqe.representation_layout(model)
+        indices = np.random.default_rng(side).choice(len(layout), size=50, replace=False)
+        selected = lgsqe.build_representation(fresh, model, [layout[i] for i in indices])
+        np.testing.assert_array_equal(selected.data, reference[:, indices])
+
+    @pytest.mark.parametrize("side,channels", [(16, 1), (32, 3)], ids=["16x16x1", "32x32x3"])
+    def test_streamed_moments_match_dense_covariance(self, monkeypatch, side, channels):
+        monkeypatch.setattr(saab, "CHUNK_ROWS", chunk_images(side, 4))
+        images = smooth_image_set(30, side, channels, seed=side)
+        hop, _ = lgsqe.fit_representation(images, 3, 1, energy_threshold=1.0)
+        data = lgsqe.extract_patches(images, 3, 1).data
+        dim = data.shape[1]
+        dc = np.full(dim, 1.0 / np.sqrt(dim))
+        eigvals, eigvecs = np.linalg.eigh(np.cov(data - np.outer(data @ dc, dc), rowvar=False))
+        order = np.argsort(eigvals)[::-1][: dim - 1]  # drop the null DC direction
+        kernels = eigvecs[:, order].T * np.sign(eigvecs[0, order])[:, None]  # first entries are far from 0 here
+        assert hop.num_channels == dim
+        assert np.max(np.abs(hop.eigenvalues - eigvals[order])) <= 1e-10 * eigvals.max()
+        assert np.max(np.abs(hop.ac_kernels - kernels)) <= 1e-10
+
+
+def traced_peak(fn):
+    """(result, traced peak bytes above the start) of ``fn()``; numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.filterwarnings("ignore:only .* patches for dimension")
+class TestBoundedMemory:
+    """Quadrupling the image count grows the peak only by what must be kept per image."""
+
+    SIDE, CHANNELS, COUNT = 32, 3, 24
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(saab, "CHUNK_ROWS", chunk_images(self.SIDE, 4))
+
+    def images(self, count):
+        return random_image_set(count, side=self.SIDE, channels=self.CHANNELS, seed=count)
+
+    def test_fit(self):
+        def fit(count):
+            images = self.images(count)
+            (model, features), peak = traced_peak(lambda: lgsqe.fit_representation(images, 3, 1))
+            pooled = model.pooled_side**2 * model.num_channels * count * 8
+            return peak, features.data.nbytes + pooled
+
+        small_peak, small_kept = fit(self.COUNT)
+        large_peak, large_kept = fit(4 * self.COUNT)
+        assert large_peak - small_peak <= 1.1 * (large_kept - small_kept)
+
+    def test_build_selected_columns(self):
+        model, _ = lgsqe.fit_representation(self.images(64), 3, 1)
+        layout = lgsqe.representation_layout(model)
+        spectral = [col for col in layout if col[0] == "spectral" and col[1] == 5][:10]
+        columns = [col for col in layout if col[0] == "spatial"][::7] + spectral
+        map_size = model.pooled_side**2
+        # Kept whole: the result, and the read channel's map and coefficients (its c/w
+        # transform runs on the whole map at once).
+        per_image = (len(columns) + map_size + model.cw_models[5].num_channels) * 8
+
+        def build(count):
+            images = self.images(count)
+            _, peak = traced_peak(lambda: lgsqe.build_representation(images, model, columns))
+            return peak
+
+        assert build(4 * self.COUNT) - build(self.COUNT) <= 1.1 * 3 * self.COUNT * per_image
+
+
+THREADS_SCRIPT = """
+import hashlib, sys
+import numpy as np
+import lgsqe
+from lgsqe.saab import SaabModel
+
+pixels, kernels, maps = (np.load(path) for path in sys.argv[1:4])
+model, features = lgsqe.fit_representation(lgsqe.ImageSet(pixels), 3, 1)
+spatial = model.pooled_side ** 2 * model.num_channels
+sub = SaabModel(kernels, np.zeros(0), maps.shape[1], 1, maps.shape[1], 1)
+for part in (model.ac_kernels, model.eigenvalues, features.data[:, :spatial], lgsqe.apply_cw_saab((sub,), maps)):
+    print(hashlib.sha256(np.ascontiguousarray(part).tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.filterwarnings("ignore:only .* patches for dimension")
+def test_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """First-hop kernels and eigenvalues, the pooled responses, and a c/w
+    transform fitted here, at 32x32x3 with patch 3 and stride 1: the same bytes
+    with 1 and 2 BLAS threads. (The c/w fit's eigh is left out.)"""
+    images = random_image_set(160, side=32, channels=3, seed=5)
+    model, features = lgsqe.fit_representation(images, 3, 1)
+    channel = max(range(model.num_channels), key=lambda ch: model.cw_models[ch].num_channels)
+    side, spatial = model.pooled_side, model.pooled_side**2 * model.num_channels
+    maps = features.data[:, :spatial].reshape(images.count, side, side, model.num_channels)[..., channel : channel + 1]
+    paths = [tmp_path / name for name in ("pixels.npy", "kernels.npy", "maps.npy")]
+    for path, array in zip(paths, (images.pixels, model.cw_models[channel].ac_kernels, maps)):
+        np.save(path, array)
+
+    def digests(threads):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(lgsqe.__path__[0]), env.get("PYTHONPATH", "")])
+        run = subprocess.run(
+            [sys.executable, "-c", THREADS_SCRIPT, *map(str, paths)], env=env, capture_output=True, text=True, check=True
+        )
+        return run.stdout.split()
+
+    one = digests("1")
+    assert len(one) == 4
+    assert one == digests("2")
