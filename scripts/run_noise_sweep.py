@@ -20,22 +20,15 @@ import numpy as np
 from lgsqe import ImageSet, stroke_images
 from lgsqe.evaluate import accuracy, confusion, filter_samples
 from lgsqe.gbdt import GbdtParams
-from lgsqe.pipeline import RunConfig, fit_pipeline, holdout_split
+from lgsqe.pipeline import RunConfig, fit_and_evaluate
 from lgsqe.synthetic import gaussian_degrade, mixed_quality_degrade
-
-
-def fit_and_eval(real, generated, config):
-    model, _ = fit_pipeline(real, generated, config)
-    split = holdout_split(model, real, generated)
-    report = model.evaluate(split.test_real, split.test_generated)
-    return model, split, report
 
 
 def noise_ladder(real, base, config, out_path):
     rows = []
     for sigma in (0.02, 0.05, 0.10, 0.20, 0.30):
         generated = gaussian_degrade(base, sigma, seed=int(sigma * 10_000))
-        _, _, report = fit_and_eval(real, generated, config)
+        _, _, report = fit_and_evaluate(real, generated, config)
         rows.append((sigma, report.accuracy, report.pr_auc))
         print(f"[ladder] sigma={sigma:.2f}  accuracy={report.accuracy:.4f}  pr_auc={report.pr_auc:.4f}")
     with open(out_path, "w", newline="") as fh:
@@ -46,7 +39,7 @@ def noise_ladder(real, base, config, out_path):
 
 def filtering_curve(real, base, config, out_path):
     generated = mixed_quality_degrade(base, 0.08, seed=404)
-    model, split, _ = fit_and_eval(real, generated, config)
+    model, split, _ = fit_and_evaluate(real, generated, config)
     gen_scores = model.score_images(split.test_generated)
     real_scores = model.score_images(split.test_real)
     ids = np.arange(split.test_generated.count)
@@ -69,7 +62,7 @@ def training_sweep(real, base, config, out_path):
     generated = gaussian_degrade(base, 0.15, seed=505)
     rows = []
     for fraction in (0.05, 0.1, 0.2, 0.5, 1.0):
-        _, _, report = fit_and_eval(real, generated, replace(config, real_fraction=fraction))
+        _, _, report = fit_and_evaluate(real, generated, replace(config, real_fraction=fraction))
         rows.append((fraction, report.accuracy))
         print(f"[sweep] real_fraction={fraction:.2f}  accuracy={report.accuracy:.4f}")
     with open(out_path, "w", newline="") as fh:

@@ -22,6 +22,7 @@ from .pipeline import (
     CONFIG_FIELDS,
     PipelineModel,
     RunConfig,
+    fit_and_evaluate,
     fit_pipeline,
     holdout_split,
     matches_training_data,
@@ -149,17 +150,13 @@ def cmd_sweep(args) -> int:
     generated = load_images(args.generated, fmt=args.generated_format, provenance="generated")
     rows = []
     for fraction in args.fractions:
-        run_config = replace(config, real_fraction=fraction)
-        model, _ = fit_pipeline(real, generated, run_config)
-        split = holdout_split(model, real, generated)
-        report = model.evaluate(split.test_real, split.test_generated)
-        rows.append((fraction, model.training["train_counts"]["real"], report.accuracy))
+        model, _, report = fit_and_evaluate(real, generated, replace(config, real_fraction=fraction))
+        rows.append([f"{fraction:g}", model.training["train_counts"]["real"], repr(report.accuracy)])
         print(f"real_fraction={fraction:g}: test accuracy {report.accuracy:.4f}")
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["real_fraction", "real_train_count", "accuracy"])
-        for fraction, count, acc in rows:
-            writer.writerow([f"{fraction:g}", count, repr(acc)])
+        writer.writerows(rows)
     print(f"sweep written to {args.out}")
     return 0
 

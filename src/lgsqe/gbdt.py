@@ -13,12 +13,12 @@ values gets one bin per value, and on such columns the search picks the same
 splits as exact greedy.
 Per node, (g, h, count) histograms come from one ``np.bincount`` each; only
 the smaller child is counted, the larger one is its parent minus it (as in
-XGBoost ``hist`` and LightGBM). A split's threshold is the node-local
-midpoint between the largest value going left and the smallest going right.
-Gain ties break toward the lowest feature index, then the lowest threshold,
-so fits are fully deterministic. Everything runs on plain numpy ops (sorts,
-gathers, bincounts, cumsums) whose results do not depend on BLAS thread
-counts, which keeps refits byte-identical.
+XGBoost ``hist`` and LightGBM). A split's threshold is the midpoint between
+the largest value going left and the smallest going right, or the latter if
+the midpoint rounds onto the former. Gain ties break toward the lowest feature
+index, then the lowest threshold, so fits are fully deterministic. Everything
+runs on plain numpy ops (sorts, gathers, bincounts, cumsums) whose results do
+not depend on BLAS thread counts, which keeps refits byte-identical.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import FormatError, GeometryError
 
 _PROB_EPS = 1e-15
 MAX_BINS = 256  # uint8 codes
@@ -77,48 +77,6 @@ class GbdtParams:
             raise ValueError("subsample must lie in (0, 1]")
 
 
-@dataclass(eq=False)
-class Tree:
-    """Flat array representation: node i is a leaf iff feature[i] < 0."""
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
-
-    def predict_margin(self, x: np.ndarray) -> np.ndarray:
-        idx = np.zeros(x.shape[0], dtype=np.int64)
-        while True:
-            feat = self.feature[idx]
-            active = feat >= 0
-            if not active.any():
-                break
-            rows = np.nonzero(active)[0]
-            goes_left = x[rows, feat[rows]] < self.threshold[idx[rows]]
-            idx[rows] = np.where(goes_left, self.left[idx[rows]], self.right[idx[rows]])
-        return self.value[idx]
-
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": [float(v) for v in self.threshold],
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": [float(v) for v in self.value],
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Tree":
-        return cls(
-            feature=np.asarray(doc["feature"], dtype=np.int64),
-            threshold=np.asarray(doc["threshold"], dtype=np.float64),
-            left=np.asarray(doc["left"], dtype=np.int64),
-            right=np.asarray(doc["right"], dtype=np.int64),
-            value=np.asarray(doc["value"], dtype=np.float64),
-        )
-
-
 def _quantize(x: np.ndarray) -> np.ndarray:
     """Code each column into at most MAX_BINS uint8 bins, monotone in value.
 
@@ -141,38 +99,22 @@ def _quantize(x: np.ndarray) -> np.ndarray:
 
 
 class _TreeBuilder:
-    """Grows one tree from (g, h, count) histograms over quantized features."""
+    """Grows trees from (g, h, count) histograms over quantized features onto
+    forest-wide node lists, in preorder: a split's left child is the next node."""
 
-    def __init__(self, x, flat, g, h, params: GbdtParams):
+    def __init__(self, x, flat, params: GbdtParams):
         self.x = x
         self.flat = flat  # (n, d) index feature * MAX_BINS + code
-        self.g = g
-        self.h = h
         self.params = params
-        self.feature = []
-        self.threshold = []
-        self.left = []
-        self.right = []
-        self.value = []
+        self.feature, self.threshold, self.right, self.value, self.roots = [], [], [], [], []
+        self.leaf = np.empty(x.shape[0], dtype=np.int64)  # the leaf each grown row lands in
 
-    def _new_node(self) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
-
-    def grow(self, rows: np.ndarray) -> Tree:
-        """Grow a tree over ascending row indices."""
+    def grow(self, rows: np.ndarray, g: np.ndarray, h: np.ndarray) -> int:
+        """Append one tree grown over ascending row indices; return its root."""
+        self.g, self.h = g, h
+        self.roots.append(len(self.value))
         self._build(rows, self._histogram(rows) if self._can_split(rows.size, 0) else None, 0)
-        return Tree(
-            feature=np.asarray(self.feature, dtype=np.int64),
-            threshold=np.asarray(self.threshold, dtype=np.float64),
-            left=np.asarray(self.left, dtype=np.int64),
-            right=np.asarray(self.right, dtype=np.int64),
-            value=np.asarray(self.value, dtype=np.float64),
-        )
+        return self.roots[-1]
 
     def _can_split(self, n_rows: int, depth: int) -> bool:
         return depth < self.params.max_depth and n_rows >= 2 * self.params.min_samples_leaf
@@ -189,14 +131,15 @@ class _TreeBuilder:
         ])
         return hist.reshape(3, d, MAX_BINS)
 
-    def _build(self, rows: np.ndarray, hist: np.ndarray | None, depth: int) -> int:
+    def _build(self, rows: np.ndarray, hist: np.ndarray | None, depth: int) -> None:
         """Grow a node; hist is None iff the node cannot split."""
-        node = self._new_node()
+        node = len(self.value)
         split = None if hist is None else self._best_split(hist)
         if split is None:
             denom = float(self.h[rows].sum()) + self.params.reg_lambda
-            self.value[node] = -float(self.g[rows].sum()) / denom if denom > 0 else 0.0
-            return node
+            self._append(-1, 0.0, -float(self.g[rows].sum()) / denom if denom > 0 else 0.0)
+            self.leaf[rows] = node
+            return
 
         feat, bin_ = split
         goes_left = self.flat[rows, feat] <= feat * MAX_BINS + bin_
@@ -213,11 +156,18 @@ class _TreeBuilder:
                 left_hist = hist - right_hist
 
         values = self.x[rows, feat]
-        self.feature[node] = feat
-        self.threshold[node] = float(values[goes_left].max() + values[~goes_left].min()) / 2.0
-        self.left[node] = self._build(left_rows, left_hist if need_left else None, depth + 1)
-        self.right[node] = self._build(right_rows, right_hist if need_right else None, depth + 1)
-        return node
+        max_left, min_right = float(values[goes_left].max()), float(values[~goes_left].min())
+        mid = (max_left + min_right) / 2.0  # rounds onto max_left when the two are adjacent doubles
+        self._append(feat, mid if max_left < mid <= min_right else min_right, 0.0)
+        self._build(left_rows, left_hist if need_left else None, depth + 1)
+        self.right[node] = len(self.value)
+        self._build(right_rows, right_hist if need_right else None, depth + 1)
+
+    def _append(self, feature: int, threshold: float, value: float) -> None:
+        self.feature.append(feature)
+        self.threshold.append(threshold)
+        self.right.append(-1)
+        self.value.append(value)
 
     def _best_split(self, hist: np.ndarray) -> tuple[int, int] | None:
         """(feature, last left bin) of the best split, or None if none gains."""
@@ -247,26 +197,56 @@ class _TreeBuilder:
         return divmod(int(cand[best]), MAX_BINS)
 
 
+def _descend(x, rows, node, feature, threshold, right) -> np.ndarray:
+    """Advance each node to the leaf its row of x (``rows``, broadcast against
+    ``node``) reaches: ``x < threshold`` goes to the next node, else to ``right``."""
+    # One flat gather per level, in x's own memory order so that x is not copied (the fit's x is F-ordered).
+    flat, offset, step = (x.ravel(), rows * x.shape[1], 1) if x.flags.c_contiguous else (x.ravel("F"), rows, len(x))
+    while True:
+        feat = feature[node]
+        split = feat >= 0
+        if not split.any():
+            return node
+        goes_left = flat[offset + feat * step] < threshold[node]  # a leaf's -1 reads a value it ignores
+        node = np.where(split, np.where(goes_left, node + 1, right[node]), node)
+
+
+# The packed forest: node arrays and each tree's first node, with their dtypes.
+_NODE_ARRAYS = dict(feature=np.int64, threshold=np.float64, right=np.int64, value=np.float64, roots=np.int64)
+
+
 @dataclass(eq=False)
 class BoostedEnsemble:
-    """Fitted boosting model mapping feature rows to soft scores in (0, 1)."""
+    """Fitted boosting model mapping feature rows to soft scores in (0, 1).
 
-    trees: list[Tree]
+    The trees are packed into node arrays, each tree in preorder from its
+    ``roots`` entry. Node i is a leaf iff ``feature[i] == -1``; a split sends
+    ``x[feature[i]] < threshold[i]`` to ``i + 1``, anything else to ``right[i]``.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    roots: np.ndarray
     learning_rate: float
     base_score: float
     n_features: int
     train_loss: list[float] = field(default_factory=list)
 
-    def predict_margin(self, features: np.ndarray) -> np.ndarray:
+    def leaves(self, features: np.ndarray) -> np.ndarray:
+        """(n, n_trees) index of the leaf each row reaches in each tree."""
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.n_features:
-            raise GeometryError(
-                f"expected {self.n_features} feature columns, got shape {features.shape}"
-            )
-        margin = np.full(features.shape[0], self.base_score)
-        for tree in self.trees:
-            margin += self.learning_rate * tree.predict_margin(features)
-        return margin
+            raise GeometryError(f"expected {self.n_features} feature columns, got shape {features.shape}")
+        rows = np.arange(features.shape[0])[:, None]
+        start = np.broadcast_to(self.roots, (rows.size, self.roots.size))
+        return _descend(features, rows, start, self.feature, self.threshold, self.right)
+
+    def predict_margin(self, features: np.ndarray) -> np.ndarray:
+        steps = self.learning_rate * self.value[self.leaves(features)]
+        # cumsum adds tree by tree from base_score, in the fit's order, so margins match it bit for bit.
+        return np.cumsum(np.insert(steps, 0, self.base_score, axis=1), axis=1)[:, -1]
 
     def predict_score(self, features: np.ndarray) -> np.ndarray:
         """Soft score d: probability of the positive (generated) class."""
@@ -278,18 +258,29 @@ class BoostedEnsemble:
             "learning_rate": float(self.learning_rate),
             "n_features": self.n_features,
             "train_loss": [float(v) for v in self.train_loss],
-            "trees": [t.to_dict() for t in self.trees],
+            **{name: getattr(self, name).tolist() for name in _NODE_ARRAYS},
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BoostedEnsemble":
         return cls(
-            trees=[Tree.from_dict(t) for t in doc["trees"]],
-            learning_rate=doc["learning_rate"],
-            base_score=doc["base_score"],
-            n_features=doc["n_features"],
-            train_loss=list(doc["train_loss"]),
+            **{name: np.asarray(doc[name], dtype=dtype) for name, dtype in _NODE_ARRAYS.items()},
+            **{key: doc[key] for key in ("learning_rate", "base_score", "n_features", "train_loss")},
         )
+
+    def __post_init__(self):
+        """Check that children follow their parent inside its tree, so every descent ends at a leaf."""
+        n = self.value.size
+        if self.roots.ndim != 1 or {a.shape for a in (self.feature, self.threshold, self.right, self.value)} != {(n,)}:
+            raise FormatError("ensemble node arrays must be flat and of equal length")
+        bounds = np.append(self.roots, n)
+        if bounds[0] != 0 or np.any(np.diff(bounds) <= 0):
+            raise FormatError("ensemble roots must start at 0 and ascend inside the node arrays")
+        if np.any(self.feature < -1) or np.any(self.feature >= self.n_features):
+            raise FormatError(f"ensemble node features must be -1 (a leaf) or lie in [0, {self.n_features})")
+        split_ok = (self.right > np.arange(n) + 1) & (self.right < np.repeat(bounds[1:], np.diff(bounds)))
+        if not np.where(self.feature >= 0, split_ok, self.right == -1).all():
+            raise FormatError("an ensemble right child must follow the left subtree inside its tree (-1 at a leaf)")
 
 
 def fit_ensemble(
@@ -319,7 +310,7 @@ def fit_ensemble(
     all_rows = np.arange(y.size)
     rng = np.random.default_rng(seed)
 
-    trees: list[Tree] = []
+    forest = _TreeBuilder(x, flat, params)
     losses: list[float] = []
     for _ in range(params.n_rounds):
         p = _sigmoid(margin)
@@ -330,13 +321,17 @@ def fit_ensemble(
             rows = np.sort(picked)
         else:
             rows = all_rows
-        tree = _TreeBuilder(x, flat, g, h, params).grow(rows)
-        trees.append(tree)
-        margin = margin + params.learning_rate * tree.predict_margin(x)
+        root = forest.grow(rows, g, h)  # then take the new tree's node arrays, indexed from its root
+        feature, threshold, right, value = (np.asarray(getattr(forest, k)[root:]) for k in list(_NODE_ARRAYS)[:4])
+        leaf = forest.leaf - root
+        if rows.size < y.size:  # rows left out of the subsample descend the new tree
+            out = np.setdiff1d(all_rows, rows, assume_unique=True)
+            leaf[out] = _descend(x, out, np.zeros_like(out), feature, threshold, right - root)
+        margin = margin + params.learning_rate * value[leaf]
         losses.append(_log_loss(y, _sigmoid(margin)))
 
     return BoostedEnsemble(
-        trees=trees,
+        **{name: np.asarray(getattr(forest, name), dtype=dtype) for name, dtype in _NODE_ARRAYS.items()},
         learning_rate=params.learning_rate,
         base_score=base,
         n_features=x.shape[1],

@@ -28,7 +28,7 @@ from .evaluate import EvaluationReport, aggregate_report
 from .gbdt import BoostedEnsemble, GbdtParams, fit_ensemble
 from .saab import SaabModel, build_representation, column_positions, fit_representation
 
-MODEL_VERSION = "3.0.0"
+MODEL_VERSION = "4.0.0"
 
 
 def derive_seed(master: int, stage: str) -> int:
@@ -397,6 +397,13 @@ def _labeled_split(real: ImageSet, generated: ImageSet, config: RunConfig):
 def holdout_split(model: PipelineModel, real: ImageSet, generated: ImageSet):
     """Recompute the deterministic train/test split the model was fitted on."""
     return _labeled_split(real, generated, model.config)
+
+
+def fit_and_evaluate(real: ImageSet, generated: ImageSet, config: RunConfig):
+    """Fit, then evaluate on the held-out part of the fit's own split: (model, split, report)."""
+    model, _ = fit_pipeline(real, generated, config)
+    split = holdout_split(model, real, generated)
+    return model, split, model.evaluate(split.test_real, split.test_generated)
 
 
 def matches_training_data(model: PipelineModel, real: ImageSet, generated: ImageSet) -> bool:

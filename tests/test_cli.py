@@ -1,8 +1,12 @@
 import csv
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,8 @@ from lgsqe.errors import LgsqeError
 from lgsqe.pipeline import RunConfig, parse_config_file, write_config_file
 
 from conftest import damaged_file
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 FIT_FLAGS = [
     "--patch-size", "3", "--stride", "2", "--top-k", "25",
@@ -141,6 +147,53 @@ class TestScore:
         assert main(["score", str(old), str(gen_path), "-o", str(tmp_path / "s.csv")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == ["lgsqe: error: unsupported model format version '2.0.0'"]
+
+    def test_format_3_refused(self, cli_data, fitted_model, tmp_path, capsys):
+        _, _, gen_path = cli_data
+        doc = json.loads(fitted_model.read_text())
+        doc["format_version"] = "3.0.0"
+        old = tmp_path / "v3.json"
+        old.write_text(json.dumps(doc))
+        assert main(["score", str(old), str(gen_path), "-o", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["lgsqe: error: unsupported model format version '3.0.0'"]
+
+    @pytest.mark.parametrize(
+        "key, fault",
+        [
+            ("right", "out-of-range"),
+            ("right", "back-to-node"),
+            ("right", "into-next-tree"),
+            ("feature", "n-features"),
+            ("value", "truncated"),
+        ],
+    )
+    def test_corrupted_forest_one_error_line(self, cli_data, fitted_model, tmp_path, key, fault):
+        # Run in a child process: a descent that never ends must fail the
+        # timeout instead of hanging the suite.
+        _, _, gen_path = cli_data
+        doc = json.loads(fitted_model.read_text())
+        forest = doc["ensemble"]
+        split = int(np.flatnonzero(np.asarray(forest["feature"]) >= 0)[0])
+        if fault == "out-of-range":
+            forest["right"][split] = len(forest["value"]) + 5
+        elif fault == "back-to-node":
+            forest["right"][split] = split
+        elif fault == "into-next-tree":
+            forest["right"][split] = forest["roots"][1]
+        elif fault == "n-features":
+            forest["feature"][split] = forest["n_features"]
+        else:
+            forest["value"] = forest["value"][:-1]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "lgsqe.cli", "score", str(bad), str(gen_path), "-o", str(tmp_path / "s.csv")],
+            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60,
+        )
+        err = proc.stderr.splitlines()
+        assert proc.returncode == 1 and len(err) == 1 and err[0].startswith("lgsqe: error:"), proc.stderr
+        assert not (tmp_path / "s.csv").exists()
 
     def test_zero_byte_file_names_the_file(self, fitted_model, tmp_path, capsys):
         empty = tmp_path / "empty.bin"

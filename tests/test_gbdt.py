@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import lgsqe
-from lgsqe.errors import GeometryError
-from lgsqe.gbdt import MAX_BINS, BoostedEnsemble, GbdtParams, _sigmoid, fit_ensemble
+from lgsqe.errors import FormatError, GeometryError
+from lgsqe.gbdt import MAX_BINS, BoostedEnsemble, GbdtParams, _log_loss, _sigmoid, fit_ensemble
 
 
 def separable_1d(n=100, seed=0):
@@ -34,15 +34,26 @@ class TestFit:
         labels = np.array([0.0, 0.0, 1.0, 1.0])
         params = GbdtParams(n_rounds=1, max_depth=1, min_samples_leaf=1, reg_lambda=1.0)
         ensemble = fit_ensemble(features, labels, params)
-        tree = ensemble.trees[0]
         assert ensemble.base_score == 0.0
-        root = 0
-        assert tree.feature[root] == 0
-        assert tree.threshold[root] == 1.5
-        left, right = tree.left[root], tree.right[root]
+        assert ensemble.roots.tolist() == [0]
+        assert ensemble.feature.tolist() == [0, -1, -1]
+        assert ensemble.threshold[0] == 1.5
+        left, right = 1, ensemble.right[0]
+        assert right == 2
         g_l, h_l = 0.5 + 0.5, 0.25 + 0.25
-        assert abs(tree.value[left] - (-g_l / (h_l + 1.0))) < 1e-12
-        assert abs(tree.value[right] - (g_l / (h_l + 1.0))) < 1e-12
+        assert abs(ensemble.value[left] - (-g_l / (h_l + 1.0))) < 1e-12
+        assert abs(ensemble.value[right] - (g_l / (h_l + 1.0))) < 1e-12
+
+    @pytest.mark.parametrize("low, high", [(1.0, 1.0 + 2**-52), (0.0, 5e-324)])
+    def test_threshold_between_adjacent_doubles(self, low, high):
+        # The midpoint of two adjacent doubles rounds onto the lower one; the
+        # threshold must still send the lower value left.
+        features = np.array([[low], [low], [high], [high]])
+        labels = np.array([0.0, 0.0, 1.0, 1.0])
+        ensemble = fit_ensemble(features, labels, GbdtParams(n_rounds=1, max_depth=1, min_samples_leaf=1))
+        assert ensemble.threshold[0] == high
+        scores = ensemble.predict_score(features)
+        assert np.all(scores[:2] < 0.5) and np.all(scores[2:] > 0.5)
 
     def test_independent_labels_mean_score_near_half(self):
         rng = np.random.default_rng(1)
@@ -90,28 +101,38 @@ class TestFit:
         np.testing.assert_array_equal(
             base.predict_score(features), transformed.predict_score(features**3)
         )
-        assert not np.array_equal(base.trees[0].threshold, transformed.trees[0].threshold)
+        assert not np.array_equal(base.threshold, transformed.threshold)
 
     def test_min_samples_leaf_respected(self):
         features, labels = separable_1d(40)
         ensemble = fit_ensemble(features, labels, GbdtParams(n_rounds=3, max_depth=6, min_samples_leaf=10))
-        for tree in ensemble.trees:
-            counts = _leaf_counts(tree, features)
-            assert all(c >= 10 for c in counts.values())
+        _, counts = np.unique(_reference_leaves(ensemble, features), return_counts=True)
+        assert counts.min() >= 10
 
 
-def _leaf_counts(tree, features):
-    idx = np.zeros(features.shape[0], dtype=np.int64)
-    while True:
-        feat = tree.feature[idx]
-        active = feat >= 0
-        if not active.any():
-            break
-        rows = np.nonzero(active)[0]
-        goes_left = features[rows, feat[rows]] < tree.threshold[idx[rows]]
-        idx[rows] = np.where(goes_left, tree.left[idx[rows]], tree.right[idx[rows]])
-    leaves, counts = np.unique(idx, return_counts=True)
-    return dict(zip(leaves.tolist(), counts.tolist()))
+def _reference_leaves(ensemble, features):
+    """Oracle for the packed descent: walk each tree on its own, one level at a time."""
+    leaves = np.empty((features.shape[0], ensemble.roots.size), dtype=np.int64)
+    for t, root in enumerate(ensemble.roots):
+        idx = np.full(features.shape[0], root, dtype=np.int64)
+        while True:
+            feat = ensemble.feature[idx]
+            active = feat >= 0
+            if not active.any():
+                break
+            rows = np.nonzero(active)[0]
+            goes_left = features[rows, feat[rows]] < ensemble.threshold[idx[rows]]
+            idx[rows] = np.where(goes_left, idx[rows] + 1, ensemble.right[idx[rows]])
+        leaves[:, t] = idx
+    return leaves
+
+
+def _reference_margin(ensemble, features):
+    """Oracle for predict_margin: add the trees' leaf values one tree at a time."""
+    margin = np.full(features.shape[0], ensemble.base_score)
+    for leaf in _reference_leaves(ensemble, features).T:
+        margin += ensemble.learning_rate * ensemble.value[leaf]
+    return margin
 
 
 def _exact_greedy_tree(x, g, h, rows, params):
@@ -180,17 +201,22 @@ class TestHistogramOracle:
         ensemble = fit_ensemble(features, labels, params, seed=seed)  # seed also drives the subsample
         rng = np.random.default_rng(seed)
         margin = np.full(labels.size, ensemble.base_score)
-        for tree in ensemble.trees:
+        leaves = _reference_leaves(ensemble, features)
+        ends = np.append(ensemble.roots[1:], ensemble.value.size)
+        for t, (root, end) in enumerate(zip(ensemble.roots, ends)):
             p = _sigmoid(margin)
             rows = np.arange(labels.size)
             if params.subsample < 1.0:
                 rows = np.sort(rng.choice(labels.size, size=int(params.subsample * labels.size), replace=False))
             ref = _exact_greedy_tree(features, p - labels, p * (1.0 - p), rows, params)
-            assert tree.feature.tolist() == ref["feature"]
-            assert tree.threshold.tolist() == ref["threshold"]
-            assert tree.left.tolist() == ref["left"] and tree.right.tolist() == ref["right"]
-            np.testing.assert_allclose(tree.value, ref["value"], rtol=0, atol=1e-12)
-            margin = margin + params.learning_rate * tree.predict_margin(features)
+            splits = [i for i, f in enumerate(ref["feature"]) if f >= 0]
+            assert [ref["left"][i] for i in splits] == [i + 1 for i in splits]
+            right = ensemble.right[root:end]
+            assert ensemble.feature[root:end].tolist() == ref["feature"]
+            assert ensemble.threshold[root:end].tolist() == ref["threshold"]
+            assert np.where(right >= 0, right - root, -1).tolist() == ref["right"]
+            np.testing.assert_allclose(ensemble.value[root:end], ref["value"], rtol=0, atol=1e-12)
+            margin = margin + params.learning_rate * ensemble.value[leaves[:, t]]
 
 
 class TestQuantized:
@@ -211,9 +237,8 @@ class TestQuantized:
         features = np.hstack([features, rng.normal(size=(600, 3))])
         labels = np.where(rng.random(600) < 0.15, 1.0 - labels, labels)
         ensemble = fit_ensemble(features, labels, GbdtParams(n_rounds=5, max_depth=6, min_samples_leaf=40))
-        for tree in ensemble.trees:
-            counts = _leaf_counts(tree, features)
-            assert all(c >= 40 for c in counts.values())
+        _, counts = np.unique(_reference_leaves(ensemble, features), return_counts=True)
+        assert counts.min() >= 40
 
     def test_monotone_feature_transform_keeps_decisions(self):
         rng = np.random.default_rng(4)
@@ -225,7 +250,74 @@ class TestQuantized:
         np.testing.assert_array_equal(
             base.predict_score(features), transformed.predict_score(features**3)
         )
-        assert not np.array_equal(base.trees[0].threshold, transformed.trees[0].threshold)
+        assert not np.array_equal(base.threshold, transformed.threshold)
+
+
+def _set(key, node, value):
+    """A corruption that writes ``value(doc)`` into ``doc[key][node]``."""
+    return lambda doc: doc[key].__setitem__(node, value(doc))
+
+
+PACKED_FIXTURES = {
+    "no-trees": GbdtParams(n_rounds=0),
+    "stumps": GbdtParams(n_rounds=25, max_depth=1, min_samples_leaf=1),
+    "depth-6": GbdtParams(n_rounds=15, max_depth=6, min_samples_leaf=2),
+    "subsample": GbdtParams(n_rounds=15, max_depth=4, min_samples_leaf=3, subsample=0.7),
+}
+
+
+class TestPackedForest:
+    """The one-pass descent over all trees against the per-tree oracle."""
+
+    @staticmethod
+    def _fit(params):
+        rng = np.random.default_rng(8)
+        features = np.asfortranarray(rng.normal(size=(400, 6)))  # column-major, like the pipeline's gather
+        labels = (features[:, 0] * features[:, 1] + 0.4 * rng.normal(size=400) > 0).astype(float)
+        return features, labels, fit_ensemble(features, labels, params, seed=5)
+
+    @pytest.mark.parametrize("name", PACKED_FIXTURES)
+    def test_margins_bit_equal_to_reference(self, name):
+        features, _, ensemble = self._fit(PACKED_FIXTURES[name])
+        fresh = np.random.default_rng(9).normal(size=(300, 6))
+        for x in (features, fresh, fresh[:1]):
+            np.testing.assert_array_equal(ensemble.leaves(x), _reference_leaves(ensemble, x))
+            np.testing.assert_array_equal(ensemble.predict_margin(x), _reference_margin(ensemble, x))
+
+    @pytest.mark.parametrize("name", ["stumps", "depth-6", "subsample"])
+    def test_final_train_loss_matches_prediction(self, name):
+        # The fit takes each training row's leaf from the growth (and the
+        # left-out rows from a descent); prediction must land on the same leaves.
+        features, labels, ensemble = self._fit(PACKED_FIXTURES[name])
+        assert ensemble.train_loss[-1] == _log_loss(labels, _sigmoid(ensemble.predict_margin(features)))
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(_set("right", 0, lambda doc: len(doc["value"])), id="right-out-of-range"),
+            pytest.param(_set("right", 0, lambda doc: 0), id="right-back-to-node"),
+            pytest.param(_set("right", 0, lambda doc: 1), id="right-onto-left-child"),
+            pytest.param(_set("right", 0, lambda doc: doc["roots"][1]), id="right-into-next-tree"),
+            pytest.param(_set("right", 1, lambda doc: 0), id="right-at-leaf"),
+            pytest.param(_set("feature", 0, lambda doc: doc["n_features"]), id="feature-out-of-range"),
+            pytest.param(_set("feature", 0, lambda doc: -2), id="feature-below-leaf-mark"),
+            pytest.param(_set("roots", 0, lambda doc: 1), id="first-root-not-0"),
+            pytest.param(lambda doc: doc["roots"].append(doc["roots"][-1]), id="roots-repeat"),
+            pytest.param(lambda doc: doc["roots"].append(len(doc["value"])), id="root-past-end"),
+            pytest.param(lambda doc: doc.update(roots=[]), id="nodes-without-roots"),
+            pytest.param(lambda doc: doc["value"].pop(), id="value-truncated"),
+            pytest.param(lambda doc: doc.update(threshold=[doc["threshold"]]), id="threshold-2d"),
+            pytest.param(lambda doc: doc.update(value=[doc["value"]]), id="value-2d"),
+        ],
+    )
+    def test_corrupted_structure_rejected(self, corrupt):
+        _, _, ensemble = self._fit(PACKED_FIXTURES["stumps"])
+        doc = json.loads(json.dumps(ensemble.to_dict()))
+        assert doc["feature"][:3] == [doc["feature"][0], -1, -1] and doc["feature"][0] >= 0
+        BoostedEnsemble.from_dict(doc)
+        corrupt(doc)
+        with pytest.raises(FormatError):
+            BoostedEnsemble.from_dict(doc)
 
 
 class TestPredict:
