@@ -23,12 +23,12 @@ import numpy as np
 
 from .datasets import REAL, ImageSet, make_labeled_split
 from .dft import DftRanking, FeatureSelection, rank_features, select_features
-from .errors import GeometryError, VersionError
+from .errors import FormatError, GeometryError, VersionError
 from .evaluate import EvaluationReport, aggregate_report
 from .gbdt import BoostedEnsemble, GbdtParams, fit_ensemble
-from .saab import SaabModel, build_representation, column_positions, fit_representation
+from .saab import SaabModel, build_representation, column_positions, fit_representation, spectral_kernels
 
-MODEL_VERSION = "4.0.0"
+MODEL_VERSION = "5.0.0"
 
 
 def derive_seed(master: int, stage: str) -> int:
@@ -161,7 +161,7 @@ def write_config_file(config: RunConfig, path) -> None:
 
 
 def _saab_to_dict(model: SaabModel) -> dict:
-    doc = {
+    return {
         "ac_kernels": model.ac_kernels.tolist(),
         "eigenvalues": model.eigenvalues.tolist(),
         "input_side": model.input_side,
@@ -169,13 +169,9 @@ def _saab_to_dict(model: SaabModel) -> dict:
         "patch_size": model.patch_size,
         "stride": model.stride,
     }
-    if model.cw_models is not None:
-        doc["cw_models"] = [None if sub is None else _saab_to_dict(sub) for sub in model.cw_models]
-    return doc
 
 
 def _saab_from_dict(doc: dict) -> SaabModel:
-    cw = doc.get("cw_models")
     dim = doc["patch_size"] ** 2 * doc["channels"]
     return SaabModel(
         ac_kernels=np.asarray(doc["ac_kernels"], dtype=np.float64).reshape(-1, dim),
@@ -184,7 +180,6 @@ def _saab_from_dict(doc: dict) -> SaabModel:
         channels=doc["channels"],
         patch_size=doc["patch_size"],
         stride=doc["stride"],
-        cw_models=tuple(None if sub is None else _saab_from_dict(sub) for sub in cw) if cw is not None else None,
     )
 
 
@@ -194,13 +189,15 @@ class PipelineModel:
 
     ``columns`` holds the provenance of each selected representation column
     (see ``saab.representation_layout``), in ``selection.indices`` order; scoring
-    computes only those columns.
+    computes only those columns. ``saab`` is the first hop only; ``spectral_kernels``
+    holds one kernel row per spectral entry of ``columns``, in that order.
     """
 
     saab: SaabModel
     ranking: DftRanking
     selection: FeatureSelection
     columns: tuple[tuple, ...]
+    spectral_kernels: np.ndarray
     ensemble: BoostedEnsemble
     config: RunConfig
     training: dict
@@ -211,7 +208,9 @@ class PipelineModel:
 
     def score_images(self, images: ImageSet) -> np.ndarray:
         """Soft score per image; near 0 means realistic, near 1 detectable."""
-        return self.ensemble.predict_score(build_representation(images, self.saab, self.columns).data)
+        return self.ensemble.predict_score(
+            build_representation(images, self.saab, self.columns, self.spectral_kernels).data
+        )
 
     def evaluate(
         self,
@@ -250,6 +249,7 @@ class PipelineModel:
                 "elbow_index": self.selection.elbow_index,
                 "indices": [int(i) for i in self.selection.indices],
                 "provenance": [list(col) for col in self.columns],
+                "spectral_kernels": self.spectral_kernels.tolist(),
             },
             "ensemble": self.ensemble.to_dict(),
             "training": self.training,
@@ -273,11 +273,14 @@ class PipelineModel:
             k=doc["selection"]["k"],
             elbow_index=doc["selection"]["elbow_index"],
         )
+        saab = _saab_from_dict(doc["saab"])
+        kernels = np.asarray(doc["selection"]["spectral_kernels"], dtype=np.float64)
         model = cls(
-            saab=_saab_from_dict(doc["saab"]),
+            saab=saab,
             ranking=ranking,
             selection=selection,
             columns=tuple((col[0], *map(int, col[1:])) for col in doc["selection"]["provenance"]),
+            spectral_kernels=kernels.reshape(-1, saab.pooled_side**2),
             ensemble=BoostedEnsemble.from_dict(doc["ensemble"]),
             config=RunConfig.from_dict(doc["config"]),
             training=doc["training"],
@@ -301,6 +304,9 @@ class PipelineModel:
                 f"selection has {self.selection.indices.size} indices but {len(self.columns)} column provenances"
             )
         column_positions(self.saab, self.columns)
+        shape = (sum(col[0] == "spectral" for col in self.columns), self.saab.pooled_side**2)
+        if self.spectral_kernels.shape != shape:
+            raise GeometryError(f"spectral kernels have shape {self.spectral_kernels.shape}, the columns need {shape}")
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -311,8 +317,14 @@ class PipelineModel:
 
     @classmethod
     def load(cls, path) -> "PipelineModel":
+        """Read a model file; a malformed one raises one ``FormatError`` that names the file."""
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                return cls.from_dict(json.load(fh))
+            except KeyError as exc:
+                raise FormatError(f"{path}: missing key {exc}") from None
+            except (FormatError, GeometryError, ValueError, TypeError, AttributeError, IndexError) as exc:
+                raise FormatError(f"{path}: malformed model: {exc}") from None
 
 
 def fit_pipeline(real: ImageSet, generated: ImageSet, config: RunConfig) -> tuple["PipelineModel", dict]:
@@ -353,17 +365,13 @@ def fit_pipeline(real: ImageSet, generated: ImageSet, config: RunConfig) -> tupl
     timings["dft"] = time.perf_counter() - tick
 
     tick = time.perf_counter()
-    ensemble = fit_ensemble(
-        features.data[:, selection.indices], train_labels, config.gbdt, seed=derive_seed(config.seed, "gbdt")
-    )
+    train = features.data[:, selection.indices]
+    ensemble = fit_ensemble(train, train_labels, config.gbdt, seed=derive_seed(config.seed, "gbdt"))
     timings["gbdt"] = time.perf_counter() - tick
 
-    train_scores = ensemble.predict_score(features.data[:, selection.indices])
+    train_scores = ensemble.predict_score(train)
     train_correct = int(np.sum((train_scores >= config.threshold) == (train_labels == 1)))
     columns = tuple(features.provenance[i] for i in selection.indices)
-    # Scoring reads only the c/w sub-models of channels with a selected spectral column.
-    read = {col[1] for col in columns if col[0] == "spectral"}
-    saab = replace(saab, cw_models=tuple(sub if ch in read else None for ch, sub in enumerate(saab.cw_models)))
     training = {
         "fingerprints": {"real": imageset_fingerprint(real), "generated": imageset_fingerprint(generated)},
         "representation_width": features.width,
@@ -373,10 +381,11 @@ def fit_pipeline(real: ImageSet, generated: ImageSet, config: RunConfig) -> tupl
         "final_train_loss": ensemble.train_loss[-1] if ensemble.train_loss else None,
     }
     model = PipelineModel(
-        saab=saab,
+        saab=replace(saab, cw_models=None),
         ranking=ranking,
         selection=selection,
         columns=columns,
+        spectral_kernels=spectral_kernels(saab, columns),
         ensemble=ensemble,
         config=config,
         training=training,

@@ -71,9 +71,9 @@ class SaabModel:
 
     ``ac_kernels`` holds the kept AC kernels as rows (may be empty);
     ``eigenvalues`` holds the full AC spectrum, nonincreasing.
-    ``cw_models`` is set only on the first-hop model and holds one sub-model
-    per kept channel, fitted on the pooled maps; a fitted pipeline replaces
-    the sub-models of channels it never reads with ``None``.
+    ``cw_models`` is set only on a first-hop model returned by
+    ``fit_representation`` and holds one sub-model per kept channel, fitted
+    on the pooled maps.
     """
 
     ac_kernels: np.ndarray
@@ -82,7 +82,7 @@ class SaabModel:
     channels: int
     patch_size: int
     stride: int
-    cw_models: tuple["SaabModel | None", ...] | None = None
+    cw_models: tuple["SaabModel", ...] | None = None
 
     @property
     def num_channels(self) -> int:
@@ -299,28 +299,32 @@ def fit_cw_saab(
     return tuple(models)
 
 
-def apply_cw_saab(
-    models: tuple[SaabModel | None, ...], pooled: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Concatenate the spectral coefficients of every channel that has a sub-model.
+def _project(maps: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """Each row of ``maps`` projected onto each row of ``kernels``. Unlike a BLAS
+    product, ``np.einsum`` on C-contiguous operands gives each coefficient bytes
+    that depend only on its two rows (an F-ordered operand sums in another order)."""
+    return np.einsum("ij,kj->ik", np.ascontiguousarray(maps), np.ascontiguousarray(kernels))
 
-    A ``None`` entry contributes no columns. The coefficients are written into
-    ``out`` when it is given (count x total component count) and returned.
+
+def apply_cw_saab(models: tuple[SaabModel, ...], pooled: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Concatenate the spectral coefficients of every channel.
+
+    The coefficients are written into ``out`` when it is given (count x total
+    component count) and returned.
     """
     if pooled.shape[3] != len(models):
         raise GeometryError(f"pooled tensor has {pooled.shape[3]} channels, model has {len(models)}")
-    kept = [(ch, model) for ch, model in enumerate(models) if model is not None]
-    shape = (pooled.shape[0], sum(model.num_channels for _, model in kept))
+    shape = (pooled.shape[0], sum(model.num_channels for model in models))
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape:
         raise GeometryError(f"output has shape {out.shape}, the coefficients {shape}")
     offset = 0
-    for ch, model in kept:
+    for ch, model in enumerate(models):
         rows = _channel_rows(pooled, ch)
         if rows.patch_dim != model.patch_dim:
             raise GeometryError(f"channel {ch}: pooled map size {rows.patch_dim} != fitted size {model.patch_dim}")
-        out[:, offset : offset + model.num_channels] = rows.data @ model.kernel_matrix().T
+        out[:, offset : offset + model.num_channels] = _project(rows.data, model.kernel_matrix())
         offset += model.num_channels
     return out
 
@@ -416,8 +420,6 @@ def representation_layout(model: SaabModel) -> tuple[tuple, ...]:
     response, or ``("spectral", channel, component)``, a coefficient of that
     channel's c/w sub-model.
     """
-    if model.cw_models is None or any(sub is None for sub in model.cw_models):
-        raise ValueError("model lacks channel-wise sub-models; call fit_representation first")
     side, k1 = model.pooled_side, model.num_channels
     layout = [("spatial", r, c, ch) for r in range(side) for c in range(side) for ch in range(k1)]
     for ch, sub in enumerate(model.cw_models):
@@ -425,59 +427,65 @@ def representation_layout(model: SaabModel) -> tuple[tuple, ...]:
     return tuple(layout)
 
 
-def column_positions(model: SaabModel, columns: Sequence[tuple]) -> tuple[frozenset[int], list[int]]:
-    """Where each named column sits in the flattened pooled responses followed
-    by the spectral blocks of the channels that ``columns`` names, in channel
-    order. Returns those channels and the positions. A column the model cannot
-    produce raises ``GeometryError``.
+def column_positions(model: SaabModel, columns: Sequence[tuple]) -> list[int]:
+    """The flat pooled position ``(row * pooled_side + col) * K1 + channel`` of
+    each spatial column and the channel of each spectral column, in column
+    order. A column the model cannot produce raises ``GeometryError``; without
+    c/w sub-models, a spectral component need only lie below the map size.
     """
     side, k1 = model.pooled_side, model.num_channels
-    subs = model.cw_models or ()
-    channels = sorted({col[1] for col in columns if col[0] == "spectral" and len(col) == 3})
-    start, offset = {}, side * side * k1
-    for ch in channels:
-        if not 0 <= ch < len(subs) or subs[ch] is None:
-            raise GeometryError(f"a spectral column names channel {ch!r}, which has no channel-wise sub-model")
-        start[ch] = offset
-        offset += subs[ch].num_channels
+    components = [side * side] * k1 if model.cw_models is None else [sub.num_channels for sub in model.cw_models]
     positions = []
     for col in columns:
         if col[0] == "spatial" and len(col) == 4 and all(0 <= v < n for v, n in zip(col[1:], (side, side, k1))):
             positions.append((col[1] * side + col[2]) * k1 + col[3])
-        elif col[0] == "spectral" and len(col) == 3 and 0 <= col[2] < subs[col[1]].num_channels:
-            positions.append(start[col[1]] + col[2])
+        elif col[0] == "spectral" and len(col) == 3 and 0 <= col[1] < k1 and 0 <= col[2] < components[col[1]]:
+            positions.append(col[1])
         else:
             raise GeometryError(f"the model has no representation column {tuple(col)!r}")
-    return frozenset(channels), positions
+    return positions
 
 
-def build_representation(images: ImageSet, model: SaabModel, columns: Sequence[tuple] | None = None) -> FeatureMatrix:
+def spectral_kernels(model: SaabModel, columns: Sequence[tuple]) -> np.ndarray:
+    """The c/w kernel row of each spectral column in ``columns``, in column
+    order: a (spectral column count, pooled_side**2) array."""
+    spectral = [col for col in columns if col[0] == "spectral"]
+    if spectral and model.cw_models is None:
+        raise GeometryError("the model holds no channel-wise sub-models; pass the spectral kernel rows")
+    matrices = {ch: model.cw_models[ch].kernel_matrix() for _, ch, _ in spectral}
+    return np.array([matrices[ch][comp] for _, ch, comp in spectral]).reshape(len(spectral), model.pooled_side**2)
+
+
+def build_representation(
+    images: ImageSet, model: SaabModel, columns: Sequence[tuple] | None = None, kernels: np.ndarray | None = None
+) -> FeatureMatrix:
     """The representation columns named by ``columns`` (provenance tuples as in
     ``representation_layout``; by default every column).
 
-    Only the pooled windows the columns read are computed: those of the
-    spatial columns and the whole maps of the channels that a spectral column
-    names. Only the c/w sub-models of those channels run, each with its full
-    kernel matrix on the whole map, so a column's value does not depend on
-    which other columns are asked for.
+    ``kernels`` holds one kernel row per spectral column, in column order (by
+    default ``spectral_kernels(model, columns)``). Only the pooled windows the
+    columns read are computed: those of the spatial columns and the whole maps
+    of the channels that a spectral column names. A spectral column is its
+    channel's map projected onto its row, so a column's bytes depend only on
+    its image and its row, not on the other images or columns of the call.
     """
     columns = representation_layout(model) if columns is None else tuple(columns)
-    channels, positions = column_positions(model, columns)
-    positions = np.asarray(positions, dtype=np.intp)
+    positions = np.asarray(column_positions(model, columns), dtype=np.intp)
     n, side, k1 = images.count, model.pooled_side, model.num_channels
-    read = sorted(channels)
     is_spatial = np.array([col[0] == "spatial" for col in columns], dtype=bool)
     spatial, spectral = np.flatnonzero(is_spatial), np.flatnonzero(~is_spatial)
-    # The read channels' maps, (row, col) major, then the spatial columns' windows.
-    map_positions = (np.arange(side * side)[:, None] * k1 + np.array(read, dtype=np.intp)).ravel()
+    kernels = spectral_kernels(model, columns) if kernels is None else kernels
+    channels = positions[spectral]
+    read = np.unique(channels)
+    # The read channels' maps, one after another, then the spatial columns' windows.
+    map_positions = (read[:, None] + np.arange(side * side) * k1).ravel()
     data = np.empty((n, len(columns)))
     maps = np.empty((n, map_positions.size))
     for lo, block in _pooled_chunks(images, model, np.concatenate([map_positions, positions[spatial]])):
         hi = lo + block.shape[0]
         maps[lo:hi] = block[:, : map_positions.size]
         data[lo:hi, spatial] = block[:, map_positions.size :]
-    if spectral.size:
-        subs = tuple(model.cw_models[ch] for ch in read)
-        coefficients = apply_cw_saab(subs, maps.reshape(n, side, side, len(read)))
-        data[:, spectral] = coefficients[:, positions[spectral] - side * side * k1]
+    for j, ch in enumerate(read):
+        mine = channels == ch
+        data[:, spectral[mine]] = _project(maps[:, j * side * side : (j + 1) * side * side], kernels[mine])
     return FeatureMatrix(data, columns)

@@ -158,6 +158,60 @@ class TestScore:
         err = capsys.readouterr().err.splitlines()
         assert err == ["lgsqe: error: unsupported model format version '3.0.0'"]
 
+    def test_format_4_refused(self, cli_data, fitted_model, tmp_path, capsys):
+        _, _, gen_path = cli_data
+        doc = json.loads(fitted_model.read_text())
+        doc["format_version"] = "4.0.0"
+        old = tmp_path / "v4.json"
+        old.write_text(json.dumps(doc))
+        assert main(["score", str(old), str(gen_path), "-o", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["lgsqe: error: unsupported model format version '4.0.0'"]
+
+    @pytest.mark.parametrize(
+        "fault, key",
+        [
+            ("no-ensemble-roots", "'roots'"),
+            ("no-saab-stride", "'stride'"),
+            ("no-selection", "'selection'"),
+            ("feature-object", None),
+            ("unknown-config-key", "'bogus'"),
+            ("int-provenance", None),
+            ("top-level-list", None),
+            ("short-kernel-row", None),
+            ("extra-kernel-row", "spectral kernels"),
+        ],
+    )
+    def test_malformed_model_one_error_line(self, cli_data, fitted_model, tmp_path, capsys, fault, key):
+        _, _, gen_path = cli_data
+        doc = json.loads(fitted_model.read_text())
+        assert doc["selection"]["spectral_kernels"], "the fixture model selects a spectral column"
+        if fault == "no-ensemble-roots":
+            del doc["ensemble"]["roots"]
+        elif fault == "no-saab-stride":
+            del doc["saab"]["stride"]
+        elif fault == "no-selection":
+            del doc["selection"]
+        elif fault == "feature-object":
+            doc["ensemble"]["feature"] = {"0": 1}
+        elif fault == "unknown-config-key":
+            doc["config"]["bogus"] = 1
+        elif fault == "int-provenance":
+            doc["selection"]["provenance"][0] = 3
+        elif fault == "top-level-list":
+            doc = [doc]
+        elif fault == "short-kernel-row":
+            doc["selection"]["spectral_kernels"][0].pop()
+        else:
+            doc["selection"]["spectral_kernels"].append(doc["selection"]["spectral_kernels"][0])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["score", str(bad), str(gen_path), "-o", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"lgsqe: error: {bad}: "), err
+        assert key is None or key in err[0]
+        assert not (tmp_path / "s.csv").exists()
+
     @pytest.mark.parametrize(
         "key, fault",
         [

@@ -109,37 +109,60 @@ class TestPipelineModel:
             lgsqe.PipelineModel.from_dict(doc)
 
     def test_spectral_column_of_a_dropped_sub_model(self, small_pipeline):
+        # A spectral column without a stored kernel row: no c/w sub-model is stored to compute it from.
         model, _, _ = small_pipeline
         doc = json.loads(model.to_json())
-        dropped = doc["saab"]["cw_models"].index(None)
-        doc["selection"]["provenance"][0] = ["spectral", dropped, 0]
-        with pytest.raises(GeometryError, match="no channel-wise sub-model"):
+        doc["selection"]["provenance"][0] = ["spectral", 0, 1]
+        assert ["spectral", 0, 1] not in [list(col) for col in model.columns]
+        with pytest.raises(GeometryError, match="spectral kernels"):
             lgsqe.PipelineModel.from_dict(doc)
 
-    def test_only_read_cw_models_kept(self, small_pipeline, tmp_path):
+    def test_only_selected_kernel_rows_kept(self, small_pipeline, tmp_path):
         model, real, generated = small_pipeline
-        read = {col[1] for col in model.columns if col[0] == "spectral"}
-        assert [sub is not None for sub in model.saab.cw_models] == [
-            ch in read for ch in range(model.saab.num_channels)
-        ]
-        assert None in model.saab.cw_models
+        spectral = [col for col in model.columns if col[0] == "spectral"]
+        assert spectral and model.saab.cw_models is None
         model.save(tmp_path / "model.json")
+        doc = json.loads((tmp_path / "model.json").read_text())
+        assert "cw_models" not in doc["saab"] and doc["format_version"] == "5.0.0"
         loaded = lgsqe.PipelineModel.load(tmp_path / "model.json")
         assert loaded.columns == model.columns
-        assert [sub is None for sub in loaded.saab.cw_models] == [sub is None for sub in model.saab.cw_models]
+        assert loaded.spectral_kernels.tobytes() == model.spectral_kernels.tobytes()
         # The columns are the selected ones of the full representation, and so are the scores.
         split = holdout_split(model, real, generated)
         pixels, _ = split.train_union()
         config = model.config
-        full, _ = lgsqe.fit_representation(
+        full, train = lgsqe.fit_representation(
             lgsqe.ImageSet(pixels), config.patch_size, config.stride, energy_threshold=config.energy_threshold
         )
+        assert model.columns == tuple(train.provenance[i] for i in model.selection.indices)
+        assert model.spectral_kernels.shape == (len(spectral), model.saab.pooled_side**2)
+        for row, (_, ch, comp) in zip(model.spectral_kernels, spectral):
+            assert row.tobytes() == full.cw_models[ch].kernel_matrix()[comp].tobytes()
+        # The stored rows reproduce the fit's training columns bit for bit.
+        rebuilt = lgsqe.build_representation(lgsqe.ImageSet(pixels), loaded.saab, loaded.columns, loaded.spectral_kernels)
+        assert rebuilt.data.tobytes() == np.ascontiguousarray(train.data[:, model.selection.indices]).tobytes()
         features = lgsqe.build_representation(split.test_real, full)
-        assert model.columns == tuple(features.provenance[i] for i in model.selection.indices)
         np.testing.assert_array_equal(
             loaded.score_images(split.test_real),
             model.ensemble.predict_score(features.data[:, model.selection.indices]),
         )
+
+    @pytest.mark.filterwarnings("ignore:only .* patches for dimension")
+    @pytest.mark.parametrize("side,channels", [(16, 1), (32, 3)], ids=["16x16x1", "32x32x3"])
+    def test_one_image_alone_equals_its_batch(self, side, channels):
+        real = random_image_set(60, side=side, channels=channels, seed=side)
+        generated = lgsqe.gaussian_degrade(random_image_set(60, side=side, channels=channels, seed=side + 1), 0.1, seed=3)
+        config = RunConfig(patch_size=3, stride=1, top_k=300, gbdt=GbdtParams(n_rounds=5, max_depth=3))
+        model, _ = fit_pipeline(real, generated, config)
+        assert sum(col[0] == "spectral" for col in model.columns) > 0
+        batch = random_image_set(600, side=side, channels=channels, seed=side + 2)
+        features = lgsqe.build_representation(batch, model.saab, model.columns, model.spectral_kernels).data
+        scores = model.score_images(batch)
+        for i in range(batch.count):
+            alone = batch.subset(np.array([i]))
+            row = lgsqe.build_representation(alone, model.saab, model.columns, model.spectral_kernels).data
+            assert row.tobytes() == features[i].tobytes()
+            assert model.score_images(alone).tobytes() == scores[i].tobytes()
 
     def test_holdout_split_reproducible(self, small_pipeline):
         model, real, generated = small_pipeline

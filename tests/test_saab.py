@@ -300,32 +300,47 @@ class TestSelectedColumns:
         rng.shuffle(indices)
         columns = tuple(layout[i] for i in indices)
         read = {col[1] for col in columns if col[0] == "spectral"}
-        assert 1 < len(read) < model.num_channels  # some sub-models run, some are dropped
-        dropped = replace(model, cw_models=tuple(s if ch in read else None for ch, s in enumerate(model.cw_models)))
-        return model, dropped, indices, columns, side, channels
+        assert 1 < len(read) < model.num_channels  # some channels' maps are read, some are not
+        # The first hop alone, as a fitted pipeline keeps it, and the selected spectral columns' kernel rows.
+        dropped = replace(model, cw_models=None)
+        return model, dropped, saab.spectral_kernels(model, columns), indices, columns, side, channels
 
     @pytest.mark.parametrize("count", [0, 1, 25])
     def test_equals_full_representation_columns(self, fitted, count):
-        model, dropped, indices, columns, side, channels = fitted
+        model, dropped, kernels, indices, columns, side, channels = fitted
         images = random_image_set(count, side=side, channels=channels, seed=100 + count)
         full = unchunked_representation(model, images)
         np.testing.assert_array_equal(lgsqe.build_representation(images, model).data, full)
-        selected = lgsqe.build_representation(images, dropped, columns)
+        selected = lgsqe.build_representation(images, dropped, columns, kernels)
         assert selected.data.shape == (count, len(columns)) and selected.provenance == columns
         np.testing.assert_array_equal(selected.data, full[:, indices])
+        np.testing.assert_array_equal(lgsqe.build_representation(images, model, columns).data, selected.data)
 
     def test_column_of_a_dropped_sub_model_rejected(self, fitted):
-        model, dropped, _, _, side, channels = fitted
-        gone = next(ch for ch, sub in enumerate(dropped.cw_models) if sub is None)
+        # Without its c/w sub-models, a model computes a spectral column only from a given kernel row.
+        _, dropped, _, _, columns, side, channels = fitted
         image = random_image_set(1, side=side, channels=channels)
         with pytest.raises(GeometryError):
-            lgsqe.build_representation(image, dropped, [("spectral", gone, 0)])
+            lgsqe.build_representation(image, dropped, [("spectral", 0, 0)])
+        spatial = [col for col in columns if col[0] == "spatial"]
+        assert lgsqe.build_representation(image, dropped, spatial).provenance == tuple(spatial)
+
+    def test_stored_row_equals_the_full_sub_model(self, fitted):
+        model, dropped, _, _, _, side, channels = fitted
+        images = random_image_set(9, side=side, channels=channels, seed=7)
+        pooled = lgsqe.abs_max_pool(lgsqe.apply_saab(model, images))
+        for ch, sub in enumerate(model.cw_models):
+            block = lgsqe.apply_cw_saab((sub,), pooled[..., ch : ch + 1])
+            for comp in {0, sub.num_channels // 2, sub.num_channels - 1}:
+                row = sub.kernel_matrix()[comp : comp + 1]
+                column = lgsqe.build_representation(images, dropped, [("spectral", ch, comp)], row).data
+                assert column.tobytes() == np.ascontiguousarray(block[:, comp : comp + 1]).tobytes()
 
     @pytest.mark.parametrize(
         "column", [("spatial", 99, 0, 0), ("spatial", 0, 0, -1), ("spectral", 0, 10**6), ("pooled", 0)]
     )
     def test_unknown_column_rejected(self, fitted, column):
-        model, _, _, _, side, channels = fitted
+        model, _, _, _, _, side, channels = fitted
         with pytest.raises(GeometryError):
             lgsqe.build_representation(random_image_set(1, side=side, channels=channels), model, [column])
 
@@ -423,9 +438,8 @@ class TestBoundedMemory:
         spectral = [col for col in layout if col[0] == "spectral" and col[1] == 5][:10]
         columns = [col for col in layout if col[0] == "spatial"][::7] + spectral
         map_size = model.pooled_side**2
-        # Kept whole: the result, and the read channel's map and coefficients (its c/w
-        # transform runs on the whole map at once).
-        per_image = (len(columns) + map_size + model.cw_models[5].num_channels) * 8
+        # Kept whole: the result, and the read channel's map and its selected coefficients.
+        per_image = (len(columns) + map_size + len(spectral)) * 8
 
         def build(count):
             images = self.images(count)
