@@ -39,14 +39,12 @@ from .saab import (
     PatchMatrix,
     SaabModel,
     abs_max_pool,
-    apply_cw_saab,
     apply_saab,
     build_representation,
     extract_patches,
     fit_cw_saab,
     fit_representation,
     fit_saab,
-    representation_layout,
 )
 from .synthetic import gaussian_degrade, stroke_images
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import Field, asdict, dataclass, field, fields, replace
+from dataclasses import Field, asdict, dataclass, field, fields
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -26,7 +26,7 @@ from .dft import DftRanking, FeatureSelection, rank_features, select_features
 from .errors import FormatError, GeometryError, VersionError
 from .evaluate import EvaluationReport, aggregate_report
 from .gbdt import BoostedEnsemble, GbdtParams, fit_ensemble
-from .saab import SaabModel, build_representation, column_positions, fit_representation, spectral_kernels
+from .saab import SaabModel, build_representation, column_positions, fit_representation
 
 MODEL_VERSION = "5.0.0"
 
@@ -183,14 +183,30 @@ def _saab_from_dict(doc: dict) -> SaabModel:
     )
 
 
+def _column(entry) -> tuple:
+    """A provenance entry read from JSON: a kind followed by integer coordinates."""
+    if not isinstance(entry, list) or not entry or any(type(v) is not int for v in entry[1:]):
+        raise FormatError(f"provenance entry {entry!r} is not a kind followed by integers")
+    return tuple(entry)
+
+
+def _training(doc) -> dict:
+    """The training record read from JSON; evaluation reads its fingerprints."""
+    prints = doc.get("fingerprints") if isinstance(doc, dict) else None
+    if not isinstance(prints, dict) or not all(isinstance(prints.get(key), str) for key in ("real", "generated")):
+        raise FormatError("training must be an object whose fingerprints hold the strings real and generated")
+    return doc
+
+
 @dataclass(eq=False)
 class PipelineModel:
     """A fully fitted pipeline plus the record of how it was trained.
 
     ``columns`` holds the provenance of each selected representation column
-    (see ``saab.representation_layout``), in ``selection.indices`` order; scoring
-    computes only those columns. ``saab`` is the first hop only; ``spectral_kernels``
-    holds one kernel row per spectral entry of ``columns``, in that order.
+    (see ``saab.fit_representation``), in ``selection.indices`` order; scoring
+    computes only those columns. ``saab`` is the first hop; ``spectral_kernels``
+    holds, per spectral entry of ``columns`` in that order, its row of its
+    channel's c/w kernel matrix.
     """
 
     saab: SaabModel
@@ -279,11 +295,11 @@ class PipelineModel:
             saab=saab,
             ranking=ranking,
             selection=selection,
-            columns=tuple((col[0], *map(int, col[1:])) for col in doc["selection"]["provenance"]),
+            columns=tuple(_column(entry) for entry in doc["selection"]["provenance"]),
             spectral_kernels=kernels.reshape(-1, saab.pooled_side**2),
             ensemble=BoostedEnsemble.from_dict(doc["ensemble"]),
             config=RunConfig.from_dict(doc["config"]),
-            training=doc["training"],
+            training=_training(doc["training"]),
             version=version,
         )
         model._check_consistency()
@@ -303,10 +319,7 @@ class PipelineModel:
             raise GeometryError(
                 f"selection has {self.selection.indices.size} indices but {len(self.columns)} column provenances"
             )
-        column_positions(self.saab, self.columns)
-        shape = (sum(col[0] == "spectral" for col in self.columns), self.saab.pooled_side**2)
-        if self.spectral_kernels.shape != shape:
-            raise GeometryError(f"spectral kernels have shape {self.spectral_kernels.shape}, the columns need {shape}")
+        column_positions(self.saab, self.columns, self.spectral_kernels)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -345,7 +358,7 @@ def fit_pipeline(real: ImageSet, generated: ImageSet, config: RunConfig) -> tupl
     timings["split"] = time.perf_counter() - tick
 
     tick = time.perf_counter()
-    saab, features = fit_representation(
+    saab, features, cw = fit_representation(
         train_images,
         patch_size=config.patch_size,
         stride=config.stride,
@@ -372,6 +385,7 @@ def fit_pipeline(real: ImageSet, generated: ImageSet, config: RunConfig) -> tupl
     train_scores = ensemble.predict_score(train)
     train_correct = int(np.sum((train_scores >= config.threshold) == (train_labels == 1)))
     columns = tuple(features.provenance[i] for i in selection.indices)
+    rows = [cw[col[1]][col[2]] for col in columns if col[0] == "spectral"]
     training = {
         "fingerprints": {"real": imageset_fingerprint(real), "generated": imageset_fingerprint(generated)},
         "representation_width": features.width,
@@ -381,11 +395,11 @@ def fit_pipeline(real: ImageSet, generated: ImageSet, config: RunConfig) -> tupl
         "final_train_loss": ensemble.train_loss[-1] if ensemble.train_loss else None,
     }
     model = PipelineModel(
-        saab=replace(saab, cw_models=None),
+        saab=saab,
         ranking=ranking,
         selection=selection,
         columns=columns,
-        spectral_kernels=spectral_kernels(saab, columns),
+        spectral_kernels=np.array(rows).reshape(len(rows), saab.pooled_side**2),
         ensemble=ensemble,
         config=config,
         training=training,

@@ -2,9 +2,11 @@
 
 The pipeline is: overlapping patch extraction -> Saab transform (constant DC
 kernel + PCA-derived AC kernels with energy truncation) -> absolute
-max-pooling -> a per-channel global Saab over the pooled maps -> concatenation
-of the pooled spatial responses and the per-channel spectral coefficients into
-one feature matrix.
+max-pooling -> a channel-wise (c/w) Saab over the pooled maps, fitted as one
+kernel matrix per channel (DC row first) -> concatenation of the pooled
+spatial responses and each channel's spectral coefficients (its pooled map
+projected onto its kernel matrix) into one feature matrix. The first hop and
+every c/w channel are fitted by one core, ``_fit_kernels``.
 
 Kernels form an orthonormal basis: the DC kernel is the constant unit vector,
 and AC kernels are eigenvectors of the covariance of DC-removed, mean-centered
@@ -30,7 +32,8 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -70,10 +73,9 @@ class SaabModel:
     """A fitted Saab transform for one stage.
 
     ``ac_kernels`` holds the kept AC kernels as rows (may be empty);
-    ``eigenvalues`` holds the full AC spectrum, nonincreasing.
-    ``cw_models`` is set only on a first-hop model returned by
-    ``fit_representation`` and holds one sub-model per kept channel, fitted
-    on the pooled maps.
+    ``eigenvalues`` holds the full AC spectrum, nonincreasing. This is the
+    first hop only; the c/w stage is a plain kernel matrix per channel (see
+    ``fit_cw_saab``).
     """
 
     ac_kernels: np.ndarray
@@ -82,7 +84,6 @@ class SaabModel:
     channels: int
     patch_size: int
     stride: int
-    cw_models: tuple["SaabModel", ...] | None = None
 
     @property
     def num_channels(self) -> int:
@@ -181,29 +182,26 @@ def _kept_ac_count(eigenvalues: np.ndarray, energy_threshold: float | None, expl
     return int(np.searchsorted(cumulative, energy_threshold) + 1)
 
 
-def fit_saab(
-    patches: PatchMatrix | Iterable[PatchMatrix],
-    energy_threshold: float | None = 0.99,
-    explicit_channels: int | None = None,
-) -> SaabModel:
-    """Fit DC/AC kernels on a patch sample, given whole or as consecutive blocks.
+def _fit_kernels(
+    blocks: Iterable[np.ndarray], energy_threshold: float | None, explicit_channels: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fit DC/AC kernels on sample rows given as consecutive (rows x dim) blocks.
 
-    The covariance (1/(n-1) normalization) of the DC-removed, mean-centered
-    patches is eigendecomposed inside the DC-orthogonal subspace, which keeps
-    every AC kernel exactly orthogonal to the DC kernel even for rank-deficient
-    input. Projecting a raw patch onto a basis of that subspace removes its DC
-    response, so each block is projected, centered on its own mean, and its
-    moments are merged into the running ones in block order with the
-    Chan-Golub-LeVeque pairwise update. A ``PatchMatrix`` is one block.
+    Returns the (kept + 1, dim) kernel matrix, DC row first, and the full AC
+    spectrum, nonincreasing. The covariance (1/(n-1) normalization) of the
+    DC-removed, mean-centered rows is eigendecomposed inside the DC-orthogonal
+    subspace, which keeps every AC kernel exactly orthogonal to the DC kernel
+    even for rank-deficient input. Projecting a raw row onto a basis of that
+    subspace removes its DC response, so each block is projected, centered on
+    its own mean, and its moments are merged into the running ones in block
+    order with the Chan-Golub-LeVeque pairwise update.
     """
-    blocks = [patches] if isinstance(patches, PatchMatrix) else patches
-    first, count = None, 0
-    for block in blocks:
-        data = block.data
+    basis, count = None, 0
+    for data in blocks:
         if not np.isfinite(data).all():
             raise ValueError("patches contain non-finite values")
-        if first is None:
-            first, basis = block, _complement_basis(block.patch_dim)  # (dim, dim-1)
+        if basis is None:
+            basis = _complement_basis(data.shape[1])  # (dim, dim-1)
             mean, m2 = np.zeros(basis.shape[1]), np.zeros((basis.shape[1], basis.shape[1]))
         rows = data.shape[0]
         if rows == 0:
@@ -217,7 +215,7 @@ def fit_saab(
         count = total
     if count == 0:
         raise ValueError("cannot fit a Saab model on zero patches")
-    dim = first.patch_dim
+    dim = basis.shape[0]
     if count < dim:
         warnings.warn(f"only {count} patches for dimension {dim}; fit proceeds with reduced rank")
 
@@ -227,9 +225,26 @@ def fit_saab(
     kernels = _fix_signs((basis @ eigvecs[:, order]).T)  # (dim-1, dim)
 
     kept = _kept_ac_count(eigvals, energy_threshold, explicit_channels)
+    return np.concatenate([_dc_kernel(dim)[None, :], kernels[:kept]], axis=0), eigvals
+
+
+def fit_saab(
+    patches: PatchMatrix | Iterable[PatchMatrix],
+    energy_threshold: float | None = 0.99,
+    explicit_channels: int | None = None,
+) -> SaabModel:
+    """Fit the first hop on a patch sample, given whole or as consecutive
+    blocks (see ``_fit_kernels``). A ``PatchMatrix`` is one block."""
+    blocks = iter([patches] if isinstance(patches, PatchMatrix) else patches)
+    first = next(blocks, None)
+    if first is None:
+        raise ValueError("cannot fit a Saab model on zero patches")
+    kernels, eigenvalues = _fit_kernels(
+        (block.data for block in chain([first], blocks)), energy_threshold, explicit_channels
+    )
     return SaabModel(
-        ac_kernels=kernels[:kept],
-        eigenvalues=eigvals,
+        ac_kernels=kernels[1:],
+        eigenvalues=eigenvalues,
         input_side=first.input_side,
         channels=first.channels,
         patch_size=first.patch_size,
@@ -275,28 +290,24 @@ def _larger_magnitude(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return np.where(np.abs(second) > np.abs(first), second, first)
 
 
-def _channel_rows(pooled: np.ndarray, channel: int) -> PatchMatrix:
-    n, h2, w2 = pooled.shape[0], pooled.shape[1], pooled.shape[2]
-    rows = np.ascontiguousarray(pooled[..., channel].reshape(n, h2 * w2), dtype=np.float64)  # a view when contiguous
-    return PatchMatrix(rows, n, 1, h2, 1, 1, h2)
-
-
 def fit_cw_saab(
     pooled: np.ndarray,
     energy_threshold: float | None = 0.99,
     explicit_channels: int | None = None,
-) -> tuple[SaabModel, ...]:
-    """Fit one global Saab model per pooled channel.
+) -> tuple[np.ndarray, ...]:
+    """Fit one c/w kernel matrix per pooled channel: (components, pooled_side**2),
+    DC row first.
 
-    Each channel map is treated as a single patch covering the whole pooled
-    extent, so the sub-model's PCA runs over training samples. A channel with
-    zero variance across samples keeps only its DC coefficient.
+    Each channel map is treated as a single sample row covering the whole
+    pooled extent, so the PCA runs over training samples. A channel with zero
+    variance across samples keeps only its DC row.
     """
-    models = []
+    n, size = pooled.shape[0], pooled.shape[1] * pooled.shape[2]
+    matrices = []
     for ch in range(pooled.shape[3]):
-        rows = _channel_rows(pooled, ch)
-        models.append(fit_saab(rows, energy_threshold=energy_threshold, explicit_channels=explicit_channels))
-    return tuple(models)
+        maps = np.ascontiguousarray(pooled[..., ch].reshape(n, size), dtype=np.float64)  # a view when contiguous
+        matrices.append(_fit_kernels([maps], energy_threshold, explicit_channels)[0])
+    return tuple(matrices)
 
 
 def _project(maps: np.ndarray, kernels: np.ndarray) -> np.ndarray:
@@ -304,29 +315,6 @@ def _project(maps: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     product, ``np.einsum`` on C-contiguous operands gives each coefficient bytes
     that depend only on its two rows (an F-ordered operand sums in another order)."""
     return np.einsum("ij,kj->ik", np.ascontiguousarray(maps), np.ascontiguousarray(kernels))
-
-
-def apply_cw_saab(models: tuple[SaabModel, ...], pooled: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Concatenate the spectral coefficients of every channel.
-
-    The coefficients are written into ``out`` when it is given (count x total
-    component count) and returned.
-    """
-    if pooled.shape[3] != len(models):
-        raise GeometryError(f"pooled tensor has {pooled.shape[3]} channels, model has {len(models)}")
-    shape = (pooled.shape[0], sum(model.num_channels for model in models))
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape:
-        raise GeometryError(f"output has shape {out.shape}, the coefficients {shape}")
-    offset = 0
-    for ch, model in enumerate(models):
-        rows = _channel_rows(pooled, ch)
-        if rows.patch_dim != model.patch_dim:
-            raise GeometryError(f"channel {ch}: pooled map size {rows.patch_dim} != fitted size {model.patch_dim}")
-        out[:, offset : offset + model.num_channels] = _project(rows.data, model.kernel_matrix())
-        offset += model.num_channels
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,10 +347,15 @@ def fit_representation(
     energy_threshold: float | None = 0.99,
     explicit_channels: int | None = None,
     cw_explicit_channels: int | None = None,
-) -> tuple[SaabModel, FeatureMatrix]:
-    """Fit the full one-hop representation (first-hop Saab + c/w sub-models) and
-    return it with the full representation of ``images`` (every column of
-    ``representation_layout``).
+) -> tuple[SaabModel, FeatureMatrix, tuple[np.ndarray, ...]]:
+    """Fit the one-hop representation and return ``(hop, features, cw)``: the
+    first hop, the full representation of ``images``, and one c/w kernel
+    matrix per pooled channel (see ``fit_cw_saab``).
+
+    The features hold the pooled spatial responses, column
+    ``("spatial", row, col, channel)``, then each channel's spectral block,
+    column ``("spectral", channel, component)``: the channel's map projected
+    onto row ``component`` of its kernel matrix.
 
     Two streamed passes run over the images: the first accumulates the
     first-hop moments, the second applies the fitted hop and pools. The pooled
@@ -382,11 +375,14 @@ def fit_representation(
         pooled[lo : lo + block.shape[0]] = block
     pooled = pooled.reshape(n, side, side, k1)
     cw = fit_cw_saab(pooled, energy_threshold=energy_threshold, explicit_channels=cw_explicit_channels)
-    model = replace(hop, cw_models=cw)
-    data = np.empty((n, spatial + sum(sub.num_channels for sub in cw)))
+    data = np.empty((n, spatial + sum(len(kernels) for kernels in cw)))
     data[:, :spatial] = pooled.reshape(n, spatial)
-    apply_cw_saab(cw, pooled, out=data[:, spatial:])
-    return model, FeatureMatrix(data, representation_layout(model))
+    provenance = [("spatial", r, c, ch) for r in range(side) for c in range(side) for ch in range(k1)]
+    for ch, kernels in enumerate(cw):
+        offset = len(provenance)
+        data[:, offset : offset + len(kernels)] = _project(pooled[..., ch].reshape(n, side * side), kernels)
+        provenance.extend(("spectral", ch, comp) for comp in range(len(kernels)))
+    return hop, FeatureMatrix(data, tuple(provenance)), cw
 
 
 def _pooled_chunks(images: ImageSet, model: SaabModel, positions: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
@@ -412,69 +408,47 @@ def _pooled_chunks(images: ImageSet, model: SaabModel, positions: np.ndarray) ->
         yield lo, abs_max_pool(responses[:, corners]).reshape(chunk.count, corners.shape[2])
 
 
-def representation_layout(model: SaabModel) -> tuple[tuple, ...]:
-    """Provenance of every representation column, in column order: the pooled
-    spatial responses, then each channel's spectral block.
-
-    A column is ``("spatial", row, col, channel)``, a pooled first-hop
-    response, or ``("spectral", channel, component)``, a coefficient of that
-    channel's c/w sub-model.
-    """
-    side, k1 = model.pooled_side, model.num_channels
-    layout = [("spatial", r, c, ch) for r in range(side) for c in range(side) for ch in range(k1)]
-    for ch, sub in enumerate(model.cw_models):
-        layout.extend(("spectral", ch, comp) for comp in range(sub.num_channels))
-    return tuple(layout)
-
-
-def column_positions(model: SaabModel, columns: Sequence[tuple]) -> list[int]:
+def column_positions(model: SaabModel, columns: Sequence[tuple], kernels: np.ndarray) -> list[int]:
     """The flat pooled position ``(row * pooled_side + col) * K1 + channel`` of
     each spatial column and the channel of each spectral column, in column
-    order. A column the model cannot produce raises ``GeometryError``; without
-    c/w sub-models, a spectral component need only lie below the map size.
+    order. ``GeometryError`` is raised for a column the model cannot produce
+    (a spectral component must lie below the map size, the most rows a c/w
+    kernel matrix can have) and unless ``kernels`` holds one row of the map
+    size per spectral column.
     """
     side, k1 = model.pooled_side, model.num_channels
-    components = [side * side] * k1 if model.cw_models is None else [sub.num_channels for sub in model.cw_models]
     positions = []
     for col in columns:
         if col[0] == "spatial" and len(col) == 4 and all(0 <= v < n for v, n in zip(col[1:], (side, side, k1))):
             positions.append((col[1] * side + col[2]) * k1 + col[3])
-        elif col[0] == "spectral" and len(col) == 3 and 0 <= col[1] < k1 and 0 <= col[2] < components[col[1]]:
+        elif col[0] == "spectral" and len(col) == 3 and 0 <= col[1] < k1 and 0 <= col[2] < side * side:
             positions.append(col[1])
         else:
             raise GeometryError(f"the model has no representation column {tuple(col)!r}")
+    shape = (sum(col[0] == "spectral" for col in columns), side * side)
+    if np.shape(kernels) != shape:
+        raise GeometryError(f"spectral kernels have shape {np.shape(kernels)}, the columns need {shape}")
     return positions
 
 
-def spectral_kernels(model: SaabModel, columns: Sequence[tuple]) -> np.ndarray:
-    """The c/w kernel row of each spectral column in ``columns``, in column
-    order: a (spectral column count, pooled_side**2) array."""
-    spectral = [col for col in columns if col[0] == "spectral"]
-    if spectral and model.cw_models is None:
-        raise GeometryError("the model holds no channel-wise sub-models; pass the spectral kernel rows")
-    matrices = {ch: model.cw_models[ch].kernel_matrix() for _, ch, _ in spectral}
-    return np.array([matrices[ch][comp] for _, ch, comp in spectral]).reshape(len(spectral), model.pooled_side**2)
-
-
 def build_representation(
-    images: ImageSet, model: SaabModel, columns: Sequence[tuple] | None = None, kernels: np.ndarray | None = None
+    images: ImageSet, model: SaabModel, columns: Sequence[tuple], kernels: np.ndarray
 ) -> FeatureMatrix:
     """The representation columns named by ``columns`` (provenance tuples as in
-    ``representation_layout``; by default every column).
+    the features of ``fit_representation``) for the first hop ``model``.
 
-    ``kernels`` holds one kernel row per spectral column, in column order (by
-    default ``spectral_kernels(model, columns)``). Only the pooled windows the
-    columns read are computed: those of the spatial columns and the whole maps
-    of the channels that a spectral column names. A spectral column is its
-    channel's map projected onto its row, so a column's bytes depend only on
-    its image and its row, not on the other images or columns of the call.
+    ``kernels`` holds, per spectral column in column order, its row of its
+    channel's c/w kernel matrix. Only the pooled windows the columns read are
+    computed: those of the spatial columns and the whole maps of the channels
+    that a spectral column names. A spectral column is its channel's map
+    projected onto its row, so a column's bytes depend only on its image and
+    its row, not on the other images or columns of the call.
     """
-    columns = representation_layout(model) if columns is None else tuple(columns)
-    positions = np.asarray(column_positions(model, columns), dtype=np.intp)
+    columns = tuple(columns)
+    positions = np.asarray(column_positions(model, columns, kernels), dtype=np.intp)
     n, side, k1 = images.count, model.pooled_side, model.num_channels
     is_spatial = np.array([col[0] == "spatial" for col in columns], dtype=bool)
     spatial, spectral = np.flatnonzero(is_spatial), np.flatnonzero(~is_spatial)
-    kernels = spectral_kernels(model, columns) if kernels is None else kernels
     channels = positions[spectral]
     read = np.unique(channels)
     # The read channels' maps, one after another, then the spatial columns' windows.

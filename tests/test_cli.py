@@ -180,6 +180,9 @@ class TestScore:
             ("top-level-list", None),
             ("short-kernel-row", None),
             ("extra-kernel-row", "spectral kernels"),
+            ("float-coordinate", "provenance"),
+            ("string-coordinate", "provenance"),
+            ("bool-coordinate", "provenance"),
         ],
     )
     def test_malformed_model_one_error_line(self, cli_data, fitted_model, tmp_path, capsys, fault, key):
@@ -202,6 +205,10 @@ class TestScore:
             doc = [doc]
         elif fault == "short-kernel-row":
             doc["selection"]["spectral_kernels"][0].pop()
+        elif fault.endswith("-coordinate"):
+            # int() would read each of these as a coordinate and score with it.
+            first = doc["selection"]["provenance"][0]
+            first[1] = {"float": float(first[1]), "string": str(first[1]), "bool": True}[fault.split("-")[0]]
         else:
             doc["selection"]["spectral_kernels"].append(doc["selection"]["spectral_kernels"][0])
         bad = tmp_path / "bad.json"
@@ -328,6 +335,22 @@ class TestEval:
         main(["eval", str(fitted_model), str(real_path), str(gen_path), "-o", str(a)])
         main(["eval", str(fitted_model), str(real_path), str(gen_path), "-o", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "training",
+        [{"selected_count": 1}, {"fingerprints": {"real": "0"}}, [1], None],
+        ids=["no-fingerprints", "no-generated-print", "list", "null"],
+    )
+    def test_bad_training_block_one_error_line(self, cli_data, fitted_model, tmp_path, capsys, training):
+        _, real_path, gen_path = cli_data
+        doc = json.loads(fitted_model.read_text())
+        doc["training"] = training
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["eval", str(bad), str(real_path), str(gen_path), "-o", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"lgsqe: error: {bad}: ") and "fingerprints" in err[0], err
+        assert not (tmp_path / "r.json").exists()
 
     def test_svg_flag(self, cli_data, fitted_model, tmp_path):
         tmp, real_path, gen_path = cli_data
@@ -459,3 +482,13 @@ class TestConfigSchema:
         assert main(["fit", "real.lgt", "gen.lgt", "-o", str(tmp_path / "m.json"), "--config", str(cfg)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "unknown config key 'gbdt_seed'" in err[0]
+
+
+def test_package_does_not_import_scipy():
+    """scipy is installed alongside numpy but is not a dependency: importing
+    the package and its CLI in a fresh interpreter must not load it."""
+    code = "import sys, lgsqe, lgsqe.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    run = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, check=True
+    )
+    assert run.stdout.strip() == "[]"

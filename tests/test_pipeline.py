@@ -109,7 +109,7 @@ class TestPipelineModel:
             lgsqe.PipelineModel.from_dict(doc)
 
     def test_spectral_column_of_a_dropped_sub_model(self, small_pipeline):
-        # A spectral column without a stored kernel row: no c/w sub-model is stored to compute it from.
+        # A spectral column without a stored kernel row: the model stores no whole c/w kernel matrix to take one from.
         model, _, _ = small_pipeline
         doc = json.loads(model.to_json())
         doc["selection"]["provenance"][0] = ["spectral", 0, 1]
@@ -120,7 +120,7 @@ class TestPipelineModel:
     def test_only_selected_kernel_rows_kept(self, small_pipeline, tmp_path):
         model, real, generated = small_pipeline
         spectral = [col for col in model.columns if col[0] == "spectral"]
-        assert spectral and model.saab.cw_models is None
+        assert spectral
         model.save(tmp_path / "model.json")
         doc = json.loads((tmp_path / "model.json").read_text())
         assert "cw_models" not in doc["saab"] and doc["format_version"] == "5.0.0"
@@ -131,17 +131,18 @@ class TestPipelineModel:
         split = holdout_split(model, real, generated)
         pixels, _ = split.train_union()
         config = model.config
-        full, train = lgsqe.fit_representation(
+        hop, train, cw = lgsqe.fit_representation(
             lgsqe.ImageSet(pixels), config.patch_size, config.stride, energy_threshold=config.energy_threshold
         )
         assert model.columns == tuple(train.provenance[i] for i in model.selection.indices)
         assert model.spectral_kernels.shape == (len(spectral), model.saab.pooled_side**2)
         for row, (_, ch, comp) in zip(model.spectral_kernels, spectral):
-            assert row.tobytes() == full.cw_models[ch].kernel_matrix()[comp].tobytes()
+            assert row.tobytes() == cw[ch][comp].tobytes()
         # The stored rows reproduce the fit's training columns bit for bit.
         rebuilt = lgsqe.build_representation(lgsqe.ImageSet(pixels), loaded.saab, loaded.columns, loaded.spectral_kernels)
         assert rebuilt.data.tobytes() == np.ascontiguousarray(train.data[:, model.selection.indices]).tobytes()
-        features = lgsqe.build_representation(split.test_real, full)
+        every = np.array([cw[col[1]][col[2]] for col in train.provenance if col[0] == "spectral"])
+        features = lgsqe.build_representation(split.test_real, hop, train.provenance, every)
         np.testing.assert_array_equal(
             loaded.score_images(split.test_real),
             model.ensemble.predict_score(features.data[:, model.selection.indices]),

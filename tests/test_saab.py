@@ -2,7 +2,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -211,76 +210,109 @@ class TestAbsMaxPool:
                         assert pooled[n, r, c, ch].tobytes() == expected.tobytes()
 
 
+def dc_row(size):
+    return np.full(size, 1.0 / np.sqrt(size))
+
+
 class TestChannelWiseSaab:
     def test_identical_maps_keep_dc_only(self):
         pattern = np.random.default_rng(0).normal(size=(1, 6, 6, 3))
         pooled = np.repeat(pattern, 40, axis=0)
-        models = lgsqe.fit_cw_saab(pooled)
-        assert all(m.num_channels == 1 for m in models)
-        block = lgsqe.apply_cw_saab(models, pooled)
-        assert block.shape == (40, 3)
+        kernels = lgsqe.fit_cw_saab(pooled)
+        assert len(kernels) == 3
+        for matrix in kernels:
+            assert matrix.tobytes() == dc_row(36).tobytes()
 
     def test_per_channel_oracle(self):
         rng = np.random.default_rng(5)
         pooled = rng.normal(size=(120, 4, 4, 2))
-        models = lgsqe.fit_cw_saab(pooled, energy_threshold=1.0)
-        for ch, model in enumerate(models):
+        kernels = lgsqe.fit_cw_saab(pooled, energy_threshold=1.0)
+        assert [matrix.shape for matrix in kernels] == [(16, 16)] * 2
+        for ch, matrix in enumerate(kernels):
             rows = pooled[..., ch].reshape(120, 16)
             oracle_vals, oracle_kernels = brute_force_eigenpairs(rows)
-            assert np.max(np.abs(model.eigenvalues - oracle_vals)) < 1e-6
-            assert np.max(np.abs(model.ac_kernels - oracle_kernels)) < 1e-6
+            assert matrix[0].tobytes() == dc_row(16).tobytes()
+            assert np.max(np.abs(matrix[1:] - oracle_kernels)) < 1e-6
+            # An AC row's sample variance of the projections is its eigenvalue.
+            assert np.max(np.abs((rows @ matrix[1:].T).var(axis=0, ddof=1) - oracle_vals)) < 1e-6
 
     def test_explicit_spectral_width(self):
         rng = np.random.default_rng(6)
         pooled = rng.normal(size=(300, 15, 15, 15))
-        models = lgsqe.fit_cw_saab(pooled, explicit_channels=10)
-        block = lgsqe.apply_cw_saab(models, pooled)
-        assert block.shape[1] == 150
+        kernels = lgsqe.fit_cw_saab(pooled, explicit_channels=10)
+        assert [matrix.shape for matrix in kernels] == [(10, 225)] * 15
 
-    def test_channel_count_mismatch(self):
-        pooled = np.random.default_rng(7).normal(size=(10, 4, 4, 2))
-        models = lgsqe.fit_cw_saab(pooled)
+    def test_channel_count_mismatch(self, small_images):
+        # A spectral column of a channel the first hop does not have is refused.
+        hop, _, cw = lgsqe.fit_representation(small_images, 3, 2)
+        assert len(cw) == hop.num_channels
         with pytest.raises(GeometryError):
-            lgsqe.apply_cw_saab(models, pooled[..., :1])
+            lgsqe.build_representation(small_images, hop, [("spectral", len(cw), 0)], cw[0][:1])
+
+
+def layout(hop, cw):
+    """Every representation column, in the order the fit lays them out."""
+    side, k1 = hop.pooled_side, hop.num_channels
+    spatial = [("spatial", r, c, ch) for r in range(side) for c in range(side) for ch in range(k1)]
+    return tuple(spatial + [("spectral", ch, comp) for ch, matrix in enumerate(cw) for comp in range(len(matrix))])
+
+
+def kernel_rows(cw, columns):
+    """The c/w kernel row of each spectral column in ``columns``, in column order."""
+    rows = [cw[col[1]][col[2]] for col in columns if col[0] == "spectral"]
+    return np.array(rows).reshape(len(rows), cw[0].shape[1])
+
+
+def build_all(images, hop, cw):
+    columns = layout(hop, cw)
+    return lgsqe.build_representation(images, hop, columns, kernel_rows(cw, columns))
 
 
 class TestBuildRepresentation:
     def test_width_matches_provenance_arithmetic(self, small_images):
-        model, _ = lgsqe.fit_representation(small_images, 3, 2)
-        features = lgsqe.build_representation(small_images, model)
+        hop, fitted, cw = lgsqe.fit_representation(small_images, 3, 2)
+        features = build_all(small_images, hop, cw)
         patches_grid = (16 - 3) // 2 + 1
         pooled_side = patches_grid // 2
-        spatial = pooled_side * pooled_side * model.num_channels
-        spectral = sum(sub.num_channels for sub in model.cw_models)
-        assert features.width == spatial + spectral
+        spatial = pooled_side * pooled_side * hop.num_channels
+        spectral = sum(len(matrix) for matrix in cw)
+        assert features.width == fitted.width == spatial + spectral
         assert all(p[0] == "spatial" for p in features.provenance[:spatial])
         assert all(p[0] == "spectral" for p in features.provenance[spatial:])
+        assert fitted.provenance == features.provenance
 
     def test_zero_images(self, small_images):
-        model, _ = lgsqe.fit_representation(small_images, 3, 2)
+        hop, _, cw = lgsqe.fit_representation(small_images, 3, 2)
         empty = lgsqe.ImageSet(np.empty((0, 16, 16, 1), dtype=np.float32), "real")
-        features = lgsqe.build_representation(empty, model)
-        reference = lgsqe.build_representation(small_images, model)
+        features = build_all(empty, hop, cw)
+        reference = build_all(small_images, hop, cw)
         assert features.data.shape == (0, reference.width)
 
     def test_deterministic(self, small_images):
-        a, _ = lgsqe.fit_representation(small_images, 3, 2)
-        b, _ = lgsqe.fit_representation(small_images, 3, 2)
-        fa = lgsqe.build_representation(small_images, a)
-        fb = lgsqe.build_representation(small_images, b)
+        a, fitted_a, cw_a = lgsqe.fit_representation(small_images, 3, 2)
+        b, fitted_b, cw_b = lgsqe.fit_representation(small_images, 3, 2)
+        assert fitted_a.data.tobytes() == fitted_b.data.tobytes()
+        fa = build_all(small_images, a, cw_a)
+        fb = build_all(small_images, b, cw_b)
         np.testing.assert_array_equal(fa.data, fb.data)
 
     def test_finite_values_enforced(self, small_images):
-        model, _ = lgsqe.fit_representation(small_images, 3, 2)
-        features = lgsqe.build_representation(small_images, model)
+        hop, _, cw = lgsqe.fit_representation(small_images, 3, 2)
+        features = build_all(small_images, hop, cw)
         assert np.isfinite(features.data).all()
 
 
-def unchunked_representation(model, images):
-    """The full representation from whole-set calls: apply, pool, then the c/w blocks."""
-    pooled = lgsqe.abs_max_pool(lgsqe.apply_saab(model, images))
-    spatial = pooled.reshape(images.count, int(np.prod(pooled.shape[1:])))
-    return np.concatenate([spatial, lgsqe.apply_cw_saab(model.cw_models, pooled)], axis=1)
+def unchunked_representation(hop, cw, images):
+    """The full representation from whole-set calls: apply, pool, then each
+    channel's map projected onto its c/w kernel matrix."""
+    pooled = lgsqe.abs_max_pool(lgsqe.apply_saab(hop, images))
+    n, size = images.count, hop.pooled_side**2
+    spatial = pooled.reshape(n, int(np.prod(pooled.shape[1:])))
+    spectral = [
+        np.einsum("ij,kj->ik", np.ascontiguousarray(pooled[..., ch].reshape(n, size)), matrix)
+        for ch, matrix in enumerate(cw)
+    ]
+    return np.concatenate([spatial, *spectral], axis=1)
 
 
 class TestSelectedColumns:
@@ -289,60 +321,63 @@ class TestSelectedColumns:
     @pytest.fixture(scope="class", params=[(16, 1), (32, 3)], ids=["16x16x1", "32x32x3"])
     def fitted(self, request):
         side, channels = request.param
-        model, _ = lgsqe.fit_representation(random_image_set(240, side=side, channels=channels, seed=side), 3, 1)
-        layout = lgsqe.representation_layout(model)
+        hop, features, cw = lgsqe.fit_representation(random_image_set(240, side=side, channels=channels, seed=side), 3, 1)
+        every = features.provenance
         rng = np.random.default_rng(side)
-        spectral_start = sum(col[0] == "spatial" for col in layout)
+        spectral_start = sum(col[0] == "spatial" for col in every)
         indices = np.concatenate([
             rng.choice(spectral_start, size=40, replace=False),
-            rng.choice(np.arange(spectral_start, len(layout)), size=20, replace=False),
+            rng.choice(np.arange(spectral_start, len(every)), size=20, replace=False),
         ])
         rng.shuffle(indices)
-        columns = tuple(layout[i] for i in indices)
+        columns = tuple(every[i] for i in indices)
         read = {col[1] for col in columns if col[0] == "spectral"}
-        assert 1 < len(read) < model.num_channels  # some channels' maps are read, some are not
-        # The first hop alone, as a fitted pipeline keeps it, and the selected spectral columns' kernel rows.
-        dropped = replace(model, cw_models=None)
-        return model, dropped, saab.spectral_kernels(model, columns), indices, columns, side, channels
+        assert 1 < len(read) < hop.num_channels  # some channels' maps are read, some are not
+        # The selected spectral columns' kernel rows, as a fitted pipeline keeps them.
+        return hop, cw, kernel_rows(cw, columns), indices, columns, side, channels
 
     @pytest.mark.parametrize("count", [0, 1, 25])
     def test_equals_full_representation_columns(self, fitted, count):
-        model, dropped, kernels, indices, columns, side, channels = fitted
+        hop, cw, kernels, indices, columns, side, channels = fitted
         images = random_image_set(count, side=side, channels=channels, seed=100 + count)
-        full = unchunked_representation(model, images)
-        np.testing.assert_array_equal(lgsqe.build_representation(images, model).data, full)
-        selected = lgsqe.build_representation(images, dropped, columns, kernels)
+        full = unchunked_representation(hop, cw, images)
+        np.testing.assert_array_equal(build_all(images, hop, cw).data, full)
+        selected = lgsqe.build_representation(images, hop, columns, kernels)
         assert selected.data.shape == (count, len(columns)) and selected.provenance == columns
         np.testing.assert_array_equal(selected.data, full[:, indices])
-        np.testing.assert_array_equal(lgsqe.build_representation(images, model, columns).data, selected.data)
 
     def test_column_of_a_dropped_sub_model_rejected(self, fitted):
-        # Without its c/w sub-models, a model computes a spectral column only from a given kernel row.
-        _, dropped, _, _, columns, side, channels = fitted
-        image = random_image_set(1, side=side, channels=channels)
-        with pytest.raises(GeometryError):
-            lgsqe.build_representation(image, dropped, [("spectral", 0, 0)])
+        # A spectral column is computed only from its given kernel row: one row per spectral column.
+        hop, cw, _, _, columns, side, channels = fitted
+        image, size = random_image_set(1, side=side, channels=channels), hop.pooled_side**2
+        with pytest.raises(GeometryError, match="spectral kernels"):
+            lgsqe.build_representation(image, hop, [("spectral", 0, 0)], np.empty((0, size)))
+        with pytest.raises(GeometryError, match="spectral kernels"):
+            lgsqe.build_representation(image, hop, [("spectral", 0, 0)], cw[0][:1, :-1])
         spatial = [col for col in columns if col[0] == "spatial"]
-        assert lgsqe.build_representation(image, dropped, spatial).provenance == tuple(spatial)
+        built = lgsqe.build_representation(image, hop, spatial, np.empty((0, size)))
+        assert built.provenance == tuple(spatial)
 
     def test_stored_row_equals_the_full_sub_model(self, fitted):
-        model, dropped, _, _, _, side, channels = fitted
+        hop, cw, _, _, _, side, channels = fitted
         images = random_image_set(9, side=side, channels=channels, seed=7)
-        pooled = lgsqe.abs_max_pool(lgsqe.apply_saab(model, images))
-        for ch, sub in enumerate(model.cw_models):
-            block = lgsqe.apply_cw_saab((sub,), pooled[..., ch : ch + 1])
-            for comp in {0, sub.num_channels // 2, sub.num_channels - 1}:
-                row = sub.kernel_matrix()[comp : comp + 1]
-                column = lgsqe.build_representation(images, dropped, [("spectral", ch, comp)], row).data
+        pooled = lgsqe.abs_max_pool(lgsqe.apply_saab(hop, images))
+        for ch, matrix in enumerate(cw):
+            maps = np.ascontiguousarray(pooled[..., ch].reshape(images.count, hop.pooled_side**2))
+            block = np.einsum("ij,kj->ik", maps, matrix)
+            for comp in {0, len(matrix) // 2, len(matrix) - 1}:
+                row = matrix[comp : comp + 1]
+                column = lgsqe.build_representation(images, hop, [("spectral", ch, comp)], row).data
                 assert column.tobytes() == np.ascontiguousarray(block[:, comp : comp + 1]).tobytes()
 
     @pytest.mark.parametrize(
         "column", [("spatial", 99, 0, 0), ("spatial", 0, 0, -1), ("spectral", 0, 10**6), ("pooled", 0)]
     )
     def test_unknown_column_rejected(self, fitted, column):
-        model, _, _, _, _, side, channels = fitted
-        with pytest.raises(GeometryError):
-            lgsqe.build_representation(random_image_set(1, side=side, channels=channels), model, [column])
+        hop, _, _, _, _, side, channels = fitted
+        kernels = np.zeros((int(column[0] == "spectral"), hop.pooled_side**2))
+        with pytest.raises(GeometryError, match="no representation column"):
+            lgsqe.build_representation(random_image_set(1, side=side, channels=channels), hop, [column], kernels)
 
 
 def smooth_image_set(count, side, channels, seed):
@@ -369,23 +404,24 @@ class TestStreamedFirstHop:
         monkeypatch.setattr(saab, "CHUNK_ROWS", chunk_images(side, 3))
         images = random_image_set(11, side=side, channels=channels, seed=side + 1)
         assert [chunk.count for _, chunk in saab._image_chunks(images, 3, 1)] == [3, 3, 3, 2]
-        model, features = lgsqe.fit_representation(images, 3, 1)
-        np.testing.assert_array_equal(features.data, unchunked_representation(model, images))
-        assert features.provenance == lgsqe.representation_layout(model)
+        hop, features, cw = lgsqe.fit_representation(images, 3, 1)
+        np.testing.assert_array_equal(features.data, unchunked_representation(hop, cw, images))
+        assert features.provenance == layout(hop, cw)
 
         fresh = random_image_set(10, side=side, channels=channels, seed=side + 2)
-        reference = unchunked_representation(model, fresh)
-        np.testing.assert_array_equal(lgsqe.build_representation(fresh, model).data, reference)
-        layout = lgsqe.representation_layout(model)
-        indices = np.random.default_rng(side).choice(len(layout), size=50, replace=False)
-        selected = lgsqe.build_representation(fresh, model, [layout[i] for i in indices])
+        reference = unchunked_representation(hop, cw, fresh)
+        np.testing.assert_array_equal(build_all(fresh, hop, cw).data, reference)
+        every = layout(hop, cw)
+        indices = np.random.default_rng(side).choice(len(every), size=50, replace=False)
+        columns = [every[i] for i in indices]
+        selected = lgsqe.build_representation(fresh, hop, columns, kernel_rows(cw, columns))
         np.testing.assert_array_equal(selected.data, reference[:, indices])
 
     @pytest.mark.parametrize("side,channels", [(16, 1), (32, 3)], ids=["16x16x1", "32x32x3"])
     def test_streamed_moments_match_dense_covariance(self, monkeypatch, side, channels):
         monkeypatch.setattr(saab, "CHUNK_ROWS", chunk_images(side, 4))
         images = smooth_image_set(30, side, channels, seed=side)
-        hop, _ = lgsqe.fit_representation(images, 3, 1, energy_threshold=1.0)
+        hop, _, _ = lgsqe.fit_representation(images, 3, 1, energy_threshold=1.0)
         data = lgsqe.extract_patches(images, 3, 1).data
         dim = data.shape[1]
         dc = np.full(dim, 1.0 / np.sqrt(dim))
@@ -424,26 +460,28 @@ class TestBoundedMemory:
     def test_fit(self):
         def fit(count):
             images = self.images(count)
-            (model, features), peak = traced_peak(lambda: lgsqe.fit_representation(images, 3, 1))
-            pooled = model.pooled_side**2 * model.num_channels * count * 8
-            return peak, features.data.nbytes + pooled
+            (hop, features, cw), peak = traced_peak(lambda: lgsqe.fit_representation(images, 3, 1))
+            pooled = hop.pooled_side**2 * hop.num_channels * count * 8
+            # A c/w kernel matrix keeps up to one row per image, at most the map size.
+            return peak, features.data.nbytes + pooled + sum(matrix.nbytes for matrix in cw)
 
         small_peak, small_kept = fit(self.COUNT)
         large_peak, large_kept = fit(4 * self.COUNT)
         assert large_peak - small_peak <= 1.1 * (large_kept - small_kept)
 
     def test_build_selected_columns(self):
-        model, _ = lgsqe.fit_representation(self.images(64), 3, 1)
-        layout = lgsqe.representation_layout(model)
-        spectral = [col for col in layout if col[0] == "spectral" and col[1] == 5][:10]
-        columns = [col for col in layout if col[0] == "spatial"][::7] + spectral
-        map_size = model.pooled_side**2
+        hop, features, cw = lgsqe.fit_representation(self.images(64), 3, 1)
+        every = features.provenance
+        spectral = [col for col in every if col[0] == "spectral" and col[1] == 5][:10]
+        columns = [col for col in every if col[0] == "spatial"][::7] + spectral
+        kernels = kernel_rows(cw, columns)
+        map_size = hop.pooled_side**2
         # Kept whole: the result, and the read channel's map and its selected coefficients.
         per_image = (len(columns) + map_size + len(spectral)) * 8
 
         def build(count):
             images = self.images(count)
-            _, peak = traced_peak(lambda: lgsqe.build_representation(images, model, columns))
+            _, peak = traced_peak(lambda: lgsqe.build_representation(images, hop, columns, kernels))
             return peak
 
         assert build(4 * self.COUNT) - build(self.COUNT) <= 1.1 * 3 * self.COUNT * per_image
@@ -453,13 +491,12 @@ THREADS_SCRIPT = """
 import hashlib, sys
 import numpy as np
 import lgsqe
-from lgsqe.saab import SaabModel
+from lgsqe.saab import _project
 
 pixels, kernels, maps = (np.load(path) for path in sys.argv[1:4])
-model, features = lgsqe.fit_representation(lgsqe.ImageSet(pixels), 3, 1)
-spatial = model.pooled_side ** 2 * model.num_channels
-sub = SaabModel(kernels, np.zeros(0), maps.shape[1], 1, maps.shape[1], 1)
-for part in (model.ac_kernels, model.eigenvalues, features.data[:, :spatial], lgsqe.apply_cw_saab((sub,), maps)):
+hop, features, _ = lgsqe.fit_representation(lgsqe.ImageSet(pixels), 3, 1)
+spatial = hop.pooled_side ** 2 * hop.num_channels
+for part in (hop.ac_kernels, hop.eigenvalues, features.data[:, :spatial], _project(maps, kernels)):
     print(hashlib.sha256(np.ascontiguousarray(part).tobytes()).hexdigest())
 """
 
@@ -467,15 +504,15 @@ for part in (model.ac_kernels, model.eigenvalues, features.data[:, :spatial], lg
 @pytest.mark.filterwarnings("ignore:only .* patches for dimension")
 def test_bytes_do_not_depend_on_blas_threads(tmp_path):
     """First-hop kernels and eigenvalues, the pooled responses, and a c/w
-    transform fitted here, at 32x32x3 with patch 3 and stride 1: the same bytes
-    with 1 and 2 BLAS threads. (The c/w fit's eigh is left out.)"""
+    kernel matrix fitted here, at 32x32x3 with patch 3 and stride 1: the same
+    bytes with 1 and 2 BLAS threads. (The c/w fit's eigh is left out.)"""
     images = random_image_set(160, side=32, channels=3, seed=5)
-    model, features = lgsqe.fit_representation(images, 3, 1)
-    channel = max(range(model.num_channels), key=lambda ch: model.cw_models[ch].num_channels)
-    side, spatial = model.pooled_side, model.pooled_side**2 * model.num_channels
-    maps = features.data[:, :spatial].reshape(images.count, side, side, model.num_channels)[..., channel : channel + 1]
+    hop, features, cw = lgsqe.fit_representation(images, 3, 1)
+    channel = max(range(len(cw)), key=lambda ch: len(cw[ch]))
+    side, spatial = hop.pooled_side, hop.pooled_side**2 * hop.num_channels
+    maps = features.data[:, :spatial].reshape(images.count, side * side, hop.num_channels)[..., channel]
     paths = [tmp_path / name for name in ("pixels.npy", "kernels.npy", "maps.npy")]
-    for path, array in zip(paths, (images.pixels, model.cw_models[channel].ac_kernels, maps)):
+    for path, array in zip(paths, (images.pixels, cw[channel], maps)):
         np.save(path, array)
 
     def digests(threads):
