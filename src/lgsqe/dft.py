@@ -6,6 +6,17 @@ smallest weighted entropy (natural log) of the class labels on the two sides,
 minimized over the cut points. Lower is more discriminant. Dimensions are
 sorted by ascending score; a subset is picked either as an explicit top-k
 prefix or at the elbow of the sorted score curve.
+
+Every column is scored from integer counts, with no sort. The per-column
+minimum and maximum give the cuts. Each value's bin is the number of cuts at
+or below it: guessed from the value's offset in the range, then checked and
+stepped against the cut values themselves, so rounding in the guess cannot
+move a value across a cut. One ``np.bincount`` over (class, column, bin)
+counts both classes per bin, and cumulative counts give, for every cut, how
+many values (and how many positives) lie strictly below it: exactly what a
+binary search for the cut in the sorted column gives, so the losses and
+partition points are the same bits. Columns are counted in blocks of about
+``BLOCK_VALUES`` values, so no temporary grows with samples x columns.
 """
 
 from __future__ import annotations
@@ -15,69 +26,106 @@ from dataclasses import dataclass
 
 import numpy as np
 
+BLOCK_VALUES = 2**20  # values per column block, about 8 MB of float64
 
-def _label_entropy(labels: np.ndarray) -> float:
-    n = labels.size
-    n1 = int(labels.sum())
-    n0 = n - n1
+
+def _label_entropy(n1: int, n: int) -> float:
     out = 0.0
-    for c in (n0, n1):
+    for c in (n - n1, n1):
         if c > 0:
             p = c / n
             out -= p * np.log(p)
     return out
 
 
-def dft_loss(values: np.ndarray, labels: np.ndarray, num_bins: int = 32) -> tuple[float, float]:
-    """Score one dimension; returns (loss, best partition point).
-
-    Ties in the minimum are broken toward the smallest partition point. A
-    side with no samples contributes zero weighted entropy. A constant
-    dimension scores the entropy of the full label set.
-    """
-    values = np.asarray(values, dtype=np.float64)
+def _binary_labels(labels) -> np.ndarray:
+    """Labels as 0/1 integers; every label must be 0 or 1 (or bool) and both must occur."""
     labels = np.asarray(labels)
-    if values.shape != labels.shape or values.ndim != 1:
-        raise ValueError("values and labels must be 1-D arrays of equal length")
-    if not np.isfinite(values).all():
-        raise ValueError("values contain non-finite entries")
-    if num_bins < 2:
-        raise ValueError(f"num_bins must be >= 2, got {num_bins}")
-    n = values.size
-    n1 = int(labels.sum())
-    if n1 == 0 or n1 == n:
+    positive = labels == 1
+    if not (positive | (labels == 0)).all():
+        raise ValueError("labels must be 0 or 1")
+    n1 = int(positive.sum())
+    if n1 == 0 or n1 == labels.size:
         raise ValueError("both classes must be present")
+    return positive.astype(np.intp)
 
-    f_min = values.min()
-    f_max = values.max()
-    if f_min == f_max:
-        return _label_entropy(labels), float(f_min)
 
-    cuts = f_min + np.arange(1, num_bins) * (f_max - f_min) / num_bins
-    order = np.argsort(values, kind="stable")
-    sorted_vals = values[order]
-    ones_prefix = np.concatenate([[0], np.cumsum(labels[order])])
+def _side_entropy(zeros, ones, total):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p0 = zeros / total
+        p1 = ones / total
+        t0 = np.where(zeros > 0, p0 * np.log(p0), 0.0)
+        t1 = np.where(ones > 0, p1 * np.log(p1), 0.0)
+    return -(t0 + t1)
 
-    n_left = np.searchsorted(sorted_vals, cuts, side="left")  # count of values < cut
-    ones_left = ones_prefix[n_left]
+
+def _score_block(block: np.ndarray, y: np.ndarray, num_bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """(loss, partition point) of each column of an (n, w) float64 block."""
+    n, w = block.shape
+    n1 = int(y.sum())
+    f_min = block.min(axis=0)
+    f_max = block.max(axis=0)
+    if not (np.isfinite(f_min).all() and np.isfinite(f_max).all()):  # min and max propagate NaN
+        raise ValueError("values contain non-finite entries")
+    span = f_max - f_min
+    cuts = f_min[:, None] + np.arange(1, num_bins) * span[:, None] / num_bins
+
+    # A value's bin k is the number of cuts at or below it, so that
+    # edges[c, k] <= v < edges[c, k + 1] with edges[c] = (-inf, cuts[c], inf):
+    # v < cuts[c, j - 1] exactly when k < j. Guess k from the value's offset,
+    # then step it against the cuts themselves until no value moves.
+    stride = num_bins + 1
+    edges = np.empty((w, stride))
+    edges[:, 0], edges[:, 1:-1], edges[:, -1] = -np.inf, cuts, np.inf
+    lower = edges.ravel()
+    upper = lower[1:]
+    with np.errstate(all="ignore"):
+        guess = (block - f_min) * (num_bins / span)  # NaN in a constant column
+    np.minimum(np.fmax(guess, 0.0, out=guess), num_bins - 1, out=guess)
+    at = guess.astype(np.intp)  # flat index of edges[c, k]
+    at += np.arange(w) * stride
+    while True:
+        up = np.take(upper, at) <= block
+        down = np.take(lower, at) > block
+        if not (up.any() or down.any()):
+            break
+        at += up
+        at -= down
+
+    at += (y * (w * stride))[:, None]
+    counts = np.bincount(at.ravel(), minlength=2 * w * stride).reshape(2, w, stride)
+    below = counts.cumsum(axis=2)[:, :, : num_bins - 1]  # per class, values strictly below each cut
+    ones_left = below[1]
+    n_left = below[0] + ones_left
     zeros_left = n_left - ones_left
     n_right = n - n_left
     ones_right = n1 - ones_left
     zeros_right = n_right - ones_right
-
-    def side_entropy(zeros, ones, total):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p0 = zeros / total
-            p1 = ones / total
-            t0 = np.where(zeros > 0, p0 * np.log(p0), 0.0)
-            t1 = np.where(ones > 0, p1 * np.log(p1), 0.0)
-        return -(t0 + t1)
-
-    weighted = (n_left / n) * side_entropy(zeros_left, ones_left, n_left) + (
+    weighted = (n_left / n) * _side_entropy(zeros_left, ones_left, n_left) + (
         n_right / n
-    ) * side_entropy(zeros_right, ones_right, n_right)
-    best = int(np.argmin(weighted))
-    return float(weighted[best]), float(cuts[best])
+    ) * _side_entropy(zeros_right, ones_right, n_right)
+    best = weighted.argmin(axis=1)  # ties go to the smallest partition point
+    rows = np.arange(w)
+    constant = f_min == f_max
+    losses = np.where(constant, _label_entropy(n1, n), weighted[rows, best])
+    return losses, np.where(constant, f_min, cuts[rows, best])
+
+
+def dft_loss(values: np.ndarray, labels: np.ndarray, num_bins: int = 32) -> tuple[float, float]:
+    """Score one dimension; returns (loss, best partition point).
+
+    This is ``rank_features`` on a one-column matrix.
+    Ties in the minimum are broken toward the smallest partition point. A
+    side with no samples contributes zero weighted entropy. A constant
+    dimension scores the entropy of the full label set. Labels must be 0 or
+    1 (or bool), and both must occur.
+    """
+    values = np.asarray(values)
+    labels = np.asarray(labels)
+    if values.shape != labels.shape or values.ndim != 1:
+        raise ValueError("values and labels must be 1-D arrays of equal length")
+    ranking = rank_features(values[:, None], labels, num_bins)
+    return float(ranking.losses[0]), float(ranking.thresholds[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,19 +143,30 @@ class DftRanking:
 
 
 def rank_features(features: np.ndarray, labels: np.ndarray, num_bins: int = 32) -> DftRanking:
-    """Score every column independently and sort ascending (stable in index)."""
-    features = np.asarray(features, dtype=np.float64)
+    """Score every column independently and sort ascending (stable in index).
+
+    Columns are scored in blocks of about ``BLOCK_VALUES`` values. A value's
+    bin is the number of cuts at or below it; one bincount over (class,
+    column, bin) and a cumulative sum then give, for every cut, the values
+    and the positives strictly below it. Those are the counts a binary search
+    for the cut in the sorted column gives, so every loss, partition point
+    and the order have the same bits as sorting each column would give.
+    """
+    features = np.asarray(features)
     labels = np.asarray(labels)
-    if features.ndim != 2 or features.shape[0] != labels.size:
+    if features.ndim != 2 or labels.shape != features.shape[:1]:
         raise ValueError("features must be (samples, dims) with one label per row")
-    n1 = int(labels.sum())
-    if n1 == 0 or n1 == labels.size:
-        raise ValueError("both classes must be present")
-    dims = features.shape[1]
+    if num_bins < 2:
+        raise ValueError(f"num_bins must be >= 2, got {num_bins}")
+    y = _binary_labels(labels)
+    n, dims = features.shape
     losses = np.empty(dims)
     thresholds = np.empty(dims)
-    for j in range(dims):
-        losses[j], thresholds[j] = dft_loss(features[:, j], labels, num_bins)
+    width = max(1, BLOCK_VALUES // n)
+    for start in range(0, dims, width):
+        cols = slice(start, start + width)
+        block = np.asarray(features[:, cols], dtype=np.float64)
+        losses[cols], thresholds[cols] = _score_block(block, y, num_bins)
     return DftRanking(
         losses=losses,
         thresholds=thresholds,

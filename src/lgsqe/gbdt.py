@@ -286,7 +286,7 @@ class BoostedEnsemble:
 def fit_ensemble(
     features: np.ndarray, labels: np.ndarray, params: GbdtParams | None = None, seed: int = 0
 ) -> BoostedEnsemble:
-    """Train on binary labels; 1 is the positive (generated) class.
+    """Train on binary labels (0 or 1, or bool); 1 is the positive (generated) class.
 
     ``seed`` drives only the per-round row subsample.
     """
@@ -296,6 +296,8 @@ def fit_ensemble(
     y = np.asarray(labels, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.size:
         raise ValueError("features must be (samples, dims) with one label per row")
+    if not ((y == 0) | (y == 1)).all():
+        raise ValueError("labels must be 0 or 1")
     if x.shape[0] < 2:
         raise ValueError("need at least 2 samples")
     if not np.isfinite(x).all():

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,17 @@ def random_image_set(count, side=8, channels=1, seed=0, provenance="real"):
     rng = np.random.default_rng(seed)
     pixels = rng.random((count, side, side, channels), dtype=np.float32)
     return lgsqe.ImageSet(pixels, provenance)
+
+
+def traced_peak(fn):
+    """(result, traced peak bytes above the start) of ``fn()``; numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def image_file_bytes(side=4) -> dict[str, tuple[bytes, list[int]]]:

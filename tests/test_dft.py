@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lgsqe
+from lgsqe import dft
 from lgsqe.dft import _elbow_index, dft_loss, rank_features, select_features, write_ranking_csv
+
+from conftest import traced_peak
 
 
 def exhaustive_dft_oracle(values, labels, num_bins):
@@ -51,6 +54,86 @@ def prior_entropy(labels):
     return out
 
 
+def sorted_search_oracle(values, labels, num_bins):
+    """One column by sorting: each cut's left counts from a binary search in the sorted values."""
+    values = np.asarray(values, dtype=np.float64)
+    labels = np.asarray(labels)
+    n = values.size
+    n1 = int(labels.sum())
+    f_min = values.min()
+    f_max = values.max()
+    if f_min == f_max:
+        return prior_entropy(labels), float(f_min)
+
+    cuts = f_min + np.arange(1, num_bins) * (f_max - f_min) / num_bins
+    order = np.argsort(values, kind="stable")
+    sorted_vals = values[order]
+    ones_prefix = np.concatenate([[0], np.cumsum(labels[order])])
+
+    n_left = np.searchsorted(sorted_vals, cuts, side="left")  # count of values < cut
+    ones_left = ones_prefix[n_left]
+    zeros_left = n_left - ones_left
+    n_right = n - n_left
+    ones_right = n1 - ones_left
+    zeros_right = n_right - ones_right
+
+    def side_entropy(zeros, ones, total):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p0 = zeros / total
+            p1 = ones / total
+            t0 = np.where(zeros > 0, p0 * np.log(p0), 0.0)
+            t1 = np.where(ones > 0, p1 * np.log(p1), 0.0)
+        return -(t0 + t1)
+
+    weighted = (n_left / n) * side_entropy(zeros_left, ones_left, n_left) + (
+        n_right / n
+    ) * side_entropy(zeros_right, ones_right, n_right)
+    best = int(np.argmin(weighted))
+    return float(weighted[best]), float(cuts[best])
+
+
+def oracle_ranking(features, labels, num_bins):
+    """(losses, thresholds, order) from the sorted-search oracle, column by column."""
+    scored = [sorted_search_oracle(features[:, j], labels, num_bins) for j in range(features.shape[1])]
+    losses = np.array([loss for loss, _ in scored])
+    thresholds = np.array([threshold for _, threshold in scored])
+    return losses, thresholds, np.argsort(losses, kind="stable")
+
+
+def awkward_columns(rng, n, d, num_bins):
+    """Columns of the kinds where counting cuts could drift from searching sorted values."""
+    columns = []
+    for kind in rng.integers(0, 6, size=d):
+        if kind == 0:  # integer-valued with many ties
+            col = rng.integers(-3, 4, size=n).astype(np.float64)
+        elif kind == 1:  # every value on a cut point or an end of the range
+            lo, hi = np.sort(rng.normal(size=2) * rng.uniform(0.1, 100))
+            grid = np.concatenate([[lo, hi], lo + np.arange(1, num_bins) * (hi - lo) / num_bins])
+            col = rng.choice(grid, size=n)
+            col[:2] = lo, hi
+        elif kind == 2:  # constant
+            col = np.full(n, rng.normal())
+        elif kind == 3:  # a span of a few units in the last place
+            col = 1.0 + rng.integers(0, 5, size=n) * np.finfo(np.float64).eps
+        else:  # spans near 1e-300 and 1e300
+            col = rng.normal(size=n) * (1e-300 if kind == 4 else 1e300)
+        columns.append(col)
+    return np.column_stack(columns)
+
+
+def both_classes(rng, n):
+    labels = rng.integers(0, 2, size=n)
+    if labels.sum() in (0, n):
+        labels[0] = 1 - labels[0]
+    return labels
+
+
+def assert_same_ranking(ranking, losses, thresholds, order):
+    assert ranking.losses.tobytes() == losses.tobytes()
+    assert ranking.thresholds.tobytes() == thresholds.tobytes()
+    assert ranking.order.tobytes() == order.tobytes()
+
+
 class TestDftLoss:
     def test_hand_case_zero_loss(self):
         loss, threshold = dft_loss(np.array([0.0, 1.0, 2.0, 3.0]), np.array([0, 0, 1, 1]), num_bins=4)
@@ -86,6 +169,16 @@ class TestDftLoss:
     def test_bad_bins_rejected(self):
         with pytest.raises(ValueError):
             dft_loss(np.array([1.0, 2.0]), np.array([0, 1]), num_bins=1)
+
+    def test_non_binary_labels_rejected(self):
+        # a label 2 would otherwise count twice as a positive (a loss of -0.304 here)
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            dft_loss(np.array([0.0, 1.0, 2.0, 3.0]), np.array([0, 0, 2, 1]), num_bins=4)
+
+    def test_bool_labels_count_as_binary(self):
+        values = np.array([0.0, 1.0, 2.0, 3.0, 0.5])
+        labels = np.array([0, 1, 0, 1, 1])
+        assert dft_loss(values, labels.astype(bool), 4) == dft_loss(values, labels, 4)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -188,6 +281,38 @@ class TestRankFeatures:
             assert ranking.losses[j] == loss
             assert ranking.thresholds[j] == threshold
 
+    def test_non_binary_labels_rejected(self):
+        features, labels = self._three_column_features()
+        labels = labels.copy()
+        labels[0] = 2
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            rank_features(features, labels)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 300),
+        d=st.integers(1, 12),
+        num_bins=st.integers(2, 64),
+        label_type=st.sampled_from([np.int64, np.float64, bool]),
+    )
+    @settings(max_examples=100)
+    def test_equals_sorted_search_oracle_bytes(self, seed, n, d, num_bins, label_type):
+        rng = np.random.default_rng(seed)
+        features = awkward_columns(rng, n, d, num_bins)
+        labels = both_classes(rng, n).astype(label_type)
+        ranking = rank_features(features, labels, num_bins)
+        assert_same_ranking(ranking, *oracle_ranking(features, labels, num_bins))
+
+    def test_block_seams_do_not_change_bytes(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        n, d = 40, 23
+        features = awkward_columns(rng, n, d, 16)
+        labels = both_classes(rng, n)
+        whole = rank_features(features, labels, 16)
+        monkeypatch.setattr(dft, "BLOCK_VALUES", 3 * n + 7)  # blocks of 3 columns, the last of 2
+        split = rank_features(features, labels, 16)
+        assert_same_ranking(split, whole.losses, whole.thresholds, whole.order)
+
     def test_ranking_csv(self, tmp_path):
         features, labels = self._three_column_features()
         ranking = rank_features(features, labels, num_bins=8)
@@ -245,3 +370,28 @@ class TestSelectFeatures:
         rng = np.random.default_rng(5)
         losses = np.sort(rng.uniform(0, 0.7, size=64))
         assert 0 <= _elbow_index(losses) < 64
+
+
+class TestBoundedMemory:
+    """Quadrupling the column count grows the peak only by what is kept per column."""
+
+    N, BINS = 400, 32
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(dft, "BLOCK_VALUES", 4 * self.N)
+
+    def rank_peak(self, d):
+        rng = np.random.default_rng(d)
+        features = rng.normal(size=(self.N, d))
+        labels = both_classes(rng, self.N)
+        _, peak = traced_peak(lambda: rank_features(features, labels, self.BINS))
+        return peak
+
+    def test_rank_features(self):
+        small, large = 50, 200
+        # Kept per column: one row of per-bin counts per class, and the loss,
+        # threshold and order entries. A samples x columns temporary would add
+        # N * 8 bytes per column, over ten times this.
+        per_column = (2 * (self.BINS + 1) + 3) * 8
+        assert self.rank_peak(large) - self.rank_peak(small) <= (large - small) * per_column + 16_384

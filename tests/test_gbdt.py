@@ -81,6 +81,12 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_ensemble(features, np.array([0.0, 0.0, 1.0, 1.0]))
 
+    def test_non_binary_labels_rejected(self):
+        # a label 2 would otherwise count twice toward the positive prior
+        features = np.array([[0.0], [1.0], [2.0], [3.0]])
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            fit_ensemble(features, np.array([0, 0, 2, 1]))
+
     def test_deterministic_serialization(self):
         rng = np.random.default_rng(3)
         features = rng.normal(size=(150, 5))

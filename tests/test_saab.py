@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from lgsqe import saab
 from lgsqe.errors import GeometryError
 from lgsqe.saab import PatchMatrix
 
-from conftest import random_image_set
+from conftest import random_image_set, traced_peak
 
 
 def patch_matrix_from_array(data: np.ndarray) -> PatchMatrix:
@@ -431,17 +430,6 @@ class TestStreamedFirstHop:
         assert hop.num_channels == dim
         assert np.max(np.abs(hop.eigenvalues - eigvals[order])) <= 1e-10 * eigvals.max()
         assert np.max(np.abs(hop.ac_kernels - kernels)) <= 1e-10
-
-
-def traced_peak(fn):
-    """(result, traced peak bytes above the start) of ``fn()``; numpy reports its buffers to tracemalloc."""
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        result = fn()
-        return result, tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.mark.filterwarnings("ignore:only .* patches for dimension")
