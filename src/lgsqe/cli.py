@@ -59,17 +59,17 @@ def cmd_fit(args) -> int:
     config = _build_config(args)
     real = load_images(args.real, fmt=args.real_format, provenance="real")
     generated = load_images(args.generated, fmt=args.generated_format, provenance="generated")
-    model, timings = fit_pipeline(real, generated, config)
+    model, record = fit_pipeline(real, generated, config)
     model.save(args.out)
     if args.ranking_csv:
-        write_ranking_csv(model.ranking, args.ranking_csv)
+        write_ranking_csv(record["ranking"], args.ranking_csv)
     print(f"representation width: {model.training['representation_width']}")
     print(f"selected features: {model.training['selected_count']}")
     print(f"train accuracy: {model.training['train_accuracy']:.4f} (threshold {config.threshold})")
     if model.training["final_train_loss"] is not None:
         print(f"final train loss: {model.training['final_train_loss']:.6f}")
     print(f"model written to {args.out}")
-    for stage, seconds in timings.items():
+    for stage, seconds in record["timings"].items():
         _log(f"[timing] {stage}: {seconds:.2f}s")
     return 0
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dft import _binary_labels
 from .errors import GeometryError
 
 REPORT_VERSION = "1.0.0"
@@ -83,13 +84,8 @@ def _pr_points(scores: np.ndarray, labels: np.ndarray) -> list[tuple[float, floa
 
 
 def pr_auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Trapezoidal area under the precision-recall curve."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    n1 = int(np.sum(labels == 1))
-    if n1 == 0 or n1 == labels.size:
-        raise ValueError("both classes must be present")
-    points = _pr_points(scores, labels)
+    """Trapezoidal area under the precision-recall curve; labels as in ``roc_auc``."""
+    points = _pr_points(np.asarray(scores, dtype=np.float64), _binary_labels(labels))
     area = 0.0
     for (r0, p0), (r1, p1) in zip(points[:-1], points[1:]):
         area += (r1 - r0) * (p1 + p0) / 2.0
@@ -97,13 +93,14 @@ def pr_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Rank-statistic ROC-AUC (emitted for diagnostics, distinct from PR-AUC)."""
+    """Rank-statistic ROC-AUC (emitted for diagnostics, distinct from PR-AUC).
+
+    Labels must be 0 or 1 (or bool), and both must occur.
+    """
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    if pos.size == 0 or neg.size == 0:
-        raise ValueError("both classes must be present")
+    positive = _binary_labels(labels) == 1
+    pos = scores[positive]
+    neg = scores[~positive]
     merged = np.concatenate([neg, pos])
     _, inverse, counts = np.unique(merged, return_inverse=True, return_counts=True)
     group_starts = np.concatenate([[0], np.cumsum(counts)[:-1]])

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dft import _binary_labels
 from .errors import FormatError, GeometryError
 
 _PROB_EPS = 1e-15
@@ -293,18 +294,13 @@ def fit_ensemble(
     params = params or GbdtParams()
     params.validate()
     x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.size:
+    labels = np.asarray(labels)
+    if x.ndim != 2 or labels.ndim != 1 or x.shape[0] != labels.size:
         raise ValueError("features must be (samples, dims) with one label per row")
-    if not ((y == 0) | (y == 1)).all():
-        raise ValueError("labels must be 0 or 1")
-    if x.shape[0] < 2:
-        raise ValueError("need at least 2 samples")
+    y = _binary_labels(labels).astype(np.float64)  # both classes occur, so there are at least 2 samples
     if not np.isfinite(x).all():
         raise ValueError("features contain non-finite values")
     n1 = y.sum()
-    if n1 == 0 or n1 == y.size:
-        raise ValueError("both classes must be present")
 
     base = float(np.log(n1 / (y.size - n1)))
     margin = np.full(y.size, base)

@@ -1,10 +1,10 @@
 """End-to-end pipeline: configuration, fitting, scoring, persistence.
 
-A fitted pipeline bundles the representation model, the feature ranking and
-selection, and the boosted classifier into one self-describing JSON document
-with a semantic format version. Serialization is canonical (sorted keys,
-repr-exact floats), so save -> load -> save is byte-identical and fixed-seed
-refits produce byte-identical files.
+A fitted pipeline bundles the first hop, the representation columns the
+boosted classifier splits on, and the classifier into one self-describing
+JSON document with a semantic format version. Serialization is canonical
+(sorted keys, repr-exact floats), so save -> load -> save is byte-identical
+and fixed-seed refits produce byte-identical files.
 
 One master seed is expanded into per-stage seeds by hashing the stage name
 (SHA-256 of ``"<seed>:<stage>"``), so adding a stage never perturbs the
@@ -16,19 +16,19 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import Field, asdict, dataclass, field, fields
+from dataclasses import Field, asdict, dataclass, field, fields, replace
 from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .datasets import REAL, ImageSet, make_labeled_split
-from .dft import DftRanking, FeatureSelection, rank_features, select_features
+from .dft import FeatureSelection, rank_features, select_features
 from .errors import FormatError, GeometryError, VersionError
 from .evaluate import EvaluationReport, aggregate_report
 from .gbdt import BoostedEnsemble, GbdtParams, fit_ensemble
 from .saab import SaabModel, build_representation, column_positions, fit_representation
 
-MODEL_VERSION = "5.0.0"
+MODEL_VERSION = "6.0.0"
 
 
 def derive_seed(master: int, stage: str) -> int:
@@ -191,10 +191,13 @@ def _column(entry) -> tuple:
 
 
 def _training(doc) -> dict:
-    """The training record read from JSON; evaluation reads its fingerprints."""
+    """The training record read from JSON; evaluation reads its fingerprints
+    and loading bounds the column indices by its representation width."""
     prints = doc.get("fingerprints") if isinstance(doc, dict) else None
     if not isinstance(prints, dict) or not all(isinstance(prints.get(key), str) for key in ("real", "generated")):
         raise FormatError("training must be an object whose fingerprints hold the strings real and generated")
+    if type(doc.get("representation_width")) is not int:
+        raise FormatError("training.representation_width must be an integer")
     return doc
 
 
@@ -202,15 +205,14 @@ def _training(doc) -> dict:
 class PipelineModel:
     """A fully fitted pipeline plus the record of how it was trained.
 
-    ``columns`` holds the provenance of each selected representation column
-    (see ``saab.fit_representation``), in ``selection.indices`` order; scoring
-    computes only those columns. ``saab`` is the first hop; ``spectral_kernels``
-    holds, per spectral entry of ``columns`` in that order, its row of its
-    channel's c/w kernel matrix.
+    ``columns`` holds the provenance of each stored representation column
+    (see ``saab.fit_representation``), in ``selection.indices`` order: the
+    selected columns that some tree splits on. Scoring computes only those.
+    ``saab`` is the first hop; ``spectral_kernels`` holds, per spectral entry
+    of ``columns`` in that order, its row of its channel's c/w kernel matrix.
     """
 
     saab: SaabModel
-    ranking: DftRanking
     selection: FeatureSelection
     columns: tuple[tuple, ...]
     spectral_kernels: np.ndarray
@@ -218,9 +220,6 @@ class PipelineModel:
     config: RunConfig
     training: dict
     version: str = MODEL_VERSION
-
-    def representation_width(self) -> int:
-        return self.ranking.dimension
 
     def score_images(self, images: ImageSet) -> np.ndarray:
         """Soft score per image; near 0 means realistic, near 1 detectable."""
@@ -253,16 +252,7 @@ class PipelineModel:
             "format_version": self.version,
             "config": self.config.to_dict(),
             "saab": _saab_to_dict(self.saab),
-            "dft": {
-                "losses": self.ranking.losses.tolist(),
-                "thresholds": self.ranking.thresholds.tolist(),
-                "num_bins": self.ranking.num_bins,
-                "entropy_base": "e",
-            },
             "selection": {
-                "mode": self.selection.mode,
-                "k": self.selection.k,
-                "elbow_index": self.selection.elbow_index,
                 "indices": [int(i) for i in self.selection.indices],
                 "provenance": [list(col) for col in self.columns],
                 "spectral_kernels": self.spectral_kernels.tolist(),
@@ -276,29 +266,16 @@ class PipelineModel:
         version = doc.get("format_version", "")
         if version.split(".")[0] != MODEL_VERSION.split(".")[0]:
             raise VersionError(f"unsupported model format version {version!r}")
-        losses = np.asarray(doc["dft"]["losses"], dtype=np.float64)
-        ranking = DftRanking(
-            losses=losses,
-            thresholds=np.asarray(doc["dft"]["thresholds"], dtype=np.float64),
-            order=np.argsort(losses, kind="stable"),
-            num_bins=doc["dft"]["num_bins"],
-        )
-        selection = FeatureSelection(
-            indices=np.asarray(doc["selection"]["indices"], dtype=np.int64),
-            mode=doc["selection"]["mode"],
-            k=doc["selection"]["k"],
-            elbow_index=doc["selection"]["elbow_index"],
-        )
+        config = RunConfig.from_dict(doc["config"])
         saab = _saab_from_dict(doc["saab"])
         kernels = np.asarray(doc["selection"]["spectral_kernels"], dtype=np.float64)
         model = cls(
             saab=saab,
-            ranking=ranking,
-            selection=selection,
+            selection=FeatureSelection(np.asarray(doc["selection"]["indices"], dtype=np.int64), config.select_mode),
             columns=tuple(_column(entry) for entry in doc["selection"]["provenance"]),
             spectral_kernels=kernels.reshape(-1, saab.pooled_side**2),
             ensemble=BoostedEnsemble.from_dict(doc["ensemble"]),
-            config=RunConfig.from_dict(doc["config"]),
+            config=config,
             training=_training(doc["training"]),
             version=version,
         )
@@ -306,7 +283,7 @@ class PipelineModel:
         return model
 
     def _check_consistency(self):
-        width = self.ranking.dimension
+        width = self.training["representation_width"]
         if self.selection.indices.size and (
             self.selection.indices.min() < 0 or self.selection.indices.max() >= width
         ):
@@ -342,8 +319,12 @@ class PipelineModel:
 
 def fit_pipeline(real: ImageSet, generated: ImageSet, config: RunConfig) -> tuple["PipelineModel", dict]:
     """Split, learn the representation, rank/select features, train the
-    classifier. Returns the model and a dict of per-stage wall-clock seconds
-    (kept out of the model file so artifacts stay byte-reproducible)."""
+    classifier, then keep only the selected columns that some tree splits on.
+
+    Returns the model and a dict holding ``timings``, the per-stage wall-clock
+    seconds, and ``ranking``, the ``DftRanking`` of every representation
+    column. Neither enters the model file, so artifacts stay byte-reproducible.
+    """
     config.validate()
     if real.side != generated.side or real.channels != generated.channels:
         raise GeometryError("real and generated sources must share geometry")
@@ -384,7 +365,14 @@ def fit_pipeline(real: ImageSet, generated: ImageSet, config: RunConfig) -> tupl
 
     train_scores = ensemble.predict_score(train)
     train_correct = int(np.sum((train_scores >= config.threshold) == (train_labels == 1)))
-    columns = tuple(features.provenance[i] for i in selection.indices)
+    # Number the split-on columns compactly: every split still compares the same value with the same threshold.
+    splits = ensemble.feature >= 0
+    used, compact = np.unique(ensemble.feature[splits], return_inverse=True)
+    feature = ensemble.feature.copy()
+    feature[splits] = compact
+    ensemble = replace(ensemble, feature=feature, n_features=used.size)
+    indices = selection.indices[used]
+    columns = tuple(features.provenance[i] for i in indices)
     rows = [cw[col[1]][col[2]] for col in columns if col[0] == "spectral"]
     training = {
         "fingerprints": {"real": imageset_fingerprint(real), "generated": imageset_fingerprint(generated)},
@@ -396,15 +384,14 @@ def fit_pipeline(real: ImageSet, generated: ImageSet, config: RunConfig) -> tupl
     }
     model = PipelineModel(
         saab=saab,
-        ranking=ranking,
-        selection=selection,
+        selection=FeatureSelection(indices, config.select_mode),
         columns=columns,
         spectral_kernels=np.array(rows).reshape(len(rows), saab.pooled_side**2),
         ensemble=ensemble,
         config=config,
         training=training,
     )
-    return model, timings
+    return model, {"timings": timings, "ranking": ranking}
 
 
 def _labeled_split(real: ImageSet, generated: ImageSet, config: RunConfig):

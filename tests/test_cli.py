@@ -138,35 +138,16 @@ class TestScore:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("lgsqe: error:") and "'1.0.0'" in err[0]
 
-    def test_format_2_refused(self, cli_data, fitted_model, tmp_path, capsys):
+    @pytest.mark.parametrize("version", ["2.0.0", "3.0.0", "4.0.0", "5.0.0"])
+    def test_format_refused(self, cli_data, fitted_model, tmp_path, capsys, version):
         _, _, gen_path = cli_data
         doc = json.loads(fitted_model.read_text())
-        doc["format_version"] = "2.0.0"
-        old = tmp_path / "v2.json"
+        doc["format_version"] = version
+        old = tmp_path / "old.json"
         old.write_text(json.dumps(doc))
         assert main(["score", str(old), str(gen_path), "-o", str(tmp_path / "s.csv")]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == ["lgsqe: error: unsupported model format version '2.0.0'"]
-
-    def test_format_3_refused(self, cli_data, fitted_model, tmp_path, capsys):
-        _, _, gen_path = cli_data
-        doc = json.loads(fitted_model.read_text())
-        doc["format_version"] = "3.0.0"
-        old = tmp_path / "v3.json"
-        old.write_text(json.dumps(doc))
-        assert main(["score", str(old), str(gen_path), "-o", str(tmp_path / "s.csv")]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["lgsqe: error: unsupported model format version '3.0.0'"]
-
-    def test_format_4_refused(self, cli_data, fitted_model, tmp_path, capsys):
-        _, _, gen_path = cli_data
-        doc = json.loads(fitted_model.read_text())
-        doc["format_version"] = "4.0.0"
-        old = tmp_path / "v4.json"
-        old.write_text(json.dumps(doc))
-        assert main(["score", str(old), str(gen_path), "-o", str(tmp_path / "s.csv")]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["lgsqe: error: unsupported model format version '4.0.0'"]
+        assert err == [f"lgsqe: error: unsupported model format version '{version}'"]
 
     @pytest.mark.parametrize(
         "fault, key",
@@ -183,6 +164,7 @@ class TestScore:
             ("float-coordinate", "provenance"),
             ("string-coordinate", "provenance"),
             ("bool-coordinate", "provenance"),
+            ("float-width", "representation_width"),
         ],
     )
     def test_malformed_model_one_error_line(self, cli_data, fitted_model, tmp_path, capsys, fault, key):
@@ -205,6 +187,9 @@ class TestScore:
             doc = [doc]
         elif fault == "short-kernel-row":
             doc["selection"]["spectral_kernels"][0].pop()
+        elif fault == "float-width":
+            # The width bounds the stored column indices on load.
+            doc["training"]["representation_width"] = float(doc["training"]["representation_width"])
         elif fault.endswith("-coordinate"):
             # int() would read each of these as a coordinate and score with it.
             first = doc["selection"]["provenance"][0]

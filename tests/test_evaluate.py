@@ -168,6 +168,19 @@ class TestRocAuc:
         assert lgsqe.roc_auc(scores, labels) == pytest.approx(wins / (pos.size * neg.size), abs=1e-12)
 
 
+@pytest.mark.parametrize("metric", [lgsqe.pr_auc, lgsqe.roc_auc], ids=["pr_auc", "roc_auc"])
+class TestAucLabels:
+    def test_non_binary_labels_rejected(self, metric):
+        # A 2 is neither class: the two metrics once read it differently (negative vs dropped).
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            metric(np.array([0.1, 0.2, 0.8, 0.9]), np.array([0, 2, 1, 1]))
+
+    def test_bool_labels_accepted(self, metric):
+        scores = np.array([0.1, 0.6, 0.4, 0.9])
+        labels = np.array([0, 0, 1, 1])
+        assert metric(scores, labels.astype(bool)) == metric(scores, labels)
+
+
 class TestHistogram:
     def test_two_bins(self):
         hist = lgsqe.score_histogram(np.array([0.25, 0.75]), np.array([0, 1]), bins=2)

@@ -86,6 +86,15 @@ class TestFit:
         features = np.array([[0.0], [1.0], [2.0], [3.0]])
         with pytest.raises(ValueError, match="labels must be 0 or 1"):
             fit_ensemble(features, np.array([0, 0, 2, 1]))
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            fit_ensemble(features, np.array([0, 2, 1, 1]))
+
+    def test_bool_labels_accepted(self):
+        features = np.array([[0.0], [1.0], [2.0], [3.0]])
+        labels = np.array([0, 0, 1, 1])
+        params = GbdtParams(n_rounds=3, min_samples_leaf=1)
+        as_bool = fit_ensemble(features, labels.astype(bool), params)
+        assert as_bool.to_dict() == fit_ensemble(features, labels, params).to_dict()
 
     def test_deterministic_serialization(self):
         rng = np.random.default_rng(3)

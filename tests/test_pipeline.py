@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,7 +124,7 @@ class TestPipelineModel:
         assert spectral
         model.save(tmp_path / "model.json")
         doc = json.loads((tmp_path / "model.json").read_text())
-        assert "cw_models" not in doc["saab"] and doc["format_version"] == "5.0.0"
+        assert "cw_models" not in doc["saab"] and doc["format_version"] == "6.0.0"
         loaded = lgsqe.PipelineModel.load(tmp_path / "model.json")
         assert loaded.columns == model.columns
         assert loaded.spectral_kernels.tobytes() == model.spectral_kernels.tobytes()
@@ -156,14 +157,42 @@ class TestPipelineModel:
         config = RunConfig(patch_size=3, stride=1, top_k=300, gbdt=GbdtParams(n_rounds=5, max_depth=3))
         model, _ = fit_pipeline(real, generated, config)
         assert sum(col[0] == "spectral" for col in model.columns) > 0
+        feature = model.ensemble.feature
+        np.testing.assert_array_equal(np.unique(feature[feature >= 0]), np.arange(model.ensemble.n_features))
         batch = random_image_set(600, side=side, channels=channels, seed=side + 2)
         features = lgsqe.build_representation(batch, model.saab, model.columns, model.spectral_kernels).data
         scores = model.score_images(batch)
+        # The unpruned forest: the same trees, splitting on the full representation built with every kernel row.
+        pixels, _ = holdout_split(model, real, generated).train_union()
+        hop, train, cw = lgsqe.fit_representation(lgsqe.ImageSet(pixels), config.patch_size, config.stride)
+        every = np.array([cw[col[1]][col[2]] for col in train.provenance if col[0] == "spectral"])
+        full = lgsqe.build_representation(batch, hop, train.provenance, every).data
+        unpruned = replace(
+            model.ensemble,
+            feature=np.where(feature >= 0, model.selection.indices[feature], -1),
+            n_features=train.width,
+        )
+        assert unpruned.predict_score(full).tobytes() == scores.tobytes()
         for i in range(batch.count):
             alone = batch.subset(np.array([i]))
             row = lgsqe.build_representation(alone, model.saab, model.columns, model.spectral_kernels).data
             assert row.tobytes() == features[i].tobytes()
             assert model.score_images(alone).tobytes() == scores[i].tobytes()
+
+    def test_zero_split_forest(self, tmp_path):
+        # 32 + 32 training rows cannot make two leaves of 60: every tree is one leaf.
+        real = random_image_set(40, side=16, seed=5)
+        generated = random_image_set(40, side=16, seed=6, provenance="generated")
+        config = RunConfig(patch_size=3, top_k=20, gbdt=GbdtParams(n_rounds=3, min_samples_leaf=60))
+        model, _ = fit_pipeline(real, generated, config)
+        assert model.ensemble.n_features == 0 and model.columns == () and model.selection.indices.size == 0
+        assert model.spectral_kernels.shape == (0, model.saab.pooled_side**2)
+        assert model.training["selected_count"] == 20
+        model.save(tmp_path / "a.json")
+        lgsqe.PipelineModel.load(tmp_path / "a.json").save(tmp_path / "b.json")
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+        expected = np.clip(1.0 / (1.0 + np.exp(-model.ensemble.base_score)), 1e-15, 1.0 - 1e-15)
+        np.testing.assert_array_equal(model.score_images(real), np.full(real.count, expected))
 
     def test_holdout_split_reproducible(self, small_pipeline):
         model, real, generated = small_pipeline
@@ -187,8 +216,8 @@ class TestPipelineModel:
     def test_training_record_fields(self, small_pipeline):
         model, _, _ = small_pipeline
         training = model.training
-        assert training["representation_width"] == model.representation_width()
-        assert training["selected_count"] == len(model.selection)
+        assert type(training["representation_width"]) is int
+        assert training["selected_count"] == model.config.top_k >= len(model.selection)
         assert 0.0 <= training["train_accuracy"] <= 1.0
 
     def test_geometry_mismatch_rejected(self, small_pipeline):
