@@ -35,7 +35,6 @@ from .evaluate import (
 from .gbdt import BoostedEnsemble, GbdtParams, fit_ensemble
 from .pipeline import PipelineModel, RunConfig, derive_seed, fit_pipeline
 from .saab import (
-    FeatureMatrix,
     PatchMatrix,
     SaabModel,
     abs_max_pool,

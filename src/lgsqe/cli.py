@@ -8,13 +8,12 @@ files, which stay byte-reproducible for a fixed seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 
 import numpy as np
 
-from .datasets import load_images, save_raw_tensor
+from .datasets import load_images, save_raw_tensor, write_csv
 from .dft import write_ranking_csv
 from .errors import LgsqeError
 from .evaluate import filter_samples, histogram_svg, write_scores_csv
@@ -28,10 +27,6 @@ from .pipeline import (
     matches_training_data,
     parse_config_file,
 )
-
-
-def _log(message: str) -> None:
-    print(message, file=sys.stderr)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -70,7 +65,7 @@ def cmd_fit(args) -> int:
         print(f"final train loss: {model.training['final_train_loss']:.6f}")
     print(f"model written to {args.out}")
     for stage, seconds in record["timings"].items():
-        _log(f"[timing] {stage}: {seconds:.2f}s")
+        print(f"[timing] {stage}: {seconds:.2f}s", file=sys.stderr)
     return 0
 
 
@@ -78,9 +73,7 @@ def cmd_score(args) -> int:
     model = PipelineModel.load(args.model)
     samples = load_images(args.samples, fmt=args.format)
     scores = model.score_images(samples)
-    ids = np.arange(samples.count)
-    provenance = [samples.provenance] * samples.count
-    write_scores_csv(args.out, ids, provenance, scores)
+    write_scores_csv(args.out, np.arange(samples.count), [samples.provenance] * samples.count, scores)
     print(f"scored {samples.count} samples -> {args.out}")
     return 0
 
@@ -133,11 +126,7 @@ def cmd_filter(args) -> int:
     ids = np.arange(samples.count)
     kept = filter_samples(ids, scores, args.keep_fraction)
     save_raw_tensor(samples.subset(kept), args.out)
-    with open(args.ids_out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "score"])
-        for sid in kept:
-            writer.writerow([int(sid), f"{scores[sid]:.6f}"])
+    write_csv(args.ids_out, ("sample_id", "score"), ((int(sid), f"{scores[sid]:.6f}") for sid in kept))
     print(f"kept {kept.size} of {samples.count} samples -> {args.out}")
     return 0
 
@@ -153,10 +142,7 @@ def cmd_sweep(args) -> int:
         model, _, report = fit_and_evaluate(real, generated, replace(config, real_fraction=fraction))
         rows.append([f"{fraction:g}", model.training["train_counts"]["real"], repr(report.accuracy)])
         print(f"real_fraction={fraction:g}: test accuracy {report.accuracy:.4f}")
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["real_fraction", "real_train_count", "accuracy"])
-        writer.writerows(rows)
+    write_csv(args.out, ("real_fraction", "real_train_count", "accuracy"), rows)
     print(f"sweep written to {args.out}")
     return 0
 

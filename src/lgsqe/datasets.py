@@ -143,6 +143,12 @@ def save_raw_tensor(images: ImageSet, path) -> None:
         fh.write(np.ascontiguousarray(images.pixels, dtype="<f4").tobytes())
 
 
+def write_csv(path, header, rows) -> None:
+    """Write the header, then the rows, as lines of comma-joined ``str`` values ending in LF."""
+    with open(path, "w", newline="") as fh:
+        fh.writelines(",".join(map(str, row)) + "\n" for row in (header, *rows))
+
+
 def _looks_like_cifar(path) -> bool:
     """At least one whole 3073-byte record, each starting with a CIFAR-10 label byte 0-9."""
     with open(path, "rb") as fh:
@@ -198,16 +204,11 @@ class LabeledSplit:
     test_fraction: float
     real_fraction: float = 1.0
 
-    def _union(self, real: ImageSet, generated: ImageSet) -> tuple[np.ndarray, np.ndarray]:
-        pixels = np.concatenate([real.pixels, generated.pixels], axis=0)
-        labels = np.concatenate([np.zeros(real.count, dtype=np.int8), np.ones(generated.count, dtype=np.int8)])
-        return pixels, labels
-
     def train_union(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._union(self.train_real, self.train_generated)
-
-    def test_union(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._union(self.test_real, self.test_generated)
+        """The training pixels, real then generated, and their labels."""
+        real, generated = self.train_real, self.train_generated
+        labels = np.concatenate([np.zeros(real.count, dtype=np.int8), np.ones(generated.count, dtype=np.int8)])
+        return np.concatenate([real.pixels, generated.pixels], axis=0), labels
 
 
 def make_labeled_split(

@@ -16,15 +16,18 @@ counts both classes per bin, and cumulative counts give, for every cut, how
 many values (and how many positives) lie strictly below it: exactly what a
 binary search for the cut in the sorted column gives, so the losses and
 partition points are the same bits. Columns are counted in blocks of about
-``BLOCK_VALUES`` values, so no temporary grows with samples x columns.
+``BLOCK_VALUES`` values, so no temporary grows with samples x columns, and
+the columns may come as an iterator of blocks that are never joined.
 """
 
 from __future__ import annotations
 
-import csv
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .datasets import write_csv
 
 BLOCK_VALUES = 2**20  # values per column block, about 8 MB of float64
 
@@ -135,44 +138,37 @@ class DftRanking:
     losses: np.ndarray
     thresholds: np.ndarray
     order: np.ndarray
-    num_bins: int
 
     @property
     def dimension(self) -> int:
         return self.losses.size
 
 
-def rank_features(features: np.ndarray, labels: np.ndarray, num_bins: int = 32) -> DftRanking:
+def rank_features(features: np.ndarray | Iterator[np.ndarray], labels: np.ndarray, num_bins: int = 32) -> DftRanking:
     """Score every column independently and sort ascending (stable in index).
 
-    Columns are scored in blocks of about ``BLOCK_VALUES`` values. A value's
+    ``features`` is a (samples, dims) array, or an iterator over its columns
+    as consecutive (samples, w) arrays, each read once and then let go. Columns
+    are scored in blocks of about ``BLOCK_VALUES`` values. A value's
     bin is the number of cuts at or below it; one bincount over (class,
     column, bin) and a cumulative sum then give, for every cut, the values
     and the positives strictly below it. Those are the counts a binary search
     for the cut in the sorted column gives, so every loss, partition point
     and the order have the same bits as sorting each column would give.
     """
-    features = np.asarray(features)
     labels = np.asarray(labels)
-    if features.ndim != 2 or labels.shape != features.shape[:1]:
-        raise ValueError("features must be (samples, dims) with one label per row")
     if num_bins < 2:
         raise ValueError(f"num_bins must be >= 2, got {num_bins}")
     y = _binary_labels(labels)
-    n, dims = features.shape
-    losses = np.empty(dims)
-    thresholds = np.empty(dims)
-    width = max(1, BLOCK_VALUES // n)
-    for start in range(0, dims, width):
-        cols = slice(start, start + width)
-        block = np.asarray(features[:, cols], dtype=np.float64)
-        losses[cols], thresholds[cols] = _score_block(block, y, num_bins)
-    return DftRanking(
-        losses=losses,
-        thresholds=thresholds,
-        order=np.argsort(losses, kind="stable"),
-        num_bins=num_bins,
-    )
+    scored = [np.empty((2, 0))]  # (losses, thresholds) of each block of columns
+    for block in features if isinstance(features, Iterator) else [np.asarray(features)]:
+        if block.ndim != 2 or labels.shape != block.shape[:1]:
+            raise ValueError("features must be (samples, dims) with one label per row")
+        width = max(1, BLOCK_VALUES // block.shape[0])
+        for start in range(0, block.shape[1], width):
+            scored.append(_score_block(np.asarray(block[:, start : start + width], dtype=np.float64), y, num_bins))
+    losses, thresholds = np.concatenate(scored, axis=1)
+    return DftRanking(losses=losses, thresholds=thresholds, order=np.argsort(losses, kind="stable"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,8 +176,6 @@ class FeatureSelection:
     """Column indices kept for classification, ordered by ascending loss."""
 
     indices: np.ndarray
-    mode: str  # "top_k" or "elbow"
-    k: int | None = None
     elbow_index: int | None = None
 
     def __len__(self) -> int:
@@ -204,19 +198,16 @@ def select_features(ranking: DftRanking, mode: str = "top_k", k: int | None = No
     if mode == "top_k":
         if k is None or not 1 <= k <= ranking.dimension:
             raise ValueError(f"k must lie in [1, {ranking.dimension}], got {k}")
-        return FeatureSelection(indices=ranking.order[:k].copy(), mode="top_k", k=k)
+        return FeatureSelection(ranking.order[:k].copy())
     if mode == "elbow":
         if ranking.dimension < 3:
             raise ValueError("elbow selection needs at least 3 dimensions")
         elbow = _elbow_index(ranking.losses[ranking.order])
-        return FeatureSelection(indices=ranking.order[: elbow + 1].copy(), mode="elbow", elbow_index=elbow)
+        return FeatureSelection(ranking.order[: elbow + 1].copy(), elbow_index=elbow)
     raise ValueError(f"unknown selection mode {mode!r}")
 
 
 def write_ranking_csv(ranking: DftRanking, path) -> None:
     """Dump (column_index, loss, threshold) rows in ascending-loss order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["column_index", "loss", "threshold"])
-        for j in ranking.order:
-            writer.writerow([int(j), repr(float(ranking.losses[j])), repr(float(ranking.thresholds[j]))])
+    rows = ((int(j), repr(float(ranking.losses[j])), repr(float(ranking.thresholds[j]))) for j in ranking.order)
+    write_csv(path, ("column_index", "loss", "threshold"), rows)

@@ -8,10 +8,11 @@ samples, so quality filtering keeps the ascending-score prefix.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .datasets import write_csv
 from .dft import _binary_labels
 from .errors import GeometryError
 
@@ -157,18 +158,9 @@ class EvaluationReport:
     version: str = REPORT_VERSION
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": self.version,
-            "counts": {"tp": self.counts.tp, "fp": self.counts.fp, "tn": self.counts.tn, "fn": self.counts.fn},
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "pr_auc": self.pr_auc,
-            "roc_auc": self.roc_auc,
-            "threshold": self.threshold,
-            "histogram": self.histogram,
-            "metadata": self.metadata,
-        }
+        doc = asdict(self)
+        doc["format_version"] = doc.pop("version")
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EvaluationReport":
@@ -214,10 +206,8 @@ def aggregate_report(
 
 def write_scores_csv(path, sample_ids, provenance, scores) -> None:
     """Rows of (sample_id, provenance, score) with scores at 6 decimals."""
-    with open(path, "w", newline="") as fh:
-        fh.write("sample_id,provenance,score\n")
-        for sid, prov, score in zip(sample_ids, provenance, scores):
-            fh.write(f"{sid},{prov},{score:.6f}\n")
+    rows = ((sid, prov, f"{score:.6f}") for sid, prov, score in zip(sample_ids, provenance, scores))
+    write_csv(path, ("sample_id", "provenance", "score"), rows)
 
 
 def histogram_svg(histogram: dict, width: int = 640, height: int = 320) -> str:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import Field, asdict, dataclass, field, fields, replace
 from typing import get_args, get_type_hints
@@ -26,7 +27,16 @@ from .dft import FeatureSelection, rank_features, select_features
 from .errors import FormatError, GeometryError, VersionError
 from .evaluate import EvaluationReport, aggregate_report
 from .gbdt import BoostedEnsemble, GbdtParams, fit_ensemble
-from .saab import SaabModel, build_representation, column_positions, fit_representation
+from .saab import (
+    SaabModel,
+    build_representation,
+    column_positions,
+    fit_representation,
+    kernel_rows,
+    representation_blocks,
+    representation_columns,
+    select_columns,
+)
 
 MODEL_VERSION = "6.0.0"
 
@@ -183,6 +193,14 @@ def _saab_from_dict(doc: dict) -> SaabModel:
     )
 
 
+def _finite_float(text: str) -> float:
+    """A JSON number as a float, refusing what Python's json reads as non-finite (``NaN``, ``Infinity``, ``1e999``)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def _column(entry) -> tuple:
     """A provenance entry read from JSON: a kind followed by integer coordinates."""
     if not isinstance(entry, list) or not entry or any(type(v) is not int for v in entry[1:]):
@@ -206,7 +224,7 @@ class PipelineModel:
     """A fully fitted pipeline plus the record of how it was trained.
 
     ``columns`` holds the provenance of each stored representation column
-    (see ``saab.fit_representation``), in ``selection.indices`` order: the
+    (see ``saab.representation_columns``), in ``selection.indices`` order: the
     selected columns that some tree splits on. Scoring computes only those.
     ``saab`` is the first hop; ``spectral_kernels`` holds, per spectral entry
     of ``columns`` in that order, its row of its channel's c/w kernel matrix.
@@ -223,9 +241,7 @@ class PipelineModel:
 
     def score_images(self, images: ImageSet) -> np.ndarray:
         """Soft score per image; near 0 means realistic, near 1 detectable."""
-        return self.ensemble.predict_score(
-            build_representation(images, self.saab, self.columns, self.spectral_kernels).data
-        )
+        return self.ensemble.predict_score(build_representation(images, self.saab, self.columns, self.spectral_kernels))
 
     def evaluate(
         self,
@@ -271,7 +287,7 @@ class PipelineModel:
         kernels = np.asarray(doc["selection"]["spectral_kernels"], dtype=np.float64)
         model = cls(
             saab=saab,
-            selection=FeatureSelection(np.asarray(doc["selection"]["indices"], dtype=np.int64), config.select_mode),
+            selection=FeatureSelection(np.asarray(doc["selection"]["indices"], dtype=np.int64)),
             columns=tuple(_column(entry) for entry in doc["selection"]["provenance"]),
             spectral_kernels=kernels.reshape(-1, saab.pooled_side**2),
             ensemble=BoostedEnsemble.from_dict(doc["ensemble"]),
@@ -307,10 +323,10 @@ class PipelineModel:
 
     @classmethod
     def load(cls, path) -> "PipelineModel":
-        """Read a model file; a malformed one raises one ``FormatError`` that names the file."""
+        """Read a model file; a malformed one (a non-finite number too) raises one ``FormatError`` naming the file."""
         with open(path) as fh:
             try:
-                return cls.from_dict(json.load(fh))
+                return cls.from_dict(json.load(fh, parse_float=_finite_float, parse_constant=_finite_float))
             except KeyError as exc:
                 raise FormatError(f"{path}: missing key {exc}") from None
             except (FormatError, GeometryError, ValueError, TypeError, AttributeError, IndexError) as exc:
@@ -339,7 +355,7 @@ def fit_pipeline(real: ImageSet, generated: ImageSet, config: RunConfig) -> tupl
     timings["split"] = time.perf_counter() - tick
 
     tick = time.perf_counter()
-    saab, features, cw = fit_representation(
+    saab, pooled, cw = fit_representation(
         train_images,
         patch_size=config.patch_size,
         stride=config.stride,
@@ -350,16 +366,15 @@ def fit_pipeline(real: ImageSet, generated: ImageSet, config: RunConfig) -> tupl
     timings["representation"] = time.perf_counter() - tick
 
     tick = time.perf_counter()
-    ranking = rank_features(features.data, train_labels, num_bins=config.num_bins)
-    selection = select_features(
-        ranking,
-        mode=config.select_mode,
-        k=config.top_k if config.select_mode == "top_k" else None,
-    )
+    ranking = rank_features(representation_blocks(pooled, cw), train_labels, num_bins=config.num_bins)
+    selection = select_features(ranking, config.select_mode, config.top_k)  # the elbow ignores top_k
     timings["dft"] = time.perf_counter() - tick
 
     tick = time.perf_counter()
-    train = features.data[:, selection.indices]
+    every = representation_columns(saab, cw)
+    selected = tuple(every[i] for i in selection.indices)
+    train = select_columns(pooled, saab, selected, kernel_rows(cw, selected))
+    del pooled
     ensemble = fit_ensemble(train, train_labels, config.gbdt, seed=derive_seed(config.seed, "gbdt"))
     timings["gbdt"] = time.perf_counter() - tick
 
@@ -371,12 +386,10 @@ def fit_pipeline(real: ImageSet, generated: ImageSet, config: RunConfig) -> tupl
     feature = ensemble.feature.copy()
     feature[splits] = compact
     ensemble = replace(ensemble, feature=feature, n_features=used.size)
-    indices = selection.indices[used]
-    columns = tuple(features.provenance[i] for i in indices)
-    rows = [cw[col[1]][col[2]] for col in columns if col[0] == "spectral"]
+    columns = tuple(selected[i] for i in used)
     training = {
         "fingerprints": {"real": imageset_fingerprint(real), "generated": imageset_fingerprint(generated)},
-        "representation_width": features.width,
+        "representation_width": len(every),
         "selected_count": int(selection.indices.size),
         "train_counts": {"real": split.train_real.count, "generated": split.train_generated.count},
         "train_accuracy": train_correct / train_labels.size,
@@ -384,9 +397,9 @@ def fit_pipeline(real: ImageSet, generated: ImageSet, config: RunConfig) -> tupl
     }
     model = PipelineModel(
         saab=saab,
-        selection=FeatureSelection(indices, config.select_mode),
+        selection=FeatureSelection(selection.indices[used]),
         columns=columns,
-        spectral_kernels=np.array(rows).reshape(len(rows), saab.pooled_side**2),
+        spectral_kernels=kernel_rows(cw, columns),
         ensemble=ensemble,
         config=config,
         training=training,

@@ -3,9 +3,11 @@
 The pipeline is: overlapping patch extraction -> Saab transform (constant DC
 kernel + PCA-derived AC kernels with energy truncation) -> absolute
 max-pooling -> a channel-wise (c/w) Saab over the pooled maps, fitted as one
-kernel matrix per channel (DC row first) -> concatenation of the pooled
-spatial responses and each channel's spectral coefficients (its pooled map
-projected onto its kernel matrix) into one feature matrix. The first hop and
+kernel matrix per channel (DC row first) -> the pooled spatial responses and
+each channel's spectral coefficients (its pooled map projected onto its
+kernel matrix), the columns ``representation_columns`` lists. No call holds
+every column of every image: the fit ranks them block by block, and the fit
+and scoring assemble the selected ones with one routine. The first hop and
 every c/w channel are fitted by one core, ``_fit_kernels``.
 
 Kernels form an orthonormal basis: the DC kernel is the constant unit vector,
@@ -33,6 +35,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -99,13 +102,9 @@ class SaabModel:
         """Side of the pooled response map: half the patch placement grid."""
         return ((self.input_side - self.patch_size) // self.stride + 1) // 2
 
-    @property
-    def dc_kernel(self) -> np.ndarray:
-        return _dc_kernel(self.patch_dim)
-
     def kernel_matrix(self) -> np.ndarray:
         """(K1, K) projection matrix with the DC kernel as row 0."""
-        return np.concatenate([self.dc_kernel[None, :], self.ac_kernels], axis=0)
+        return np.concatenate([_dc_kernel(self.patch_dim)[None, :], self.ac_kernels], axis=0)
 
 
 def _dc_kernel(dim: int) -> np.ndarray:
@@ -317,29 +316,6 @@ def _project(maps: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     return np.einsum("ij,kj->ik", np.ascontiguousarray(maps), np.ascontiguousarray(kernels))
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureMatrix:
-    """Samples x representation-dimensions matrix with per-column provenance.
-
-    Provenance entries are ("spatial", row, col, channel) for pooled
-    responses and ("spectral", channel, component) for c/w Saab coefficients.
-    """
-
-    data: np.ndarray
-    provenance: tuple[tuple, ...]
-
-    def __post_init__(self):
-        if self.data.shape[1] != len(self.provenance):
-            raise GeometryError("provenance length must match the column count")
-        # min and max propagate NaN, and are infinite if any value is.
-        if self.data.size and not (np.isfinite(self.data.min()) and np.isfinite(self.data.max())):
-            raise ValueError("feature matrix contains non-finite values")
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-
 def fit_representation(
     images: ImageSet,
     patch_size: int,
@@ -347,20 +323,16 @@ def fit_representation(
     energy_threshold: float | None = 0.99,
     explicit_channels: int | None = None,
     cw_explicit_channels: int | None = None,
-) -> tuple[SaabModel, FeatureMatrix, tuple[np.ndarray, ...]]:
-    """Fit the one-hop representation and return ``(hop, features, cw)``: the
-    first hop, the full representation of ``images``, and one c/w kernel
-    matrix per pooled channel (see ``fit_cw_saab``).
-
-    The features hold the pooled spatial responses, column
-    ``("spatial", row, col, channel)``, then each channel's spectral block,
-    column ``("spectral", channel, component)``: the channel's map projected
-    onto row ``component`` of its kernel matrix.
+) -> tuple[SaabModel, np.ndarray, tuple[np.ndarray, ...]]:
+    """Fit the one-hop representation and return ``(hop, pooled, cw)``: the
+    first hop, the pooled first-hop responses of ``images`` as an (n,
+    pooled_side**2 * K1) matrix (the spatial columns of ``representation_columns``),
+    and one c/w kernel matrix per pooled channel (see ``fit_cw_saab``).
 
     Two streamed passes run over the images: the first accumulates the
     first-hop moments, the second applies the fitted hop and pools. The pooled
-    tensor feeds both the c/w fits and the representation, so the images are
-    pooled once.
+    matrix feeds the c/w fits, the ranking and the selected columns, so the
+    images are pooled once.
     """
     chunks = _image_chunks(images, patch_size, stride)
     hop = fit_saab(
@@ -369,20 +341,37 @@ def fit_representation(
         explicit_channels=explicit_channels,
     )
     n, side, k1 = images.count, hop.pooled_side, hop.num_channels
-    spatial = side * side * k1
-    pooled = np.empty((n, spatial))
-    for lo, block in _pooled_chunks(images, hop, np.arange(spatial)):
+    pooled = np.empty((n, side * side * k1))
+    for lo, block in _pooled_chunks(images, hop, np.arange(pooled.shape[1])):
         pooled[lo : lo + block.shape[0]] = block
-    pooled = pooled.reshape(n, side, side, k1)
-    cw = fit_cw_saab(pooled, energy_threshold=energy_threshold, explicit_channels=cw_explicit_channels)
-    data = np.empty((n, spatial + sum(len(kernels) for kernels in cw)))
-    data[:, :spatial] = pooled.reshape(n, spatial)
-    provenance = [("spatial", r, c, ch) for r in range(side) for c in range(side) for ch in range(k1)]
+    cw = fit_cw_saab(pooled.reshape(n, side, side, k1), energy_threshold, cw_explicit_channels)
+    return hop, pooled, cw
+
+
+def representation_columns(model: SaabModel, cw: Sequence[np.ndarray]) -> tuple[tuple, ...]:
+    """Every representation column, in order: the pooled spatial responses,
+    column ``("spatial", row, col, channel)`` at pooled position ``(row *
+    pooled_side + col) * K1 + channel``, then each channel's spectral block,
+    column ``("spectral", channel, component)``: the channel's map projected
+    onto row ``component`` of its c/w kernel matrix ``cw[channel]``.
+    """
+    side, k1 = model.pooled_side, model.num_channels
+    spatial = [("spatial", r, c, ch) for r in range(side) for c in range(side) for ch in range(k1)]
+    return tuple(spatial + [("spectral", ch, comp) for ch, kernels in enumerate(cw) for comp in range(len(kernels))])
+
+
+def representation_blocks(pooled: np.ndarray, cw: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+    """The values of ``representation_columns`` as consecutive (n, w) blocks: ``pooled``
+    itself, then each channel's spectral block, projected when it is asked for."""
+    yield pooled
     for ch, kernels in enumerate(cw):
-        offset = len(provenance)
-        data[:, offset : offset + len(kernels)] = _project(pooled[..., ch].reshape(n, side * side), kernels)
-        provenance.extend(("spectral", ch, comp) for comp in range(len(kernels)))
-    return hop, FeatureMatrix(data, tuple(provenance)), cw
+        yield _project(pooled[:, ch :: len(cw)], kernels)
+
+
+def kernel_rows(cw: Sequence[np.ndarray], columns: Sequence[tuple]) -> np.ndarray:
+    """The c/w kernel row of each spectral column in ``columns``, in column order."""
+    rows = [cw[col[1]][col[2]] for col in columns if col[0] == "spectral"]
+    return np.array(rows).reshape(len(rows), cw[0].shape[1])
 
 
 def _pooled_chunks(images: ImageSet, model: SaabModel, positions: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
@@ -433,9 +422,10 @@ def column_positions(model: SaabModel, columns: Sequence[tuple], kernels: np.nda
 
 def build_representation(
     images: ImageSet, model: SaabModel, columns: Sequence[tuple], kernels: np.ndarray
-) -> FeatureMatrix:
-    """The representation columns named by ``columns`` (provenance tuples as in
-    the features of ``fit_representation``) for the first hop ``model``.
+) -> np.ndarray:
+    """The (n, len(columns)) representation columns named by ``columns``
+    (provenance tuples as in ``representation_columns``) for the first hop
+    ``model``.
 
     ``kernels`` holds, per spectral column in column order, its row of its
     channel's c/w kernel matrix. Only the pooled windows the columns read are
@@ -444,22 +434,44 @@ def build_representation(
     projected onto its row, so a column's bytes depend only on its image and
     its row, not on the other images or columns of the call.
     """
+    return _assemble(images.count, model, columns, kernels, partial(_pooled_chunks, images, model))
+
+
+def select_columns(pooled: np.ndarray, model: SaabModel, columns: Sequence[tuple], kernels: np.ndarray) -> np.ndarray:
+    """``build_representation`` of the images whose pooled responses
+    ``pooled`` holds, as ``fit_representation`` returns them: the same bytes,
+    read from ``pooled`` a few rows at a time instead of pooled again."""
+    step = max(1, CHUNK_ROWS // pooled.shape[1])
+
+    def rows(positions):
+        return ((lo, pooled[lo : lo + step, positions]) for lo in range(0, len(pooled), step))
+
+    return _assemble(len(pooled), model, columns, kernels, rows)
+
+
+def _assemble(count: int, model: SaabModel, columns: Sequence[tuple], kernels: np.ndarray, pooled_at) -> np.ndarray:
+    """The columns of ``build_representation`` for ``count`` images, whose
+    pooled responses at flat pooled positions ``pooled_at(positions)`` gives
+    as (first image, block) row chunks; each chunk's spectral columns are
+    projected from its own maps. The result is column-major, as the boosted
+    trees read it."""
     columns = tuple(columns)
     positions = np.asarray(column_positions(model, columns, kernels), dtype=np.intp)
-    n, side, k1 = images.count, model.pooled_side, model.num_channels
+    size, k1 = model.pooled_side**2, model.num_channels
     is_spatial = np.array([col[0] == "spatial" for col in columns], dtype=bool)
     spatial, spectral = np.flatnonzero(is_spatial), np.flatnonzero(~is_spatial)
     channels = positions[spectral]
     read = np.unique(channels)
     # The read channels' maps, one after another, then the spatial columns' windows.
-    map_positions = (read[:, None] + np.arange(side * side) * k1).ravel()
-    data = np.empty((n, len(columns)))
-    maps = np.empty((n, map_positions.size))
-    for lo, block in _pooled_chunks(images, model, np.concatenate([map_positions, positions[spatial]])):
-        hi = lo + block.shape[0]
-        maps[lo:hi] = block[:, : map_positions.size]
-        data[lo:hi, spatial] = block[:, map_positions.size :]
-    for j, ch in enumerate(read):
-        mine = channels == ch
-        data[:, spectral[mine]] = _project(maps[:, j * side * side : (j + 1) * side * side], kernels[mine])
-    return FeatureMatrix(data, columns)
+    map_positions = (read[:, None] + np.arange(size) * k1).ravel()
+    data = np.empty((count, len(columns)), order="F")
+    for lo, block in pooled_at(np.concatenate([map_positions, positions[spatial]])):
+        rows = slice(lo, lo + block.shape[0])
+        data[rows, spatial] = block[:, map_positions.size :]
+        for j, ch in enumerate(read):
+            mine = channels == ch
+            data[rows, spectral[mine]] = _project(block[:, j * size : (j + 1) * size], kernels[mine])
+    # min and max propagate NaN, and are infinite if any value is.
+    if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
+        raise ValueError("feature matrix contains non-finite values")
+    return data

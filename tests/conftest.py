@@ -57,6 +57,19 @@ def random_image_set(count, side=8, channels=1, seed=0, provenance="real"):
     return lgsqe.ImageSet(pixels, provenance)
 
 
+def unchunked_representation(hop, cw, images):
+    """The full representation from whole-set calls: apply, pool, then each
+    channel's map projected onto its c/w kernel matrix."""
+    pooled = lgsqe.abs_max_pool(lgsqe.apply_saab(hop, images))
+    n, size = images.count, hop.pooled_side**2
+    spatial = pooled.reshape(n, int(np.prod(pooled.shape[1:])))
+    spectral = [
+        np.einsum("ij,kj->ik", np.ascontiguousarray(pooled[..., ch].reshape(n, size)), matrix)
+        for ch, matrix in enumerate(cw)
+    ]
+    return np.concatenate([spatial, *spectral], axis=1)
+
+
 def traced_peak(fn):
     """(result, traced peak bytes above the start) of ``fn()``; numpy reports its buffers to tracemalloc."""
     tracemalloc.start()

@@ -71,6 +71,7 @@ class TestFit:
         out = tmp / "m4.json"
         ranking = tmp / "ranking.csv"
         main(["fit", str(real_path), str(gen_path), "-o", str(out), "--ranking-csv", str(ranking), *FIT_FLAGS])
+        assert ranking.read_bytes().startswith(b"column_index,loss,threshold\n") and b"\r" not in ranking.read_bytes()
         rows = ranking.read_text().strip().splitlines()
         assert rows[0] == "column_index,loss,threshold"
         losses = [float(r.split(",")[1]) for r in rows[1:]]
@@ -202,6 +203,28 @@ class TestScore:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"lgsqe: error: {bad}: "), err
         assert key is None or key in err[0]
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("where", ["leaf-value", "threshold", "spectral-kernel"])
+    def test_non_finite_number_refused(self, cli_data, fitted_model, tmp_path, capsys, where, text):
+        # Python's json reads NaN and Infinity, and 1e999 as inf: each would score or fail later without naming the file.
+        _, _, gen_path = cli_data
+        doc = json.loads(fitted_model.read_text())
+        forest = doc["ensemble"]
+        feature = np.asarray(forest["feature"])
+        leaf, split = int(np.flatnonzero(feature < 0)[0]), int(np.flatnonzero(feature >= 0)[0])
+        array, index = {
+            "leaf-value": (forest["value"], leaf),
+            "threshold": (forest["threshold"], split),
+            "spectral-kernel": (doc["selection"]["spectral_kernels"][0], 0),
+        }[where]
+        array[index] = "NON-FINITE"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc).replace('"NON-FINITE"', text))
+        assert main(["score", str(bad), str(gen_path), "-o", str(tmp_path / "s.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"lgsqe: error: {bad}: malformed model: non-finite number {text}"]
         assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize(
@@ -357,6 +380,7 @@ class TestFilter:
         kept = lgsqe.load_raw_tensor(kept_lgt)
         assert kept.count == int(0.4 * 120)
         assert kept.provenance == "generated"
+        assert kept_csv.read_bytes().startswith(b"sample_id,score\n") and b"\r" not in kept_csv.read_bytes()
         with open(kept_csv) as fh:
             rows = list(csv.DictReader(fh))
         scores = [float(r["score"]) for r in rows]
@@ -396,6 +420,8 @@ class TestSweep:
         sweep_csv = tmp_path / "sweep.csv"
         code = main(["sweep", str(real_path), str(gen_path), "-o", str(sweep_csv), "--fractions", "0.5", "1.0", *FIT_FLAGS])
         assert code == 0
+        assert sweep_csv.read_bytes().startswith(b"real_fraction,real_train_count,accuracy\n")
+        assert b"\r" not in sweep_csv.read_bytes()
         with open(sweep_csv) as fh:
             rows = list(csv.DictReader(fh))
         assert [r["real_fraction"] for r in rows] == ["0.5", "1"]

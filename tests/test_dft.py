@@ -313,11 +313,25 @@ class TestRankFeatures:
         split = rank_features(features, labels, 16)
         assert_same_ranking(split, whole.losses, whole.thresholds, whole.order)
 
+    def test_column_blocks_equal_one_matrix(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        n, d = 40, 23
+        features = awkward_columns(rng, n, d, 16)
+        labels = both_classes(rng, n)
+        whole = rank_features(features, labels, 16)
+        cuts = [0, 1, 6, 6, 15, d]  # blocks of 1, 5, 0, 9 and 8 columns
+        blocks = (np.ascontiguousarray(features[:, lo:hi]) for lo, hi in zip(cuts, cuts[1:]))
+        assert_same_ranking(rank_features(blocks, labels, 16), whole.losses, whole.thresholds, whole.order)
+        monkeypatch.setattr(dft, "BLOCK_VALUES", 3 * n + 7)  # and each block counted 3 columns at a time
+        blocks = (features[:, lo:hi] for lo, hi in zip(cuts, cuts[1:]))
+        assert_same_ranking(rank_features(blocks, labels, 16), whole.losses, whole.thresholds, whole.order)
+
     def test_ranking_csv(self, tmp_path):
         features, labels = self._three_column_features()
         ranking = rank_features(features, labels, num_bins=8)
         path = tmp_path / "ranking.csv"
         write_ranking_csv(ranking, path)
+        assert b"\r" not in path.read_bytes()
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "column_index,loss,threshold"
         assert len(lines) == 4
@@ -331,7 +345,6 @@ class TestSelectFeatures:
             losses=losses,
             thresholds=np.zeros_like(losses),
             order=np.argsort(losses, kind="stable"),
-            num_bins=8,
         )
 
     def test_top_k_prefix(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import lgsqe
+from lgsqe import dft, saab
 from lgsqe.errors import GeometryError, VersionError
 from lgsqe.gbdt import GbdtParams
 from lgsqe.pipeline import (
@@ -18,7 +19,9 @@ from lgsqe.pipeline import (
     write_config_file,
 )
 
-from conftest import random_image_set
+from lgsqe.saab import representation_columns
+
+from conftest import random_image_set, traced_peak, unchunked_representation
 
 
 class TestSeeds:
@@ -132,21 +135,23 @@ class TestPipelineModel:
         split = holdout_split(model, real, generated)
         pixels, _ = split.train_union()
         config = model.config
-        hop, train, cw = lgsqe.fit_representation(
+        hop, _, cw = lgsqe.fit_representation(
             lgsqe.ImageSet(pixels), config.patch_size, config.stride, energy_threshold=config.energy_threshold
         )
-        assert model.columns == tuple(train.provenance[i] for i in model.selection.indices)
+        every = representation_columns(hop, cw)
+        assert model.training["representation_width"] == len(every)
+        assert model.columns == tuple(every[i] for i in model.selection.indices)
         assert model.spectral_kernels.shape == (len(spectral), model.saab.pooled_side**2)
         for row, (_, ch, comp) in zip(model.spectral_kernels, spectral):
             assert row.tobytes() == cw[ch][comp].tobytes()
-        # The stored rows reproduce the fit's training columns bit for bit.
+        # The stored rows reproduce the full training representation's columns bit for bit.
+        train = unchunked_representation(hop, cw, lgsqe.ImageSet(pixels))
         rebuilt = lgsqe.build_representation(lgsqe.ImageSet(pixels), loaded.saab, loaded.columns, loaded.spectral_kernels)
-        assert rebuilt.data.tobytes() == np.ascontiguousarray(train.data[:, model.selection.indices]).tobytes()
-        every = np.array([cw[col[1]][col[2]] for col in train.provenance if col[0] == "spectral"])
-        features = lgsqe.build_representation(split.test_real, hop, train.provenance, every)
+        assert rebuilt.tobytes() == np.ascontiguousarray(train[:, model.selection.indices]).tobytes()
+        features = unchunked_representation(hop, cw, split.test_real)
         np.testing.assert_array_equal(
             loaded.score_images(split.test_real),
-            model.ensemble.predict_score(features.data[:, model.selection.indices]),
+            model.ensemble.predict_score(features[:, model.selection.indices]),
         )
 
     @pytest.mark.filterwarnings("ignore:only .* patches for dimension")
@@ -160,22 +165,21 @@ class TestPipelineModel:
         feature = model.ensemble.feature
         np.testing.assert_array_equal(np.unique(feature[feature >= 0]), np.arange(model.ensemble.n_features))
         batch = random_image_set(600, side=side, channels=channels, seed=side + 2)
-        features = lgsqe.build_representation(batch, model.saab, model.columns, model.spectral_kernels).data
+        features = lgsqe.build_representation(batch, model.saab, model.columns, model.spectral_kernels)
         scores = model.score_images(batch)
-        # The unpruned forest: the same trees, splitting on the full representation built with every kernel row.
+        # The unpruned forest: the same trees, splitting on the full representation from whole-set calls.
         pixels, _ = holdout_split(model, real, generated).train_union()
-        hop, train, cw = lgsqe.fit_representation(lgsqe.ImageSet(pixels), config.patch_size, config.stride)
-        every = np.array([cw[col[1]][col[2]] for col in train.provenance if col[0] == "spectral"])
-        full = lgsqe.build_representation(batch, hop, train.provenance, every).data
+        hop, _, cw = lgsqe.fit_representation(lgsqe.ImageSet(pixels), config.patch_size, config.stride)
+        full = unchunked_representation(hop, cw, batch)
         unpruned = replace(
             model.ensemble,
             feature=np.where(feature >= 0, model.selection.indices[feature], -1),
-            n_features=train.width,
+            n_features=full.shape[1],
         )
         assert unpruned.predict_score(full).tobytes() == scores.tobytes()
         for i in range(batch.count):
             alone = batch.subset(np.array([i]))
-            row = lgsqe.build_representation(alone, model.saab, model.columns, model.spectral_kernels).data
+            row = lgsqe.build_representation(alone, model.saab, model.columns, model.spectral_kernels)
             assert row.tobytes() == features[i].tobytes()
             assert model.score_images(alone).tobytes() == scores[i].tobytes()
 
@@ -233,6 +237,30 @@ class TestPipelineModel:
         config = RunConfig(patch_size=3, channels=3, top_k=5, gbdt=GbdtParams(n_rounds=2))
         with pytest.raises(GeometryError):
             fit_pipeline(real, generated, config)
+
+
+class TestBoundedMemory:
+    @pytest.mark.filterwarnings("ignore:only .* patches for dimension")
+    def test_fit_keeps_no_full_representation(self, monkeypatch):
+        """Quadrupling the image count grows the fit's peak only by what it keeps
+        per training image: the pooled responses and copies of the pixels (the
+        split's and the training union's). The full representation, about
+        twice as wide as the pooled responses here, is never built."""
+        monkeypatch.setattr(saab, "CHUNK_ROWS", 4 * 14 * 14 + 14)  # four 16x16 images per chunk
+        monkeypatch.setattr(dft, "BLOCK_VALUES", 2**12)  # the ranking's temporaries keep one size
+        config = RunConfig(patch_size=3, stride=1, top_k=20, gbdt=GbdtParams(n_rounds=3, max_depth=2))
+
+        def fit(count):
+            real = random_image_set(count, side=16, channels=3, seed=count)
+            generated = random_image_set(count, side=16, channels=3, seed=count + 1, provenance="generated")
+            (model, _), peak = traced_peak(lambda: fit_pipeline(real, generated, config))
+            pooled = model.saab.pooled_side**2 * model.saab.num_channels * 8
+            assert model.training["representation_width"] * 8 > 1.8 * pooled  # the spectral columns
+            return peak, 2 * model.training["train_counts"]["real"] * (pooled + 3 * real.pixels[0].nbytes)
+
+        small_peak, small_kept = fit(60)
+        large_peak, large_kept = fit(240)
+        assert large_peak - small_peak <= 1.1 * (large_kept - small_kept)
 
 
 class TestConfigShapes:

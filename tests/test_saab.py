@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 import lgsqe
 from lgsqe import saab
 from lgsqe.errors import GeometryError
-from lgsqe.saab import PatchMatrix
+from lgsqe.saab import PatchMatrix, kernel_rows, representation_columns
 
-from conftest import random_image_set, traced_peak
+from conftest import random_image_set, traced_peak, unchunked_representation
 
 
 def patch_matrix_from_array(data: np.ndarray) -> PatchMatrix:
@@ -249,69 +249,52 @@ class TestChannelWiseSaab:
             lgsqe.build_representation(small_images, hop, [("spectral", len(cw), 0)], cw[0][:1])
 
 
-def layout(hop, cw):
-    """Every representation column, in the order the fit lays them out."""
-    side, k1 = hop.pooled_side, hop.num_channels
-    spatial = [("spatial", r, c, ch) for r in range(side) for c in range(side) for ch in range(k1)]
-    return tuple(spatial + [("spectral", ch, comp) for ch, matrix in enumerate(cw) for comp in range(len(matrix))])
-
-
-def kernel_rows(cw, columns):
-    """The c/w kernel row of each spectral column in ``columns``, in column order."""
-    rows = [cw[col[1]][col[2]] for col in columns if col[0] == "spectral"]
-    return np.array(rows).reshape(len(rows), cw[0].shape[1])
-
-
 def build_all(images, hop, cw):
-    columns = layout(hop, cw)
+    columns = representation_columns(hop, cw)
     return lgsqe.build_representation(images, hop, columns, kernel_rows(cw, columns))
 
 
 class TestBuildRepresentation:
     def test_width_matches_provenance_arithmetic(self, small_images):
-        hop, fitted, cw = lgsqe.fit_representation(small_images, 3, 2)
+        hop, pooled, cw = lgsqe.fit_representation(small_images, 3, 2)
+        columns = representation_columns(hop, cw)
         features = build_all(small_images, hop, cw)
         patches_grid = (16 - 3) // 2 + 1
         pooled_side = patches_grid // 2
         spatial = pooled_side * pooled_side * hop.num_channels
         spectral = sum(len(matrix) for matrix in cw)
-        assert features.width == fitted.width == spatial + spectral
-        assert all(p[0] == "spatial" for p in features.provenance[:spatial])
-        assert all(p[0] == "spectral" for p in features.provenance[spatial:])
-        assert fitted.provenance == features.provenance
+        assert features.shape == (small_images.count, spatial + spectral) and len(columns) == spatial + spectral
+        assert pooled.shape == (small_images.count, spatial)
+        assert all(p[0] == "spatial" for p in columns[:spatial])
+        assert all(p[0] == "spectral" for p in columns[spatial:])
+        # The fit's blocks and the built columns are the oracle's, in the order of the columns.
+        reference = unchunked_representation(hop, cw, small_images)
+        np.testing.assert_array_equal(np.concatenate(list(saab.representation_blocks(pooled, cw)), axis=1), reference)
+        np.testing.assert_array_equal(features, reference)
 
     def test_zero_images(self, small_images):
         hop, _, cw = lgsqe.fit_representation(small_images, 3, 2)
         empty = lgsqe.ImageSet(np.empty((0, 16, 16, 1), dtype=np.float32), "real")
         features = build_all(empty, hop, cw)
-        reference = build_all(small_images, hop, cw)
-        assert features.data.shape == (0, reference.width)
+        assert features.shape == (0, len(representation_columns(hop, cw)))
 
     def test_deterministic(self, small_images):
-        a, fitted_a, cw_a = lgsqe.fit_representation(small_images, 3, 2)
-        b, fitted_b, cw_b = lgsqe.fit_representation(small_images, 3, 2)
-        assert fitted_a.data.tobytes() == fitted_b.data.tobytes()
+        a, pooled_a, cw_a = lgsqe.fit_representation(small_images, 3, 2)
+        b, pooled_b, cw_b = lgsqe.fit_representation(small_images, 3, 2)
+        assert pooled_a.tobytes() == pooled_b.tobytes()
         fa = build_all(small_images, a, cw_a)
         fb = build_all(small_images, b, cw_b)
-        np.testing.assert_array_equal(fa.data, fb.data)
+        np.testing.assert_array_equal(fa, fb)
 
     def test_finite_values_enforced(self, small_images):
-        hop, _, cw = lgsqe.fit_representation(small_images, 3, 2)
+        hop, pooled, cw = lgsqe.fit_representation(small_images, 3, 2)
         features = build_all(small_images, hop, cw)
-        assert np.isfinite(features.data).all()
-
-
-def unchunked_representation(hop, cw, images):
-    """The full representation from whole-set calls: apply, pool, then each
-    channel's map projected onto its c/w kernel matrix."""
-    pooled = lgsqe.abs_max_pool(lgsqe.apply_saab(hop, images))
-    n, size = images.count, hop.pooled_side**2
-    spatial = pooled.reshape(n, int(np.prod(pooled.shape[1:])))
-    spectral = [
-        np.einsum("ij,kj->ik", np.ascontiguousarray(pooled[..., ch].reshape(n, size)), matrix)
-        for ch, matrix in enumerate(cw)
-    ]
-    return np.concatenate([spatial, *spectral], axis=1)
+        assert np.isfinite(features).all()
+        columns = representation_columns(hop, cw)
+        pooled[3, 0] = np.nan  # the first spatial column, and the map of channel 0
+        for picked in (columns[:1], [col for col in columns if col[:2] == ("spectral", 0)][:1]):
+            with pytest.raises(ValueError, match="non-finite"):
+                saab.select_columns(pooled, hop, picked, kernel_rows(cw, picked))
 
 
 class TestSelectedColumns:
@@ -320,8 +303,8 @@ class TestSelectedColumns:
     @pytest.fixture(scope="class", params=[(16, 1), (32, 3)], ids=["16x16x1", "32x32x3"])
     def fitted(self, request):
         side, channels = request.param
-        hop, features, cw = lgsqe.fit_representation(random_image_set(240, side=side, channels=channels, seed=side), 3, 1)
-        every = features.provenance
+        hop, _, cw = lgsqe.fit_representation(random_image_set(240, side=side, channels=channels, seed=side), 3, 1)
+        every = representation_columns(hop, cw)
         rng = np.random.default_rng(side)
         spectral_start = sum(col[0] == "spatial" for col in every)
         indices = np.concatenate([
@@ -340,10 +323,10 @@ class TestSelectedColumns:
         hop, cw, kernels, indices, columns, side, channels = fitted
         images = random_image_set(count, side=side, channels=channels, seed=100 + count)
         full = unchunked_representation(hop, cw, images)
-        np.testing.assert_array_equal(build_all(images, hop, cw).data, full)
+        np.testing.assert_array_equal(build_all(images, hop, cw), full)
         selected = lgsqe.build_representation(images, hop, columns, kernels)
-        assert selected.data.shape == (count, len(columns)) and selected.provenance == columns
-        np.testing.assert_array_equal(selected.data, full[:, indices])
+        assert selected.shape == (count, len(columns))
+        np.testing.assert_array_equal(selected, full[:, indices])
 
     def test_column_of_a_dropped_sub_model_rejected(self, fitted):
         # A spectral column is computed only from its given kernel row: one row per spectral column.
@@ -355,7 +338,7 @@ class TestSelectedColumns:
             lgsqe.build_representation(image, hop, [("spectral", 0, 0)], cw[0][:1, :-1])
         spatial = [col for col in columns if col[0] == "spatial"]
         built = lgsqe.build_representation(image, hop, spatial, np.empty((0, size)))
-        assert built.provenance == tuple(spatial)
+        assert built.shape == (1, len(spatial))
 
     def test_stored_row_equals_the_full_sub_model(self, fitted):
         hop, cw, _, _, _, side, channels = fitted
@@ -366,7 +349,7 @@ class TestSelectedColumns:
             block = np.einsum("ij,kj->ik", maps, matrix)
             for comp in {0, len(matrix) // 2, len(matrix) - 1}:
                 row = matrix[comp : comp + 1]
-                column = lgsqe.build_representation(images, hop, [("spectral", ch, comp)], row).data
+                column = lgsqe.build_representation(images, hop, [("spectral", ch, comp)], row)
                 assert column.tobytes() == np.ascontiguousarray(block[:, comp : comp + 1]).tobytes()
 
     @pytest.mark.parametrize(
@@ -403,18 +386,21 @@ class TestStreamedFirstHop:
         monkeypatch.setattr(saab, "CHUNK_ROWS", chunk_images(side, 3))
         images = random_image_set(11, side=side, channels=channels, seed=side + 1)
         assert [chunk.count for _, chunk in saab._image_chunks(images, 3, 1)] == [3, 3, 3, 2]
-        hop, features, cw = lgsqe.fit_representation(images, 3, 1)
-        np.testing.assert_array_equal(features.data, unchunked_representation(hop, cw, images))
-        assert features.provenance == layout(hop, cw)
+        hop, pooled, cw = lgsqe.fit_representation(images, 3, 1)
+        trained = unchunked_representation(hop, cw, images)
+        np.testing.assert_array_equal(np.concatenate(list(saab.representation_blocks(pooled, cw)), axis=1), trained)
+        every = representation_columns(hop, cw)
+        assert len(every) == trained.shape[1]
+        indices = np.random.default_rng(side).choice(len(every), size=50, replace=False)
+        columns = [every[i] for i in indices]
+        # The fit's selected columns, read from its pooled matrix a few rows at a time.
+        np.testing.assert_array_equal(saab.select_columns(pooled, hop, columns, kernel_rows(cw, columns)), trained[:, indices])
 
         fresh = random_image_set(10, side=side, channels=channels, seed=side + 2)
         reference = unchunked_representation(hop, cw, fresh)
-        np.testing.assert_array_equal(build_all(fresh, hop, cw).data, reference)
-        every = layout(hop, cw)
-        indices = np.random.default_rng(side).choice(len(every), size=50, replace=False)
-        columns = [every[i] for i in indices]
+        np.testing.assert_array_equal(build_all(fresh, hop, cw), reference)
         selected = lgsqe.build_representation(fresh, hop, columns, kernel_rows(cw, columns))
-        np.testing.assert_array_equal(selected.data, reference[:, indices])
+        np.testing.assert_array_equal(selected, reference[:, indices])
 
     @pytest.mark.parametrize("side,channels", [(16, 1), (32, 3)], ids=["16x16x1", "32x32x3"])
     def test_streamed_moments_match_dense_covariance(self, monkeypatch, side, channels):
@@ -448,18 +434,17 @@ class TestBoundedMemory:
     def test_fit(self):
         def fit(count):
             images = self.images(count)
-            (hop, features, cw), peak = traced_peak(lambda: lgsqe.fit_representation(images, 3, 1))
-            pooled = hop.pooled_side**2 * hop.num_channels * count * 8
+            (hop, pooled, cw), peak = traced_peak(lambda: lgsqe.fit_representation(images, 3, 1))
             # A c/w kernel matrix keeps up to one row per image, at most the map size.
-            return peak, features.data.nbytes + pooled + sum(matrix.nbytes for matrix in cw)
+            return peak, pooled.nbytes + sum(matrix.nbytes for matrix in cw)
 
         small_peak, small_kept = fit(self.COUNT)
         large_peak, large_kept = fit(4 * self.COUNT)
         assert large_peak - small_peak <= 1.1 * (large_kept - small_kept)
 
     def test_build_selected_columns(self):
-        hop, features, cw = lgsqe.fit_representation(self.images(64), 3, 1)
-        every = features.provenance
+        hop, _, cw = lgsqe.fit_representation(self.images(64), 3, 1)
+        every = representation_columns(hop, cw)
         spectral = [col for col in every if col[0] == "spectral" and col[1] == 5][:10]
         columns = [col for col in every if col[0] == "spatial"][::7] + spectral
         kernels = kernel_rows(cw, columns)
@@ -482,9 +467,8 @@ import lgsqe
 from lgsqe.saab import _project
 
 pixels, kernels, maps = (np.load(path) for path in sys.argv[1:4])
-hop, features, _ = lgsqe.fit_representation(lgsqe.ImageSet(pixels), 3, 1)
-spatial = hop.pooled_side ** 2 * hop.num_channels
-for part in (hop.ac_kernels, hop.eigenvalues, features.data[:, :spatial], _project(maps, kernels)):
+hop, pooled, _ = lgsqe.fit_representation(lgsqe.ImageSet(pixels), 3, 1)
+for part in (hop.ac_kernels, hop.eigenvalues, pooled, _project(maps, kernels)):
     print(hashlib.sha256(np.ascontiguousarray(part).tobytes()).hexdigest())
 """
 
@@ -495,10 +479,9 @@ def test_bytes_do_not_depend_on_blas_threads(tmp_path):
     kernel matrix fitted here, at 32x32x3 with patch 3 and stride 1: the same
     bytes with 1 and 2 BLAS threads. (The c/w fit's eigh is left out.)"""
     images = random_image_set(160, side=32, channels=3, seed=5)
-    hop, features, cw = lgsqe.fit_representation(images, 3, 1)
+    hop, pooled, cw = lgsqe.fit_representation(images, 3, 1)
     channel = max(range(len(cw)), key=lambda ch: len(cw[ch]))
-    side, spatial = hop.pooled_side, hop.pooled_side**2 * hop.num_channels
-    maps = features.data[:, :spatial].reshape(images.count, side * side, hop.num_channels)[..., channel]
+    maps = pooled.reshape(images.count, hop.pooled_side**2, hop.num_channels)[..., channel]
     paths = [tmp_path / name for name in ("pixels.npy", "kernels.npy", "maps.npy")]
     for path, array in zip(paths, (images.pixels, cw[channel], maps)):
         np.save(path, array)
