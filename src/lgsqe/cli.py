@@ -28,6 +28,8 @@ from .pipeline import (
     parse_config_file,
 )
 
+FORMATS = ["auto", "idx", "cifar", "lgt"]  # --*-format choices; auto detects the magic bytes
+
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     """One flag per config key, named and documented by the field's metadata."""
@@ -61,8 +63,8 @@ def cmd_fit(args) -> int:
     print(f"representation width: {model.training['representation_width']}")
     print(f"selected features: {model.training['selected_count']}")
     print(f"train accuracy: {model.training['train_accuracy']:.4f} (threshold {config.threshold})")
-    if model.training["final_train_loss"] is not None:
-        print(f"final train loss: {model.training['final_train_loss']:.6f}")
+    if model.ensemble.train_loss:
+        print(f"final train loss: {model.ensemble.train_loss[-1]:.6f}")
     print(f"model written to {args.out}")
     for stage, seconds in record["timings"].items():
         print(f"[timing] {stage}: {seconds:.2f}s", file=sys.stderr)
@@ -158,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("real", help="real image file (idx/cifar/lgt)")
     p_fit.add_argument("generated", help="generated image file")
     p_fit.add_argument("-o", "--out", required=True, help="output model JSON path")
-    p_fit.add_argument("--real-format", default="auto", choices=["auto", "idx", "cifar", "lgt"])
-    p_fit.add_argument("--generated-format", default="auto", choices=["auto", "idx", "cifar", "lgt"])
+    p_fit.add_argument("--real-format", default="auto", choices=FORMATS)
+    p_fit.add_argument("--generated-format", default="auto", choices=FORMATS)
     p_fit.add_argument("--ranking-csv", help="also export the feature ranking as CSV")
     _add_config_flags(p_fit)
     p_fit.set_defaults(func=cmd_fit)
@@ -168,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("model")
     p_score.add_argument("samples")
     p_score.add_argument("-o", "--out", required=True, help="output scores CSV path")
-    p_score.add_argument("--format", default="auto", choices=["auto", "idx", "cifar", "lgt"])
+    p_score.add_argument("--format", default="auto", choices=FORMATS)
     p_score.set_defaults(func=cmd_score)
 
     p_eval = sub.add_parser("eval", help="aggregate model-level metrics on test data")
@@ -176,8 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("real")
     p_eval.add_argument("generated")
     p_eval.add_argument("-o", "--out", required=True, help="output report JSON path")
-    p_eval.add_argument("--real-format", default="auto", choices=["auto", "idx", "cifar", "lgt"])
-    p_eval.add_argument("--generated-format", default="auto", choices=["auto", "idx", "cifar", "lgt"])
+    p_eval.add_argument("--real-format", default="auto", choices=FORMATS)
+    p_eval.add_argument("--generated-format", default="auto", choices=FORMATS)
     p_eval.add_argument(
         "--use",
         default="auto",
@@ -195,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_filter.add_argument("-o", "--out", required=True, help="output LGT path for kept samples")
     p_filter.add_argument("--ids-out", required=True, help="output CSV of kept sample ids")
     p_filter.add_argument("--keep-fraction", type=float, required=True)
-    p_filter.add_argument("--format", default="auto", choices=["auto", "idx", "cifar", "lgt"])
+    p_filter.add_argument("--format", default="auto", choices=FORMATS)
     p_filter.set_defaults(func=cmd_filter)
 
     p_sweep = sub.add_parser("sweep", help="refit over a grid of real-sample fractions")
@@ -203,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("generated")
     p_sweep.add_argument("-o", "--out", required=True, help="output CSV path")
     p_sweep.add_argument("--fractions", type=float, nargs="+", required=True)
-    p_sweep.add_argument("--real-format", default="auto", choices=["auto", "idx", "cifar", "lgt"])
-    p_sweep.add_argument("--generated-format", default="auto", choices=["auto", "idx", "cifar", "lgt"])
+    p_sweep.add_argument("--real-format", default="auto", choices=FORMATS)
+    p_sweep.add_argument("--generated-format", default="auto", choices=FORMATS)
     _add_config_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 

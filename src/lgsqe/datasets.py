@@ -188,8 +188,9 @@ def load_images(path, fmt: str = "auto", provenance: str | None = None) -> Image
 class LabeledSplit:
     """Disjoint train/test partitions of a real and a generated ImageSet.
 
-    Real samples carry label 0, generated samples label 1. ``real_fraction``
-    subsamples only the real training portion; test sets are never shrunk.
+    Real samples carry label 0, generated samples label 1. The split's real
+    fraction subsamples only the real training portion; test sets are never
+    shrunk.
     """
 
     train_real: ImageSet
@@ -200,9 +201,6 @@ class LabeledSplit:
     train_generated_idx: np.ndarray
     test_real_idx: np.ndarray
     test_generated_idx: np.ndarray
-    seed: int
-    test_fraction: float
-    real_fraction: float = 1.0
 
     def train_union(self) -> tuple[np.ndarray, np.ndarray]:
         """The training pixels, real then generated, and their labels."""
@@ -253,7 +251,4 @@ def make_labeled_split(
         train_generated_idx=train_gen_idx,
         test_real_idx=test_real_idx,
         test_generated_idx=test_gen_idx,
-        seed=seed,
-        test_fraction=test_fraction,
-        real_fraction=real_fraction,
     )

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dft import _binary_labels
-from .errors import FormatError, GeometryError
+from .errors import FormatError, GeometryError, integer_array
 
 _PROB_EPS = 1e-15
 MAX_BINS = 256  # uint8 codes
@@ -265,7 +265,12 @@ class BoostedEnsemble:
     @classmethod
     def from_dict(cls, doc: dict) -> "BoostedEnsemble":
         return cls(
-            **{name: np.asarray(doc[name], dtype=dtype) for name, dtype in _NODE_ARRAYS.items()},
+            **{
+                name: (
+                    integer_array(doc[name], f"ensemble {name}") if dtype is np.int64 else np.asarray(doc[name], dtype)
+                )
+                for name, dtype in _NODE_ARRAYS.items()
+            },
             **{key: doc[key] for key in ("learning_rate", "base_score", "n_features", "train_loss")},
         )
 

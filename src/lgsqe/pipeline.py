@@ -1,10 +1,10 @@
 """End-to-end pipeline: configuration, fitting, scoring, persistence.
 
-A fitted pipeline bundles the first hop, the representation columns the
-boosted classifier splits on, and the classifier into one self-describing
-JSON document with a semantic format version. Serialization is canonical
-(sorted keys, repr-exact floats), so save -> load -> save is byte-identical
-and fixed-seed refits produce byte-identical files.
+A fitted pipeline bundles the first hop, the indices of the representation
+columns the boosted classifier splits on, and the classifier into one
+self-describing JSON document with a semantic format version.
+Serialization is canonical (sorted keys, repr-exact floats), so save -> load
+-> save is byte-identical and fixed-seed refits produce byte-identical files.
 
 One master seed is expanded into per-stage seeds by hashing the stage name
 (SHA-256 of ``"<seed>:<stage>"``), so adding a stage never perturbs the
@@ -24,21 +24,20 @@ import numpy as np
 
 from .datasets import REAL, ImageSet, make_labeled_split
 from .dft import FeatureSelection, rank_features, select_features
-from .errors import FormatError, GeometryError, VersionError
+from .errors import FormatError, GeometryError, VersionError, integer_array
 from .evaluate import EvaluationReport, aggregate_report
 from .gbdt import BoostedEnsemble, GbdtParams, fit_ensemble
 from .saab import (
     SaabModel,
     build_representation,
-    column_positions,
     fit_representation,
     kernel_rows,
     representation_blocks,
-    representation_columns,
     select_columns,
+    split_columns,
 )
 
-MODEL_VERSION = "6.0.0"
+MODEL_VERSION = "7.0.0"
 
 
 def derive_seed(master: int, stage: str) -> int:
@@ -178,6 +177,7 @@ def _saab_to_dict(model: SaabModel) -> dict:
         "channels": model.channels,
         "patch_size": model.patch_size,
         "stride": model.stride,
+        "cw_widths": list(model.cw_widths),
     }
 
 
@@ -190,6 +190,7 @@ def _saab_from_dict(doc: dict) -> SaabModel:
         channels=doc["channels"],
         patch_size=doc["patch_size"],
         stride=doc["stride"],
+        cw_widths=tuple(integer_array(doc["cw_widths"], "saab.cw_widths").tolist()),
     )
 
 
@@ -201,21 +202,11 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _column(entry) -> tuple:
-    """A provenance entry read from JSON: a kind followed by integer coordinates."""
-    if not isinstance(entry, list) or not entry or any(type(v) is not int for v in entry[1:]):
-        raise FormatError(f"provenance entry {entry!r} is not a kind followed by integers")
-    return tuple(entry)
-
-
 def _training(doc) -> dict:
-    """The training record read from JSON; evaluation reads its fingerprints
-    and loading bounds the column indices by its representation width."""
+    """The training record read from JSON; evaluation reads its fingerprints."""
     prints = doc.get("fingerprints") if isinstance(doc, dict) else None
     if not isinstance(prints, dict) or not all(isinstance(prints.get(key), str) for key in ("real", "generated")):
         raise FormatError("training must be an object whose fingerprints hold the strings real and generated")
-    if type(doc.get("representation_width")) is not int:
-        raise FormatError("training.representation_width must be an integer")
     return doc
 
 
@@ -223,16 +214,15 @@ def _training(doc) -> dict:
 class PipelineModel:
     """A fully fitted pipeline plus the record of how it was trained.
 
-    ``columns`` holds the provenance of each stored representation column
-    (see ``saab.representation_columns``), in ``selection.indices`` order: the
-    selected columns that some tree splits on. Scoring computes only those.
-    ``saab`` is the first hop; ``spectral_kernels`` holds, per spectral entry
-    of ``columns`` in that order, its row of its channel's c/w kernel matrix.
+    ``selection.indices`` holds the representation index of each stored
+    column (see the ``saab`` module for how an index decodes): the selected
+    columns that some tree splits on. Scoring computes only those. ``saab``
+    is the first hop; ``spectral_kernels`` holds, per spectral index in
+    ``selection.indices`` order, its row of its channel's c/w kernel matrix.
     """
 
     saab: SaabModel
     selection: FeatureSelection
-    columns: tuple[tuple, ...]
     spectral_kernels: np.ndarray
     ensemble: BoostedEnsemble
     config: RunConfig
@@ -241,7 +231,8 @@ class PipelineModel:
 
     def score_images(self, images: ImageSet) -> np.ndarray:
         """Soft score per image; near 0 means realistic, near 1 detectable."""
-        return self.ensemble.predict_score(build_representation(images, self.saab, self.columns, self.spectral_kernels))
+        features = build_representation(images, self.saab, self.selection.indices, self.spectral_kernels)
+        return self.ensemble.predict_score(features)
 
     def evaluate(
         self,
@@ -270,7 +261,6 @@ class PipelineModel:
             "saab": _saab_to_dict(self.saab),
             "selection": {
                 "indices": [int(i) for i in self.selection.indices],
-                "provenance": [list(col) for col in self.columns],
                 "spectral_kernels": self.spectral_kernels.tolist(),
             },
             "ensemble": self.ensemble.to_dict(),
@@ -287,8 +277,7 @@ class PipelineModel:
         kernels = np.asarray(doc["selection"]["spectral_kernels"], dtype=np.float64)
         model = cls(
             saab=saab,
-            selection=FeatureSelection(np.asarray(doc["selection"]["indices"], dtype=np.int64)),
-            columns=tuple(_column(entry) for entry in doc["selection"]["provenance"]),
+            selection=FeatureSelection(integer_array(doc["selection"]["indices"], "selection.indices")),
             spectral_kernels=kernels.reshape(-1, saab.pooled_side**2),
             ensemble=BoostedEnsemble.from_dict(doc["ensemble"]),
             config=config,
@@ -299,20 +288,11 @@ class PipelineModel:
         return model
 
     def _check_consistency(self):
-        width = self.training["representation_width"]
-        if self.selection.indices.size and (
-            self.selection.indices.min() < 0 or self.selection.indices.max() >= width
-        ):
-            raise GeometryError("selection indices fall outside the representation width")
         if self.ensemble.n_features != self.selection.indices.size:
             raise GeometryError(
                 f"ensemble expects {self.ensemble.n_features} features, selection has {self.selection.indices.size}"
             )
-        if len(self.columns) != self.selection.indices.size:
-            raise GeometryError(
-                f"selection has {self.selection.indices.size} indices but {len(self.columns)} column provenances"
-            )
-        column_positions(self.saab, self.columns, self.spectral_kernels)
+        split_columns(self.saab, self.selection.indices, self.spectral_kernels)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -329,7 +309,9 @@ class PipelineModel:
                 return cls.from_dict(json.load(fh, parse_float=_finite_float, parse_constant=_finite_float))
             except KeyError as exc:
                 raise FormatError(f"{path}: missing key {exc}") from None
-            except (FormatError, GeometryError, ValueError, TypeError, AttributeError, IndexError) as exc:
+            except (
+                FormatError, GeometryError, ValueError, TypeError, AttributeError, IndexError, OverflowError
+            ) as exc:
                 raise FormatError(f"{path}: malformed model: {exc}") from None
 
 
@@ -371,9 +353,7 @@ def fit_pipeline(real: ImageSet, generated: ImageSet, config: RunConfig) -> tupl
     timings["dft"] = time.perf_counter() - tick
 
     tick = time.perf_counter()
-    every = representation_columns(saab, cw)
-    selected = tuple(every[i] for i in selection.indices)
-    train = select_columns(pooled, saab, selected, kernel_rows(cw, selected))
+    train = select_columns(pooled, saab, selection.indices, kernel_rows(saab, cw, selection.indices))
     del pooled
     ensemble = fit_ensemble(train, train_labels, config.gbdt, seed=derive_seed(config.seed, "gbdt"))
     timings["gbdt"] = time.perf_counter() - tick
@@ -386,20 +366,18 @@ def fit_pipeline(real: ImageSet, generated: ImageSet, config: RunConfig) -> tupl
     feature = ensemble.feature.copy()
     feature[splits] = compact
     ensemble = replace(ensemble, feature=feature, n_features=used.size)
-    columns = tuple(selected[i] for i in used)
+    indices = selection.indices[used]
     training = {
         "fingerprints": {"real": imageset_fingerprint(real), "generated": imageset_fingerprint(generated)},
-        "representation_width": len(every),
+        "representation_width": saab.width,
         "selected_count": int(selection.indices.size),
         "train_counts": {"real": split.train_real.count, "generated": split.train_generated.count},
         "train_accuracy": train_correct / train_labels.size,
-        "final_train_loss": ensemble.train_loss[-1] if ensemble.train_loss else None,
     }
     model = PipelineModel(
         saab=saab,
-        selection=FeatureSelection(selection.indices[used]),
-        columns=columns,
-        spectral_kernels=kernel_rows(cw, columns),
+        selection=FeatureSelection(indices),
+        spectral_kernels=kernel_rows(saab, cw, indices),
         ensemble=ensemble,
         config=config,
         training=training,

@@ -5,10 +5,16 @@ kernel + PCA-derived AC kernels with energy truncation) -> absolute
 max-pooling -> a channel-wise (c/w) Saab over the pooled maps, fitted as one
 kernel matrix per channel (DC row first) -> the pooled spatial responses and
 each channel's spectral coefficients (its pooled map projected onto its
-kernel matrix), the columns ``representation_columns`` lists. No call holds
-every column of every image: the fit ranks them block by block, and the fit
-and scoring assemble the selected ones with one routine. The first hop and
-every c/w channel are fitted by one core, ``_fit_kernels``.
+kernel matrix). No call holds every column of every image: the fit ranks
+them block by block, and the fit and scoring assemble the selected ones with
+one routine. The first hop and every c/w channel are fitted by one core,
+``_fit_kernels``.
+
+A column is named by its index in the representation. With ``S =
+pooled_side**2 * K1``, index ``j < S`` is the pooled value at flat position
+``j = (row * pooled_side + col) * K1 + channel``, and index ``j >= S`` is row
+``j - S`` of the stacked c/w kernel matrices: a coefficient of the channel
+that ``SaabModel.cw_widths`` assigns that row to.
 
 Kernels form an orthonormal basis: the DC kernel is the constant unit vector,
 and AC kernels are eigenvectors of the covariance of DC-removed, mean-centered
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain
 
@@ -78,7 +84,8 @@ class SaabModel:
     ``ac_kernels`` holds the kept AC kernels as rows (may be empty);
     ``eigenvalues`` holds the full AC spectrum, nonincreasing. This is the
     first hop only; the c/w stage is a plain kernel matrix per channel (see
-    ``fit_cw_saab``).
+    ``fit_cw_saab``), and ``cw_widths`` holds the row count of each channel's
+    matrix, or is empty for a hop fitted without them.
     """
 
     ac_kernels: np.ndarray
@@ -87,6 +94,16 @@ class SaabModel:
     channels: int
     patch_size: int
     stride: int
+    cw_widths: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        size = self.pooled_side**2
+        if self.cw_widths and (
+            len(self.cw_widths) != self.num_channels or not all(1 <= w <= size for w in self.cw_widths)
+        ):
+            raise GeometryError(
+                f"cw_widths {list(self.cw_widths)} must hold one width in [1, {size}] per channel ({self.num_channels})"
+            )
 
     @property
     def num_channels(self) -> int:
@@ -101,6 +118,16 @@ class SaabModel:
     def pooled_side(self) -> int:
         """Side of the pooled response map: half the patch placement grid."""
         return ((self.input_side - self.patch_size) // self.stride + 1) // 2
+
+    @property
+    def spatial_width(self) -> int:
+        """S: the number of pooled values, the indices below the spectral ones."""
+        return self.pooled_side**2 * self.num_channels
+
+    @property
+    def width(self) -> int:
+        """The representation width: the pooled values and every c/w coefficient."""
+        return self.spatial_width + sum(self.cw_widths)
 
     def kernel_matrix(self) -> np.ndarray:
         """(K1, K) projection matrix with the DC kernel as row 0."""
@@ -325,9 +352,9 @@ def fit_representation(
     cw_explicit_channels: int | None = None,
 ) -> tuple[SaabModel, np.ndarray, tuple[np.ndarray, ...]]:
     """Fit the one-hop representation and return ``(hop, pooled, cw)``: the
-    first hop, the pooled first-hop responses of ``images`` as an (n,
-    pooled_side**2 * K1) matrix (the spatial columns of ``representation_columns``),
-    and one c/w kernel matrix per pooled channel (see ``fit_cw_saab``).
+    first hop with its ``cw_widths``, the pooled first-hop responses of
+    ``images`` as an (n, S) matrix (the spatial columns), and one c/w kernel
+    matrix per pooled channel (see ``fit_cw_saab``).
 
     Two streamed passes run over the images: the first accumulates the
     first-hop moments, the second applies the fitted hop and pools. The pooled
@@ -345,33 +372,22 @@ def fit_representation(
     for lo, block in _pooled_chunks(images, hop, np.arange(pooled.shape[1])):
         pooled[lo : lo + block.shape[0]] = block
     cw = fit_cw_saab(pooled.reshape(n, side, side, k1), energy_threshold, cw_explicit_channels)
-    return hop, pooled, cw
-
-
-def representation_columns(model: SaabModel, cw: Sequence[np.ndarray]) -> tuple[tuple, ...]:
-    """Every representation column, in order: the pooled spatial responses,
-    column ``("spatial", row, col, channel)`` at pooled position ``(row *
-    pooled_side + col) * K1 + channel``, then each channel's spectral block,
-    column ``("spectral", channel, component)``: the channel's map projected
-    onto row ``component`` of its c/w kernel matrix ``cw[channel]``.
-    """
-    side, k1 = model.pooled_side, model.num_channels
-    spatial = [("spatial", r, c, ch) for r in range(side) for c in range(side) for ch in range(k1)]
-    return tuple(spatial + [("spectral", ch, comp) for ch, kernels in enumerate(cw) for comp in range(len(kernels))])
+    return replace(hop, cw_widths=tuple(len(kernels) for kernels in cw)), pooled, cw
 
 
 def representation_blocks(pooled: np.ndarray, cw: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
-    """The values of ``representation_columns`` as consecutive (n, w) blocks: ``pooled``
-    itself, then each channel's spectral block, projected when it is asked for."""
+    """Every representation column, in index order, as consecutive (n, w)
+    blocks: ``pooled`` itself, then each channel's spectral block, projected
+    when it is asked for."""
     yield pooled
     for ch, kernels in enumerate(cw):
         yield _project(pooled[:, ch :: len(cw)], kernels)
 
 
-def kernel_rows(cw: Sequence[np.ndarray], columns: Sequence[tuple]) -> np.ndarray:
-    """The c/w kernel row of each spectral column in ``columns``, in column order."""
-    rows = [cw[col[1]][col[2]] for col in columns if col[0] == "spectral"]
-    return np.array(rows).reshape(len(rows), cw[0].shape[1])
+def kernel_rows(model: SaabModel, cw: Sequence[np.ndarray], indices: np.ndarray) -> np.ndarray:
+    """The c/w kernel row of each spectral index in ``indices``, in index order."""
+    indices = np.asarray(indices, dtype=np.intp)
+    return np.concatenate(cw)[indices[indices >= model.spatial_width] - model.spatial_width]
 
 
 def _pooled_chunks(images: ImageSet, model: SaabModel, positions: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
@@ -397,35 +413,28 @@ def _pooled_chunks(images: ImageSet, model: SaabModel, positions: np.ndarray) ->
         yield lo, abs_max_pool(responses[:, corners]).reshape(chunk.count, corners.shape[2])
 
 
-def column_positions(model: SaabModel, columns: Sequence[tuple], kernels: np.ndarray) -> list[int]:
-    """The flat pooled position ``(row * pooled_side + col) * K1 + channel`` of
-    each spatial column and the channel of each spectral column, in column
-    order. ``GeometryError`` is raised for a column the model cannot produce
-    (a spectral component must lie below the map size, the most rows a c/w
-    kernel matrix can have) and unless ``kernels`` holds one row of the map
-    size per spectral column.
+def split_columns(model: SaabModel, indices: np.ndarray, kernels: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Where the columns at ``indices`` come from: the positions in ``indices``
+    of the spatial and of the spectral columns, and each spectral column's
+    channel. ``GeometryError`` is raised for an index outside the model's
+    width and unless ``kernels`` holds one row of the map size per spectral
+    column.
     """
-    side, k1 = model.pooled_side, model.num_channels
-    positions = []
-    for col in columns:
-        if col[0] == "spatial" and len(col) == 4 and all(0 <= v < n for v, n in zip(col[1:], (side, side, k1))):
-            positions.append((col[1] * side + col[2]) * k1 + col[3])
-        elif col[0] == "spectral" and len(col) == 3 and 0 <= col[1] < k1 and 0 <= col[2] < side * side:
-            positions.append(col[1])
-        else:
-            raise GeometryError(f"the model has no representation column {tuple(col)!r}")
-    shape = (sum(col[0] == "spectral" for col in columns), side * side)
+    indices = np.asarray(indices, dtype=np.intp)
+    if indices.size and (indices.min() < 0 or indices.max() >= model.width):
+        raise GeometryError(f"column indices must lie in [0, {model.width}), the model's representation width")
+    start = model.spatial_width
+    spatial, spectral = np.flatnonzero(indices < start), np.flatnonzero(indices >= start)
+    shape = (spectral.size, model.pooled_side**2)
     if np.shape(kernels) != shape:
         raise GeometryError(f"spectral kernels have shape {np.shape(kernels)}, the columns need {shape}")
-    return positions
+    channels = np.repeat(np.arange(len(model.cw_widths)), model.cw_widths)[indices[spectral] - start]
+    return spatial, spectral, channels
 
 
-def build_representation(
-    images: ImageSet, model: SaabModel, columns: Sequence[tuple], kernels: np.ndarray
-) -> np.ndarray:
-    """The (n, len(columns)) representation columns named by ``columns``
-    (provenance tuples as in ``representation_columns``) for the first hop
-    ``model``.
+def build_representation(images: ImageSet, model: SaabModel, indices: np.ndarray, kernels: np.ndarray) -> np.ndarray:
+    """The (n, len(indices)) representation columns at ``indices`` for the
+    first hop ``model``.
 
     ``kernels`` holds, per spectral column in column order, its row of its
     channel's c/w kernel matrix. Only the pooled windows the columns read are
@@ -434,10 +443,10 @@ def build_representation(
     projected onto its row, so a column's bytes depend only on its image and
     its row, not on the other images or columns of the call.
     """
-    return _assemble(images.count, model, columns, kernels, partial(_pooled_chunks, images, model))
+    return _assemble(images.count, model, indices, kernels, partial(_pooled_chunks, images, model))
 
 
-def select_columns(pooled: np.ndarray, model: SaabModel, columns: Sequence[tuple], kernels: np.ndarray) -> np.ndarray:
+def select_columns(pooled: np.ndarray, model: SaabModel, indices: np.ndarray, kernels: np.ndarray) -> np.ndarray:
     """``build_representation`` of the images whose pooled responses
     ``pooled`` holds, as ``fit_representation`` returns them: the same bytes,
     read from ``pooled`` a few rows at a time instead of pooled again."""
@@ -446,26 +455,23 @@ def select_columns(pooled: np.ndarray, model: SaabModel, columns: Sequence[tuple
     def rows(positions):
         return ((lo, pooled[lo : lo + step, positions]) for lo in range(0, len(pooled), step))
 
-    return _assemble(len(pooled), model, columns, kernels, rows)
+    return _assemble(len(pooled), model, indices, kernels, rows)
 
 
-def _assemble(count: int, model: SaabModel, columns: Sequence[tuple], kernels: np.ndarray, pooled_at) -> np.ndarray:
+def _assemble(count: int, model: SaabModel, indices: np.ndarray, kernels: np.ndarray, pooled_at) -> np.ndarray:
     """The columns of ``build_representation`` for ``count`` images, whose
     pooled responses at flat pooled positions ``pooled_at(positions)`` gives
     as (first image, block) row chunks; each chunk's spectral columns are
     projected from its own maps. The result is column-major, as the boosted
     trees read it."""
-    columns = tuple(columns)
-    positions = np.asarray(column_positions(model, columns, kernels), dtype=np.intp)
+    indices = np.asarray(indices, dtype=np.intp)
+    spatial, spectral, channels = split_columns(model, indices, kernels)
     size, k1 = model.pooled_side**2, model.num_channels
-    is_spatial = np.array([col[0] == "spatial" for col in columns], dtype=bool)
-    spatial, spectral = np.flatnonzero(is_spatial), np.flatnonzero(~is_spatial)
-    channels = positions[spectral]
     read = np.unique(channels)
     # The read channels' maps, one after another, then the spatial columns' windows.
     map_positions = (read[:, None] + np.arange(size) * k1).ravel()
-    data = np.empty((count, len(columns)), order="F")
-    for lo, block in pooled_at(np.concatenate([map_positions, positions[spatial]])):
+    data = np.empty((count, indices.size), order="F")
+    for lo, block in pooled_at(np.concatenate([map_positions, indices[spatial]])):
         rows = slice(lo, lo + block.shape[0])
         data[rows, spatial] = block[:, map_positions.size :]
         for j, ch in enumerate(read):

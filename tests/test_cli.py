@@ -139,7 +139,7 @@ class TestScore:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("lgsqe: error:") and "'1.0.0'" in err[0]
 
-    @pytest.mark.parametrize("version", ["2.0.0", "3.0.0", "4.0.0", "5.0.0"])
+    @pytest.mark.parametrize("version", ["2.0.0", "3.0.0", "4.0.0", "5.0.0", "6.0.0"])
     def test_format_refused(self, cli_data, fitted_model, tmp_path, capsys, version):
         _, _, gen_path = cli_data
         doc = json.loads(fitted_model.read_text())
@@ -158,45 +158,73 @@ class TestScore:
             ("no-selection", "'selection'"),
             ("feature-object", None),
             ("unknown-config-key", "'bogus'"),
-            ("int-provenance", None),
+            ("int-indices", "selection.indices"),
             ("top-level-list", None),
             ("short-kernel-row", None),
             ("extra-kernel-row", "spectral kernels"),
-            ("float-coordinate", "provenance"),
-            ("string-coordinate", "provenance"),
-            ("bool-coordinate", "provenance"),
-            ("float-width", "representation_width"),
+            ("spatial-to-spectral", "spectral kernels"),
+            ("huge-index", None),
+            ("float-index", "selection.indices"),
+            ("string-index", "selection.indices"),
+            ("bool-index", "selection.indices"),
+            ("float-feature", "ensemble feature"),
+            ("string-feature", "ensemble feature"),
+            ("bool-feature", "ensemble feature"),
+            ("float-right", "ensemble right"),
+            ("string-root", "ensemble roots"),
+            ("float-cw-width", "saab.cw_widths"),
+            ("short-cw-widths", "cw_widths"),
+            ("zero-cw-width", "cw_widths"),
+            ("wide-cw-width", "cw_widths"),
         ],
     )
     def test_malformed_model_one_error_line(self, cli_data, fitted_model, tmp_path, capsys, fault, key):
         _, _, gen_path = cli_data
         doc = json.loads(fitted_model.read_text())
         assert doc["selection"]["spectral_kernels"], "the fixture model selects a spectral column"
+        saab, selection, forest = doc["saab"], doc["selection"], doc["ensemble"]
+        split = int(np.flatnonzero(np.asarray(forest["feature"]) >= 0)[0])  # a node whose feature and right are not -1
+        map_size = (((saab["input_side"] - saab["patch_size"]) // saab["stride"] + 1) // 2) ** 2  # pooled_side**2
         if fault == "no-ensemble-roots":
-            del doc["ensemble"]["roots"]
+            del forest["roots"]
         elif fault == "no-saab-stride":
-            del doc["saab"]["stride"]
+            del saab["stride"]
         elif fault == "no-selection":
             del doc["selection"]
         elif fault == "feature-object":
-            doc["ensemble"]["feature"] = {"0": 1}
+            forest["feature"] = {"0": 1}
         elif fault == "unknown-config-key":
             doc["config"]["bogus"] = 1
-        elif fault == "int-provenance":
-            doc["selection"]["provenance"][0] = 3
+        elif fault == "int-indices":
+            selection["indices"] = 3
         elif fault == "top-level-list":
             doc = [doc]
         elif fault == "short-kernel-row":
-            doc["selection"]["spectral_kernels"][0].pop()
-        elif fault == "float-width":
-            # The width bounds the stored column indices on load.
-            doc["training"]["representation_width"] = float(doc["training"]["representation_width"])
-        elif fault.endswith("-coordinate"):
-            # int() would read each of these as a coordinate and score with it.
-            first = doc["selection"]["provenance"][0]
-            first[1] = {"float": float(first[1]), "string": str(first[1]), "bool": True}[fault.split("-")[0]]
+            selection["spectral_kernels"][0].pop()
+        elif fault == "extra-kernel-row":
+            selection["spectral_kernels"].append(selection["spectral_kernels"][0])
+        elif fault == "spatial-to-spectral":
+            # One more spectral index than stored kernel rows: the spectral indices start at the width of the pooled values.
+            spatial_width = map_size * (1 + len(saab["ac_kernels"]))
+            position = next(i for i, j in enumerate(selection["indices"]) if j < spatial_width)
+            selection["indices"][position] = spatial_width + saab["cw_widths"][0] - 1
+        elif fault == "huge-index":
+            selection["indices"][0] = 10**30
+        elif fault.split("-")[0] in ("float", "string", "bool"):
+            # numpy would read each of these as an integer and score with it.
+            kind, name = fault.split("-", 1)
+            values, i = {
+                "index": (selection["indices"], 0),
+                "feature": (forest["feature"], split),
+                "right": (forest["right"], split),
+                "root": (forest["roots"], 0),
+                "cw-width": (saab["cw_widths"], 0),
+            }[name]
+            values[i] = {"float": values[i] + 0.5, "string": str(values[i]), "bool": True}[kind]
+        elif fault == "short-cw-widths":
+            saab["cw_widths"].pop()
         else:
-            doc["selection"]["spectral_kernels"].append(doc["selection"]["spectral_kernels"][0])
+            saab["cw_widths"][0] = 0 if fault == "zero-cw-width" else map_size + 1
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         assert main(["score", str(bad), str(gen_path), "-o", str(tmp_path / "s.csv")]) == 1

@@ -19,8 +19,6 @@ from lgsqe.pipeline import (
     write_config_file,
 )
 
-from lgsqe.saab import representation_columns
-
 from conftest import random_image_set, traced_peak, unchunked_representation
 
 
@@ -105,31 +103,34 @@ class TestPipelineModel:
         with pytest.raises(GeometryError):
             lgsqe.PipelineModel.from_dict(doc)
 
-    def test_provenance_and_indices_disagree(self, small_pipeline):
+    def test_indices_and_ensemble_disagree(self, small_pipeline):
         model, _, _ = small_pipeline
         doc = json.loads(model.to_json())
-        doc["selection"]["provenance"].pop()
-        with pytest.raises(GeometryError, match="column provenances"):
+        doc["selection"]["indices"].pop()
+        with pytest.raises(GeometryError, match="ensemble expects"):
             lgsqe.PipelineModel.from_dict(doc)
 
     def test_spectral_column_of_a_dropped_sub_model(self, small_pipeline):
         # A spectral column without a stored kernel row: the model stores no whole c/w kernel matrix to take one from.
         model, _, _ = small_pipeline
         doc = json.loads(model.to_json())
-        doc["selection"]["provenance"][0] = ["spectral", 0, 1]
-        assert ["spectral", 0, 1] not in [list(col) for col in model.columns]
+        spectral, spatial = model.saab.spatial_width + 1, model.selection.indices < model.saab.spatial_width
+        assert spectral not in model.selection.indices
+        doc["selection"]["indices"][int(np.flatnonzero(spatial)[0])] = spectral  # one more spectral index than kernel rows
         with pytest.raises(GeometryError, match="spectral kernels"):
             lgsqe.PipelineModel.from_dict(doc)
 
     def test_only_selected_kernel_rows_kept(self, small_pipeline, tmp_path):
         model, real, generated = small_pipeline
-        spectral = [col for col in model.columns if col[0] == "spectral"]
-        assert spectral
+        indices = model.selection.indices
+        spectral = indices[indices >= model.saab.spatial_width] - model.saab.spatial_width
+        assert spectral.size
         model.save(tmp_path / "model.json")
         doc = json.loads((tmp_path / "model.json").read_text())
-        assert "cw_models" not in doc["saab"] and doc["format_version"] == "6.0.0"
+        assert "cw_models" not in doc["saab"] and "provenance" not in doc["selection"]
+        assert doc["format_version"] == "7.0.0" and doc["saab"]["cw_widths"] == list(model.saab.cw_widths)
         loaded = lgsqe.PipelineModel.load(tmp_path / "model.json")
-        assert loaded.columns == model.columns
+        assert loaded.selection.indices.tobytes() == indices.tobytes() and loaded.saab.cw_widths == model.saab.cw_widths
         assert loaded.spectral_kernels.tobytes() == model.spectral_kernels.tobytes()
         # The columns are the selected ones of the full representation, and so are the scores.
         split = holdout_split(model, real, generated)
@@ -138,16 +139,13 @@ class TestPipelineModel:
         hop, _, cw = lgsqe.fit_representation(
             lgsqe.ImageSet(pixels), config.patch_size, config.stride, energy_threshold=config.energy_threshold
         )
-        every = representation_columns(hop, cw)
-        assert model.training["representation_width"] == len(every)
-        assert model.columns == tuple(every[i] for i in model.selection.indices)
-        assert model.spectral_kernels.shape == (len(spectral), model.saab.pooled_side**2)
-        for row, (_, ch, comp) in zip(model.spectral_kernels, spectral):
-            assert row.tobytes() == cw[ch][comp].tobytes()
+        assert hop.cw_widths == model.saab.cw_widths and model.training["representation_width"] == hop.width
+        assert model.spectral_kernels.shape == (spectral.size, model.saab.pooled_side**2)
+        assert model.spectral_kernels.tobytes() == np.concatenate(cw)[spectral].tobytes()
         # The stored rows reproduce the full training representation's columns bit for bit.
         train = unchunked_representation(hop, cw, lgsqe.ImageSet(pixels))
-        rebuilt = lgsqe.build_representation(lgsqe.ImageSet(pixels), loaded.saab, loaded.columns, loaded.spectral_kernels)
-        assert rebuilt.tobytes() == np.ascontiguousarray(train[:, model.selection.indices]).tobytes()
+        rebuilt = lgsqe.build_representation(lgsqe.ImageSet(pixels), loaded.saab, indices, loaded.spectral_kernels)
+        assert rebuilt.tobytes() == train[:, indices].tobytes()
         features = unchunked_representation(hop, cw, split.test_real)
         np.testing.assert_array_equal(
             loaded.score_images(split.test_real),
@@ -161,25 +159,27 @@ class TestPipelineModel:
         generated = lgsqe.gaussian_degrade(random_image_set(60, side=side, channels=channels, seed=side + 1), 0.1, seed=3)
         config = RunConfig(patch_size=3, stride=1, top_k=300, gbdt=GbdtParams(n_rounds=5, max_depth=3))
         model, _ = fit_pipeline(real, generated, config)
-        assert sum(col[0] == "spectral" for col in model.columns) > 0
+        indices = model.selection.indices
+        assert np.any(indices >= model.saab.spatial_width)  # a spectral column is stored
         feature = model.ensemble.feature
         np.testing.assert_array_equal(np.unique(feature[feature >= 0]), np.arange(model.ensemble.n_features))
         batch = random_image_set(600, side=side, channels=channels, seed=side + 2)
-        features = lgsqe.build_representation(batch, model.saab, model.columns, model.spectral_kernels)
+        features = lgsqe.build_representation(batch, model.saab, indices, model.spectral_kernels)
         scores = model.score_images(batch)
         # The unpruned forest: the same trees, splitting on the full representation from whole-set calls.
         pixels, _ = holdout_split(model, real, generated).train_union()
         hop, _, cw = lgsqe.fit_representation(lgsqe.ImageSet(pixels), config.patch_size, config.stride)
         full = unchunked_representation(hop, cw, batch)
+        assert features.tobytes() == full[:, indices].tobytes()
         unpruned = replace(
             model.ensemble,
-            feature=np.where(feature >= 0, model.selection.indices[feature], -1),
+            feature=np.where(feature >= 0, indices[feature], -1),
             n_features=full.shape[1],
         )
         assert unpruned.predict_score(full).tobytes() == scores.tobytes()
         for i in range(batch.count):
             alone = batch.subset(np.array([i]))
-            row = lgsqe.build_representation(alone, model.saab, model.columns, model.spectral_kernels)
+            row = lgsqe.build_representation(alone, model.saab, indices, model.spectral_kernels)
             assert row.tobytes() == features[i].tobytes()
             assert model.score_images(alone).tobytes() == scores[i].tobytes()
 
@@ -189,7 +189,7 @@ class TestPipelineModel:
         generated = random_image_set(40, side=16, seed=6, provenance="generated")
         config = RunConfig(patch_size=3, top_k=20, gbdt=GbdtParams(n_rounds=3, min_samples_leaf=60))
         model, _ = fit_pipeline(real, generated, config)
-        assert model.ensemble.n_features == 0 and model.columns == () and model.selection.indices.size == 0
+        assert model.ensemble.n_features == 0 and model.selection.indices.size == 0
         assert model.spectral_kernels.shape == (0, model.saab.pooled_side**2)
         assert model.training["selected_count"] == 20
         model.save(tmp_path / "a.json")

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import lgsqe
 from lgsqe import saab
 from lgsqe.errors import GeometryError
-from lgsqe.saab import PatchMatrix, kernel_rows, representation_columns
+from lgsqe.saab import PatchMatrix, kernel_rows
 
 from conftest import random_image_set, traced_peak, unchunked_representation
 
@@ -242,41 +243,64 @@ class TestChannelWiseSaab:
         assert [matrix.shape for matrix in kernels] == [(10, 225)] * 15
 
     def test_channel_count_mismatch(self, small_images):
-        # A spectral column of a channel the first hop does not have is refused.
+        # The fitted hop records one c/w width per channel; an index past them is refused.
         hop, _, cw = lgsqe.fit_representation(small_images, 3, 2)
-        assert len(cw) == hop.num_channels
+        assert hop.cw_widths == tuple(len(matrix) for matrix in cw) and len(cw) == hop.num_channels
         with pytest.raises(GeometryError):
-            lgsqe.build_representation(small_images, hop, [("spectral", len(cw), 0)], cw[0][:1])
+            lgsqe.build_representation(small_images, hop, [hop.width], cw[0][:1])
+
+    def test_cw_widths_checked(self, small_images):
+        # One width per channel, each at least 1 and at most the map size (the most rows a kernel matrix can have).
+        hop, _, _ = lgsqe.fit_representation(small_images, 3, 2)
+        size = hop.pooled_side**2
+        assert replace(hop, cw_widths=()).width == hop.spatial_width  # a hop fitted without c/w widths
+        for widths in (hop.cw_widths[:-1], hop.cw_widths + (1,), (0,) + hop.cw_widths[1:], (size + 1,) + hop.cw_widths[1:]):
+            with pytest.raises(GeometryError, match="cw_widths"):
+                replace(hop, cw_widths=widths)
 
 
 def build_all(images, hop, cw):
-    columns = representation_columns(hop, cw)
-    return lgsqe.build_representation(images, hop, columns, kernel_rows(cw, columns))
+    indices = np.arange(hop.width)
+    return lgsqe.build_representation(images, hop, indices, kernel_rows(hop, cw, indices))
+
+
+def spectral_indices(hop, channel):
+    """The indices of a channel's c/w coefficients, in row order."""
+    start = hop.spatial_width + sum(hop.cw_widths[:channel])
+    return np.arange(start, start + hop.cw_widths[channel])
 
 
 class TestBuildRepresentation:
     def test_width_matches_provenance_arithmetic(self, small_images):
         hop, pooled, cw = lgsqe.fit_representation(small_images, 3, 2)
-        columns = representation_columns(hop, cw)
         features = build_all(small_images, hop, cw)
         patches_grid = (16 - 3) // 2 + 1
         pooled_side = patches_grid // 2
         spatial = pooled_side * pooled_side * hop.num_channels
         spectral = sum(len(matrix) for matrix in cw)
-        assert features.shape == (small_images.count, spatial + spectral) and len(columns) == spatial + spectral
-        assert pooled.shape == (small_images.count, spatial)
-        assert all(p[0] == "spatial" for p in columns[:spatial])
-        assert all(p[0] == "spectral" for p in columns[spatial:])
-        # The fit's blocks and the built columns are the oracle's, in the order of the columns.
+        assert features.shape == (small_images.count, spatial + spectral) and hop.width == spatial + spectral
+        assert pooled.shape == (small_images.count, spatial) and hop.spatial_width == spatial
+        # The fit's blocks and the built columns are the oracle's, in index order.
         reference = unchunked_representation(hop, cw, small_images)
         np.testing.assert_array_equal(np.concatenate(list(saab.representation_blocks(pooled, cw)), axis=1), reference)
         np.testing.assert_array_equal(features, reference)
+        # The decode rule: a spatial index is a flat pooled position, a spectral one a row of the stacked c/w matrices.
+        maps = lgsqe.abs_max_pool(lgsqe.apply_saab(hop, small_images))
+        stacked, channel_of = np.concatenate(cw), np.repeat(np.arange(hop.num_channels), hop.cw_widths)
+        for j in range(hop.width):
+            if j < spatial:
+                cell, ch = divmod(j, hop.num_channels)
+                expected = maps[:, cell // pooled_side, cell % pooled_side, ch]
+            else:
+                flat = np.ascontiguousarray(maps[..., channel_of[j - spatial]].reshape(small_images.count, -1))
+                expected = np.einsum("ij,kj->ik", flat, stacked[j - spatial : j - spatial + 1])[:, 0]
+            assert reference[:, j].tobytes() == expected.tobytes()
 
     def test_zero_images(self, small_images):
         hop, _, cw = lgsqe.fit_representation(small_images, 3, 2)
         empty = lgsqe.ImageSet(np.empty((0, 16, 16, 1), dtype=np.float32), "real")
         features = build_all(empty, hop, cw)
-        assert features.shape == (0, len(representation_columns(hop, cw)))
+        assert features.shape == (0, hop.width)
 
     def test_deterministic(self, small_images):
         a, pooled_a, cw_a = lgsqe.fit_representation(small_images, 3, 2)
@@ -290,11 +314,10 @@ class TestBuildRepresentation:
         hop, pooled, cw = lgsqe.fit_representation(small_images, 3, 2)
         features = build_all(small_images, hop, cw)
         assert np.isfinite(features).all()
-        columns = representation_columns(hop, cw)
         pooled[3, 0] = np.nan  # the first spatial column, and the map of channel 0
-        for picked in (columns[:1], [col for col in columns if col[:2] == ("spectral", 0)][:1]):
+        for picked in (np.array([0]), spectral_indices(hop, 0)[:1]):
             with pytest.raises(ValueError, match="non-finite"):
-                saab.select_columns(pooled, hop, picked, kernel_rows(cw, picked))
+                saab.select_columns(pooled, hop, picked, kernel_rows(hop, cw, picked))
 
 
 class TestSelectedColumns:
@@ -304,44 +327,42 @@ class TestSelectedColumns:
     def fitted(self, request):
         side, channels = request.param
         hop, _, cw = lgsqe.fit_representation(random_image_set(240, side=side, channels=channels, seed=side), 3, 1)
-        every = representation_columns(hop, cw)
         rng = np.random.default_rng(side)
-        spectral_start = sum(col[0] == "spatial" for col in every)
+        start = hop.spatial_width
         indices = np.concatenate([
-            rng.choice(spectral_start, size=40, replace=False),
-            rng.choice(np.arange(spectral_start, len(every)), size=20, replace=False),
+            rng.choice(start, size=40, replace=False),
+            rng.choice(np.arange(start, hop.width), size=20, replace=False),
         ])
         rng.shuffle(indices)
-        columns = tuple(every[i] for i in indices)
-        read = {col[1] for col in columns if col[0] == "spectral"}
+        read = set(np.repeat(np.arange(hop.num_channels), hop.cw_widths)[indices[indices >= start] - start])
         assert 1 < len(read) < hop.num_channels  # some channels' maps are read, some are not
         # The selected spectral columns' kernel rows, as a fitted pipeline keeps them.
-        return hop, cw, kernel_rows(cw, columns), indices, columns, side, channels
+        return hop, cw, kernel_rows(hop, cw, indices), indices, side, channels
 
     @pytest.mark.parametrize("count", [0, 1, 25])
     def test_equals_full_representation_columns(self, fitted, count):
-        hop, cw, kernels, indices, columns, side, channels = fitted
+        hop, cw, kernels, indices, side, channels = fitted
         images = random_image_set(count, side=side, channels=channels, seed=100 + count)
         full = unchunked_representation(hop, cw, images)
         np.testing.assert_array_equal(build_all(images, hop, cw), full)
-        selected = lgsqe.build_representation(images, hop, columns, kernels)
-        assert selected.shape == (count, len(columns))
-        np.testing.assert_array_equal(selected, full[:, indices])
+        selected = lgsqe.build_representation(images, hop, indices, kernels)
+        assert selected.shape == (count, len(indices))
+        assert selected.tobytes() == full[:, indices].tobytes()
 
     def test_column_of_a_dropped_sub_model_rejected(self, fitted):
         # A spectral column is computed only from its given kernel row: one row per spectral column.
-        hop, cw, _, _, columns, side, channels = fitted
+        hop, cw, _, indices, side, channels = fitted
         image, size = random_image_set(1, side=side, channels=channels), hop.pooled_side**2
         with pytest.raises(GeometryError, match="spectral kernels"):
-            lgsqe.build_representation(image, hop, [("spectral", 0, 0)], np.empty((0, size)))
+            lgsqe.build_representation(image, hop, [hop.spatial_width], np.empty((0, size)))
         with pytest.raises(GeometryError, match="spectral kernels"):
-            lgsqe.build_representation(image, hop, [("spectral", 0, 0)], cw[0][:1, :-1])
-        spatial = [col for col in columns if col[0] == "spatial"]
+            lgsqe.build_representation(image, hop, [hop.spatial_width], cw[0][:1, :-1])
+        spatial = indices[indices < hop.spatial_width]
         built = lgsqe.build_representation(image, hop, spatial, np.empty((0, size)))
         assert built.shape == (1, len(spatial))
 
     def test_stored_row_equals_the_full_sub_model(self, fitted):
-        hop, cw, _, _, _, side, channels = fitted
+        hop, cw, _, _, side, channels = fitted
         images = random_image_set(9, side=side, channels=channels, seed=7)
         pooled = lgsqe.abs_max_pool(lgsqe.apply_saab(hop, images))
         for ch, matrix in enumerate(cw):
@@ -349,17 +370,20 @@ class TestSelectedColumns:
             block = np.einsum("ij,kj->ik", maps, matrix)
             for comp in {0, len(matrix) // 2, len(matrix) - 1}:
                 row = matrix[comp : comp + 1]
-                column = lgsqe.build_representation(images, hop, [("spectral", ch, comp)], row)
+                column = lgsqe.build_representation(images, hop, spectral_indices(hop, ch)[comp : comp + 1], row)
                 assert column.tobytes() == np.ascontiguousarray(block[:, comp : comp + 1]).tobytes()
 
-    @pytest.mark.parametrize(
-        "column", [("spatial", 99, 0, 0), ("spatial", 0, 0, -1), ("spectral", 0, 10**6), ("pooled", 0)]
-    )
+    @pytest.mark.parametrize("column", [("zero", -1), ("width", 0), ("width", 10**6), ("bare width", 0)])
     def test_unknown_column_rejected(self, fitted, column):
-        hop, _, _, _, _, side, channels = fitted
-        kernels = np.zeros((int(column[0] == "spectral"), hop.pooled_side**2))
-        with pytest.raises(GeometryError, match="no representation column"):
-            lgsqe.build_representation(random_image_set(1, side=side, channels=channels), hop, [column], kernels)
+        # An index is refused below 0 and from the width on; a hop without c/w widths has no spectral index.
+        hop, _, _, _, side, channels = fitted
+        base, offset = column
+        if base == "bare width":
+            hop = replace(hop, cw_widths=())
+        index = (0 if base == "zero" else hop.width) + offset
+        kernels = np.zeros((int(index >= hop.spatial_width), hop.pooled_side**2))
+        with pytest.raises(GeometryError, match="column indices must lie in"):
+            lgsqe.build_representation(random_image_set(1, side=side, channels=channels), hop, [index], kernels)
 
 
 def smooth_image_set(count, side, channels, seed):
@@ -389,17 +413,16 @@ class TestStreamedFirstHop:
         hop, pooled, cw = lgsqe.fit_representation(images, 3, 1)
         trained = unchunked_representation(hop, cw, images)
         np.testing.assert_array_equal(np.concatenate(list(saab.representation_blocks(pooled, cw)), axis=1), trained)
-        every = representation_columns(hop, cw)
-        assert len(every) == trained.shape[1]
-        indices = np.random.default_rng(side).choice(len(every), size=50, replace=False)
-        columns = [every[i] for i in indices]
+        assert hop.width == trained.shape[1]
+        indices = np.random.default_rng(side).choice(hop.width, size=50, replace=False)
+        kernels = kernel_rows(hop, cw, indices)
         # The fit's selected columns, read from its pooled matrix a few rows at a time.
-        np.testing.assert_array_equal(saab.select_columns(pooled, hop, columns, kernel_rows(cw, columns)), trained[:, indices])
+        np.testing.assert_array_equal(saab.select_columns(pooled, hop, indices, kernels), trained[:, indices])
 
         fresh = random_image_set(10, side=side, channels=channels, seed=side + 2)
         reference = unchunked_representation(hop, cw, fresh)
         np.testing.assert_array_equal(build_all(fresh, hop, cw), reference)
-        selected = lgsqe.build_representation(fresh, hop, columns, kernel_rows(cw, columns))
+        selected = lgsqe.build_representation(fresh, hop, indices, kernels)
         np.testing.assert_array_equal(selected, reference[:, indices])
 
     @pytest.mark.parametrize("side,channels", [(16, 1), (32, 3)], ids=["16x16x1", "32x32x3"])
@@ -444,17 +467,16 @@ class TestBoundedMemory:
 
     def test_build_selected_columns(self):
         hop, _, cw = lgsqe.fit_representation(self.images(64), 3, 1)
-        every = representation_columns(hop, cw)
-        spectral = [col for col in every if col[0] == "spectral" and col[1] == 5][:10]
-        columns = [col for col in every if col[0] == "spatial"][::7] + spectral
-        kernels = kernel_rows(cw, columns)
+        spectral = spectral_indices(hop, 5)[:10]
+        indices = np.concatenate([np.arange(hop.spatial_width)[::7], spectral])
+        kernels = kernel_rows(hop, cw, indices)
         map_size = hop.pooled_side**2
         # Kept whole: the result, and the read channel's map and its selected coefficients.
-        per_image = (len(columns) + map_size + len(spectral)) * 8
+        per_image = (len(indices) + map_size + len(spectral)) * 8
 
         def build(count):
             images = self.images(count)
-            _, peak = traced_peak(lambda: lgsqe.build_representation(images, hop, columns, kernels))
+            _, peak = traced_peak(lambda: lgsqe.build_representation(images, hop, indices, kernels))
             return peak
 
         assert build(4 * self.COUNT) - build(self.COUNT) <= 1.1 * 3 * self.COUNT * per_image
