@@ -10,15 +10,24 @@ Split gain is
 Each feature column is quantized once per fit into at most MAX_BINS = 256
 uint8 bins with cuts at rank quantiles; a column with at most 256 distinct
 values gets one bin per value, and on such columns the search picks the same
-splits as exact greedy.
-Per node, (g, h, count) histograms come from one ``np.bincount`` each; only
-the smaller child is counted, the larger one is its parent minus it (as in
-XGBoost ``hist`` and LightGBM). A split's threshold is the midpoint between
-the largest value going left and the smallest going right, or the latter if
-the midpoint rounds onto the former. Gain ties break toward the lowest feature
-index, then the lowest threshold, so fits are fully deterministic. Everything
-runs on plain numpy ops (sorts, gathers, bincounts, cumsums) whose results do
-not depend on BLAS thread counts, which keeps refits byte-identical.
+splits as exact greedy (up to partitions whose gains tie in exact arithmetic,
+which the two searches, summing in different orders, may round apart).
+Histograms are bin-major: a row's value in feature f with code c counts at
+``c * d + f``, so a node's (g, h, count) histogram is a (MAX_BINS, 3, d) array
+from one ``np.bincount`` each. Only the smaller child is counted, the larger
+one is its parent minus it (as in XGBoost ``hist`` and LightGBM), subtracted
+in place; a round that grows on all rows counts its root without gathering
+rows and reuses the counts taken once per fit. Trees grow depth first from an
+explicit stack, so the histograms alive are the current node's and those of
+right children still to grow. The split search takes the prefix sums over bins
+as one vector add per bin across every feature and scores only the candidate
+bins, with each feature's parent term computed once. A split's threshold is
+the midpoint between the largest value going left and the smallest going
+right, or the latter if the midpoint rounds onto the former. Gain ties break
+toward the lowest feature index, then the lowest threshold, so fits are fully
+deterministic. Everything runs on plain numpy ops (sorts, gathers, bincounts,
+elementwise adds) whose results do not depend on BLAS thread counts, which
+keeps refits byte-identical.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from .errors import FormatError, GeometryError, integer_array
 
 _PROB_EPS = 1e-15
 MAX_BINS = 256  # uint8 codes
+QUANTIZE_VALUES = 2**18  # values per column block of _quantize
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -83,20 +93,26 @@ def _quantize(x: np.ndarray) -> np.ndarray:
 
     A column with at most MAX_BINS distinct values gets one bin per value;
     otherwise a value's bin is its first rank scaled to MAX_BINS, so cuts sit
-    at rank quantiles and equal values always share a bin.
+    at rank quantiles and equal values always share a bin. Columns are coded
+    in blocks of about QUANTIZE_VALUES values, so the sort's temporaries keep
+    one size however many columns there are.
     """
     n, d = x.shape
-    cols = np.ascontiguousarray(x.T)
-    order = np.argsort(cols, axis=1)  # equal values get equal codes in any order
-    ranked = np.take_along_axis(cols, order, axis=1)
-    starts = np.ones((d, n), dtype=bool)
-    starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    dense = np.cumsum(starts, axis=1, dtype=np.int32) - 1
-    first = np.maximum.accumulate(np.where(starts, np.arange(n), 0), axis=1)
-    ranked_codes = np.where(dense[:, -1:] < MAX_BINS, dense, first * MAX_BINS // n)
-    codes = np.empty((d, n), dtype=np.uint8)
-    np.put_along_axis(codes, order, ranked_codes.astype(np.uint8), axis=1)
-    return np.ascontiguousarray(codes.T)
+    codes = np.empty((n, d), dtype=np.uint8)
+    step = max(1, QUANTIZE_VALUES // n)
+    for lo in range(0, d, step):
+        cols = np.ascontiguousarray(x[:, lo : lo + step].T)
+        order = np.argsort(cols, axis=1)  # equal values get equal codes in any order
+        ranked = np.take_along_axis(cols, order, axis=1)
+        starts = np.ones(cols.shape, dtype=bool)
+        starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+        dense = np.cumsum(starts, axis=1, dtype=np.int32) - 1
+        first = np.maximum.accumulate(np.where(starts, np.arange(n), 0), axis=1)
+        ranked_codes = np.where(dense[:, -1:] < MAX_BINS, dense, first * MAX_BINS // n)
+        block = np.empty(cols.shape, dtype=np.uint8)
+        np.put_along_axis(block, order, ranked_codes.astype(np.uint8), axis=1)
+        codes[:, lo : lo + step] = block.T
+    return codes
 
 
 class _TreeBuilder:
@@ -105,45 +121,59 @@ class _TreeBuilder:
 
     def __init__(self, x, flat, params: GbdtParams):
         self.x = x
-        self.flat = flat  # (n, d) index feature * MAX_BINS + code
+        self.flat = flat  # (n, d) bin-major index code * d + feature
         self.params = params
         self.feature, self.threshold, self.right, self.value, self.roots = [], [], [], [], []
         self.leaf = np.empty(x.shape[0], dtype=np.int64)  # the leaf each grown row lands in
+        # The root's counts whenever a round grows on all rows (no subsample): counted once per fit.
+        self.all_counts = np.bincount(flat.ravel(), minlength=MAX_BINS * x.shape[1])
+        self.cum = np.empty((MAX_BINS, 3, x.shape[1]))  # every split search's prefix sums
 
     def grow(self, rows: np.ndarray, g: np.ndarray, h: np.ndarray) -> int:
         """Append one tree grown over ascending row indices; return its root."""
         self.g, self.h = g, h
         self.roots.append(len(self.value))
-        self._build(rows, self._histogram(rows) if self._can_split(rows.size, 0) else None, 0)
+        # Depth first, so nodes append in preorder. The stack holds the nodes
+        # still to grow: rows, histogram, depth and the node whose right child
+        # it is (-1 for the root and left children).
+        stack = [(rows, self._histogram(rows) if self._can_split(rows.size, 0) else None, 0, -1)]
+        while stack:
+            stack += self._grow_node(*stack.pop())
         return self.roots[-1]
 
     def _can_split(self, n_rows: int, depth: int) -> bool:
         return depth < self.params.max_depth and n_rows >= 2 * self.params.min_samples_leaf
 
     def _histogram(self, rows: np.ndarray) -> np.ndarray:
-        """(3, d, MAX_BINS) sums of g, h and row counts per feature bin."""
-        d = self.flat.shape[1]
-        idx = self.flat[rows].ravel()
-        size = d * MAX_BINS
-        hist = np.stack([
-            np.bincount(idx, weights=np.repeat(self.g[rows], d), minlength=size),
-            np.bincount(idx, weights=np.repeat(self.h[rows], d), minlength=size),
-            np.bincount(idx, minlength=size).astype(np.float64),
-        ])
-        return hist.reshape(3, d, MAX_BINS)
+        """(MAX_BINS, 3, d) sums of g, h and row counts per bin and feature."""
+        n, d = self.flat.shape
+        size = MAX_BINS * d
+        if rows.size == n:  # the rows ascend without repeats, so they are all rows, in order
+            idx, g, h, counts = self.flat.ravel(), self.g, self.h, self.all_counts
+        else:
+            idx, g, h = self.flat[rows].ravel(), self.g[rows], self.h[rows]
+            counts = np.bincount(idx, minlength=size)
+        hist = np.empty((MAX_BINS, 3, d))
+        hist[:, 0] = np.bincount(idx, weights=np.repeat(g, d), minlength=size).reshape(MAX_BINS, d)
+        hist[:, 1] = np.bincount(idx, weights=np.repeat(h, d), minlength=size).reshape(MAX_BINS, d)
+        hist[:, 2] = counts.reshape(MAX_BINS, d)
+        return hist
 
-    def _build(self, rows: np.ndarray, hist: np.ndarray | None, depth: int) -> None:
-        """Grow a node; hist is None iff the node cannot split."""
+    def _grow_node(self, rows: np.ndarray, hist: np.ndarray | None, depth: int, parent: int) -> tuple:
+        """Append a node; return its children to grow, right first. hist is
+        None iff the node cannot split; a split reuses it for a child's."""
         node = len(self.value)
-        split = None if hist is None else self._best_split(hist)
+        if parent >= 0:
+            self.right[parent] = node
+        split = None if hist is None else _best_split(hist, self.params, self.cum)
         if split is None:
             denom = float(self.h[rows].sum()) + self.params.reg_lambda
             self._append(-1, 0.0, -float(self.g[rows].sum()) / denom if denom > 0 else 0.0)
             self.leaf[rows] = node
-            return
+            return ()
 
         feat, bin_ = split
-        goes_left = self.flat[rows, feat] <= feat * MAX_BINS + bin_
+        goes_left = self.flat[rows, feat] <= bin_ * self.flat.shape[1] + feat
         left_rows, right_rows = rows[goes_left], rows[~goes_left]
         need_left = self._can_split(left_rows.size, depth + 1)
         need_right = self._can_split(right_rows.size, depth + 1)
@@ -151,18 +181,19 @@ class _TreeBuilder:
         if need_left or need_right:  # then the larger child can split
             if left_rows.size <= right_rows.size:
                 left_hist = self._histogram(left_rows)
-                right_hist = hist - left_hist
+                right_hist = np.subtract(hist, left_hist, out=hist)
             else:
                 right_hist = self._histogram(right_rows)
-                left_hist = hist - right_hist
+                left_hist = np.subtract(hist, right_hist, out=hist)
 
         values = self.x[rows, feat]
         max_left, min_right = float(values[goes_left].max()), float(values[~goes_left].min())
         mid = (max_left + min_right) / 2.0  # rounds onto max_left when the two are adjacent doubles
         self._append(feat, mid if max_left < mid <= min_right else min_right, 0.0)
-        self._build(left_rows, left_hist if need_left else None, depth + 1)
-        self.right[node] = len(self.value)
-        self._build(right_rows, right_hist if need_right else None, depth + 1)
+        return (
+            (right_rows, right_hist if need_right else None, depth + 1, node),
+            (left_rows, left_hist if need_left else None, depth + 1, -1),
+        )
 
     def _append(self, feature: int, threshold: float, value: float) -> None:
         self.feature.append(feature)
@@ -170,32 +201,53 @@ class _TreeBuilder:
         self.right.append(-1)
         self.value.append(value)
 
-    def _best_split(self, hist: np.ndarray) -> tuple[int, int] | None:
-        """(feature, last left bin) of the best split, or None if none gains."""
-        lam = self.params.reg_lambda
-        min_leaf = self.params.min_samples_leaf
-        g_cum, h_cum, n_cum = np.cumsum(hist, axis=2)
-        n_node = n_cum[0, -1]
-        # One candidate per distinct partition: the last non-empty bin going
-        # left. Ascending feature-major order makes argmax tie-break
-        # (feature, threshold).
-        cand = np.flatnonzero((hist[2] > 0) & (n_cum >= min_leaf) & (n_cum <= n_node - min_leaf))
-        if cand.size == 0:
-            return None
-        feat = cand // MAX_BINS
-        gl = g_cum.ravel()[cand]
-        hl = h_cum.ravel()[cand]
-        g_tot = g_cum[feat, -1]
-        h_tot = h_cum[feat, -1]
-        gr = g_tot - gl
-        hr = h_tot - hl
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gain = 0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - g_tot**2 / (h_tot + lam))
-        gain = np.where(np.isfinite(gain), gain, -np.inf)
-        best = int(np.argmax(gain))
-        if gain[best] <= 0.0:
-            return None
-        return divmod(int(cand[best]), MAX_BINS)
+
+def _best_split(hist: np.ndarray, params: GbdtParams, cum: np.ndarray) -> tuple[int, int] | None:
+    """(feature, last left bin) of the best split in a (MAX_BINS, 3, d)
+    histogram, or None if none gains; ``cum`` is scratch of hist's shape."""
+    lam = params.reg_lambda
+    min_leaf = params.min_samples_leaf
+    d = hist.shape[2]
+    # Per-feature prefix sums over bins, one add per bin across every feature.
+    cum[0] = hist[0]
+    for prev, h, out in zip(cum, hist[1:], cum[1:]):
+        np.add(prev, h, out=out)
+    g_tot, h_tot, n_tot = cum[-1]
+    n_cum = cum[:, 2]
+    # One candidate per distinct partition: the last non-empty bin going
+    # left, in bin-major order (bin * d + feature).
+    cand = np.flatnonzero((hist[:, 2] > 0) & (n_cum >= min_leaf) & (n_cum <= n_tot[0] - min_leaf))
+    if cand.size == 0:
+        return None
+    bins = cand // d
+    feat = cand - bins * d
+    at = cand + bins * (2 * d)  # (bin, 0, feature) in cum
+    gl = cum.ravel()[at]
+    at += d
+    hl = cum.ravel()[at]
+    gr = g_tot[feat]
+    gr -= gl
+    hr = h_tot[feat]
+    hr -= hl
+    with np.errstate(divide="ignore", invalid="ignore"):
+        parent = g_tot**2 / (h_tot + lam)
+        # gain = 0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - parent), in place
+        gain = np.square(gl, out=gl)
+        gain /= np.add(hl, lam, out=hl)
+        np.square(gr, out=gr)
+        gr /= np.add(hr, lam, out=hr)
+        gain += gr
+        gain -= parent[feat]
+        gain *= 0.5
+    gain[~np.isfinite(gain)] = -np.inf
+    best = gain.max()
+    if best <= 0.0:
+        return None
+    # Ties break toward the lowest feature, then the lowest bin: among the
+    # tied candidates, which ascend by bin, the first of the lowest feature.
+    tied = np.flatnonzero(gain == best)
+    first = tied[np.argmin(feat[tied])]
+    return int(feat[first]), int(bins[first])
 
 
 def _descend(x, rows, node, feature, threshold, right) -> np.ndarray:
@@ -309,7 +361,9 @@ def fit_ensemble(
 
     base = float(np.log(n1 / (y.size - n1)))
     margin = np.full(y.size, base)
-    flat = _quantize(x) + np.arange(x.shape[1], dtype=np.intp) * MAX_BINS
+    flat = _quantize(x).astype(np.intp)
+    flat *= x.shape[1]
+    flat += np.arange(x.shape[1])  # bin-major: code * d + feature
     all_rows = np.arange(y.size)
     rng = np.random.default_rng(seed)
 

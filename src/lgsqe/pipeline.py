@@ -105,6 +105,8 @@ class RunConfig:
             raise ValueError("num_bins must be >= 2")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
+        if self.histogram_bins < 2:
+            raise ValueError("histogram_bins must be >= 2")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must lie in (0, 1)")
         if not 0.0 < self.real_fraction <= 1.0:

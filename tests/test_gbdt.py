@@ -5,7 +5,9 @@ import pytest
 
 import lgsqe
 from lgsqe.errors import FormatError, GeometryError
-from lgsqe.gbdt import MAX_BINS, BoostedEnsemble, GbdtParams, _log_loss, _sigmoid, fit_ensemble
+from lgsqe.gbdt import MAX_BINS, BoostedEnsemble, GbdtParams, _best_split, _log_loss, _sigmoid, fit_ensemble
+
+from conftest import traced_peak
 
 
 def separable_1d(n=100, seed=0):
@@ -150,39 +152,52 @@ def _reference_margin(ensemble, features):
     return margin
 
 
-def _exact_greedy_tree(x, g, h, rows, params):
+def _exact_greedy_split(x, g, h, rows, params):
     """Reference: exact greedy split search over each feature's sorted values.
+
+    Returns (gain, feature, threshold, left rows, right rows) of the best
+    split of the node holding ``rows``, or None if no split gains.
+    """
+    lam, min_leaf = params.reg_lambda, params.min_samples_leaf
+    best_gain, best = -np.inf, None
+    for feat in range(x.shape[1]):
+        order = rows[np.argsort(x[rows, feat], kind="stable")]
+        vals = x[order, feat]
+        g_cum, h_cum = np.cumsum(g[order]), np.cumsum(h[order])
+        gl, hl = g_cum[:-1], h_cum[:-1]
+        gr, hr = g_cum[-1] - gl, h_cum[-1] - hl
+        gain = 0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - g_cum[-1] ** 2 / (h_cum[-1] + lam))
+        counts = np.arange(1, rows.size)
+        valid = (vals[:-1] != vals[1:]) & (counts >= min_leaf) & (rows.size - counts >= min_leaf)
+        gain = np.where(valid, gain, -np.inf)
+        pos = int(np.argmax(gain))
+        if gain[pos] > best_gain:
+            best_gain = gain[pos]
+            best = feat, (vals[pos] + vals[pos + 1]) / 2.0, np.sort(order[: pos + 1]), np.sort(order[pos + 1 :])
+    return None if best is None or best_gain <= 0.0 else (best_gain, *best)
+
+
+def _can_split(rows, depth, params):
+    return depth < params.max_depth and rows.size >= 2 * params.min_samples_leaf
+
+
+def _exact_greedy_tree(x, g, h, rows, params):
+    """Reference: a tree of exact greedy splits.
 
     Returns (feature, threshold, left, right, value) lists in preorder, the
     node order of the library's builder.
     """
-    lam, min_leaf = params.reg_lambda, params.min_samples_leaf
     nodes = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
 
     def grow(rows, depth):
         node = len(nodes["feature"])
         for key, blank in (("feature", -1), ("threshold", 0.0), ("left", -1), ("right", -1), ("value", 0.0)):
             nodes[key].append(blank)
-        best_gain, best = -np.inf, None
-        if depth < params.max_depth and rows.size >= 2 * min_leaf:
-            for feat in range(x.shape[1]):
-                order = rows[np.argsort(x[rows, feat], kind="stable")]
-                vals = x[order, feat]
-                g_cum, h_cum = np.cumsum(g[order]), np.cumsum(h[order])
-                gl, hl = g_cum[:-1], h_cum[:-1]
-                gr, hr = g_cum[-1] - gl, h_cum[-1] - hl
-                gain = 0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - g_cum[-1] ** 2 / (h_cum[-1] + lam))
-                counts = np.arange(1, rows.size)
-                valid = (vals[:-1] != vals[1:]) & (counts >= min_leaf) & (rows.size - counts >= min_leaf)
-                gain = np.where(valid, gain, -np.inf)
-                pos = int(np.argmax(gain))
-                if gain[pos] > best_gain:
-                    best_gain = gain[pos]
-                    best = feat, (vals[pos] + vals[pos + 1]) / 2.0, np.sort(order[: pos + 1]), np.sort(order[pos + 1 :])
-        if best is None or best_gain <= 0.0:
-            nodes["value"][node] = -g[rows].sum() / (h[rows].sum() + lam)
+        best = _exact_greedy_split(x, g, h, rows, params) if _can_split(rows, depth, params) else None
+        if best is None:
+            nodes["value"][node] = -g[rows].sum() / (h[rows].sum() + params.reg_lambda)
             return node
-        feat, thr, left_rows, right_rows = best
+        _, feat, thr, left_rows, right_rows = best
         nodes["feature"][node], nodes["threshold"][node] = feat, thr
         nodes["left"][node] = grow(left_rows, depth + 1)
         nodes["right"][node] = grow(right_rows, depth + 1)
@@ -192,10 +207,9 @@ def _exact_greedy_tree(x, g, h, rows, params):
     return nodes
 
 
-def _few_valued_fixture(seed, n=300):
-    """Columns with 2 to MAX_BINS distinct values, one column duplicated."""
+def _few_valued_fixture(seed, n=300, levels=(2, 7, 40, MAX_BINS)):
+    """Columns with the given numbers of distinct values, the second one duplicated."""
     rng = np.random.default_rng(seed)
-    levels = [2, 7, 40, MAX_BINS]
     columns = [rng.normal(size=k)[rng.integers(0, k, n)] for k in levels]
     features = np.stack(columns + [columns[1]], axis=1)
     labels = (features[:, 0] + 0.5 * features[:, 2] + 0.7 * rng.normal(size=n) > 0).astype(float)
@@ -232,6 +246,116 @@ class TestHistogramOracle:
             assert np.where(right >= 0, right - root, -1).tolist() == ref["right"]
             np.testing.assert_allclose(ensemble.value[root:end], ref["value"], rtol=0, atol=1e-12)
             margin = margin + params.learning_rate * ensemble.value[leaves[:, t]]
+
+    def test_small_nodes_split_as_well_as_exact_greedy(self):
+        """Many columns of 3 to 6 values and single-row leaves: deep trees end
+        in nodes of a few rows (3 at the median leaf), where most of the bin
+        grid is empty. There, several partitions often tie in exact
+        arithmetic, and the two searches, summing in different orders, may
+        round the tie apart. So each node is checked on its own: a split must
+        gain what exact greedy's best gains, and a leaf must be a node exact
+        greedy would not split either."""
+        features, labels = _few_valued_fixture(3, levels=(3, 4, 5, 6) * 6)
+        params = GbdtParams(n_rounds=6, max_depth=7, min_samples_leaf=1)
+        lam = params.reg_lambda
+        ensemble = fit_ensemble(features, labels, params)
+        margin = np.full(labels.size, ensemble.base_score)
+        leaves = _reference_leaves(ensemble, features)
+        for t, root in enumerate(ensemble.roots):
+            p = _sigmoid(margin)
+            g, h = p - labels, p * (1.0 - p)
+
+            def check(node, rows, depth):
+                best = _exact_greedy_split(features, g, h, rows, params) if _can_split(rows, depth, params) else None
+                feat = ensemble.feature[node]
+                if feat < 0:
+                    assert best is None or best[0] < 1e-12
+                    assert ensemble.value[node] == pytest.approx(-g[rows].sum() / (h[rows].sum() + lam), abs=1e-12)
+                    return
+                goes_left = features[rows, feat] < ensemble.threshold[node]
+                sides = [(g[side].sum(), h[side].sum()) for side in (rows[goes_left], rows[~goes_left])]
+                (gl, hl), (gr, hr) = sides
+                gain = 0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - (gl + gr) ** 2 / (hl + hr + lam))
+                assert best is not None and gain == pytest.approx(best[0], rel=1e-9, abs=1e-12)
+                check(node + 1, rows[goes_left], depth + 1)
+                check(ensemble.right[node], rows[~goes_left], depth + 1)
+
+            check(root, np.arange(labels.size), 0)
+            margin = margin + params.learning_rate * ensemble.value[leaves[:, t]]
+
+
+def _reference_best_split(hist, params):
+    """Oracle for _best_split: the feature-major scan over a (3, d, MAX_BINS) histogram."""
+    lam = params.reg_lambda
+    min_leaf = params.min_samples_leaf
+    g_cum, h_cum, n_cum = np.cumsum(hist, axis=2)
+    n_node = n_cum[0, -1]
+    # Ascending feature-major order makes argmax tie-break (feature, threshold).
+    cand = np.flatnonzero((hist[2] > 0) & (n_cum >= min_leaf) & (n_cum <= n_node - min_leaf))
+    if cand.size == 0:
+        return None
+    feat = cand // MAX_BINS
+    gl = g_cum.ravel()[cand]
+    hl = h_cum.ravel()[cand]
+    g_tot = g_cum[feat, -1]
+    h_tot = h_cum[feat, -1]
+    gr = g_tot - gl
+    hr = h_tot - hl
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = 0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - g_tot**2 / (h_tot + lam))
+    gain = np.where(np.isfinite(gain), gain, -np.inf)
+    best = int(np.argmax(gain))
+    if gain[best] <= 0.0:
+        return None
+    return divmod(int(cand[best]), MAX_BINS)
+
+
+def _bin_major_histogram(codes, g, h, rows):
+    """(MAX_BINS, 3, d) sums of g, h and counts over ``rows``, as the builder counts them."""
+    d = codes.shape[1]
+    idx = (codes[rows] * d + np.arange(d)).ravel()
+    sums = [np.bincount(idx, weights=np.repeat(w[rows], d), minlength=MAX_BINS * d) for w in (g, h)]
+    counts = np.bincount(idx, minlength=MAX_BINS * d).astype(np.float64)
+    return np.stack(sums + [counts]).reshape(3, MAX_BINS, d).transpose(1, 0, 2).copy()
+
+
+def _random_node_histograms(seed):
+    """Histograms of a node, its counted child and the sibling left as their
+    difference, where the node itself is its parent minus a counted sibling,
+    so that bins no row reaches keep residues. Columns have few to many codes,
+    one is empty and some are constant or duplicated; gradients are integers
+    (exact ties within and across columns) or normal, and some hessians are 0."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 400))
+    levels = rng.choice([1, 2, 3, 8, 40, MAX_BINS], size=12)
+    codes = np.stack([rng.integers(0, k, n) for k in levels], axis=1)
+    codes = np.hstack([codes, codes[:, :3]])  # duplicates tie exactly with their originals
+    if seed % 2:
+        g = rng.integers(-2, 3, n).astype(np.float64)
+        h = rng.choice([0.0, 0.25], n)
+    else:
+        g = rng.normal(size=n)
+        h = rng.uniform(0.0, 0.25, n) * (rng.random(n) < 0.8)
+    rows = np.arange(n)
+    parts = rng.choice(3, n, p=[0.3, 0.6, 0.1])  # 0: the node's sibling; 1: its counted child; 2: the rest
+    node = _bin_major_histogram(codes, g, h, rows) - _bin_major_histogram(codes, g, h, rows[parts == 0])
+    child = _bin_major_histogram(codes, g, h, rows[parts == 1])
+    hists = [node, child, node - child]
+    for hist in hists:
+        hist[:, :, 5] = 0.0  # a column no row reaches
+    return hists
+
+
+class TestBestSplit:
+    """The bin-major scan against the feature-major oracle, on bit-equal histograms."""
+
+    @pytest.mark.parametrize("reg_lambda, min_samples_leaf", [(1.0, 1), (0.0, 1), (0.5, 3), (0.0, 7)])
+    def test_same_split_as_feature_major_scan(self, reg_lambda, min_samples_leaf):
+        params = GbdtParams(reg_lambda=reg_lambda, min_samples_leaf=min_samples_leaf)
+        for seed in range(48):
+            for hist in _random_node_histograms(seed):
+                expected = _reference_best_split(hist.transpose(1, 2, 0), params)
+                assert _best_split(hist, params, np.empty_like(hist)) == expected, f"seed {seed}"
 
 
 class TestQuantized:
@@ -359,6 +483,24 @@ class TestPredict:
         ensemble = fit_ensemble(features, labels, GbdtParams(n_rounds=6, max_depth=3, min_samples_leaf=2))
         clone = BoostedEnsemble.from_dict(json.loads(json.dumps(ensemble.to_dict())))
         np.testing.assert_array_equal(clone.predict_score(features), ensemble.predict_score(features))
+
+
+class TestBoundedMemory:
+    def test_fit_ensemble_peak_per_value(self):
+        """Quadrupling the rows grows the fit's peak by at most 20 bytes per
+        (row, column): the intp bin index and one row-repeated weight vector
+        (8 bytes each), not the quantizer's full-size sort temporaries."""
+        d = 200
+
+        def peak(n):
+            rng = np.random.default_rng(n)
+            features = rng.normal(size=(n, d))
+            labels = (features[:, 0] + rng.normal(size=n) > 0).astype(float)
+            _, peak = traced_peak(lambda: fit_ensemble(features, labels, GbdtParams(n_rounds=2, max_depth=2)))
+            return peak
+
+        small, large = 4_000, 16_000
+        assert peak(large) - peak(small) <= 20 * (large - small) * d
 
 
 class TestParams:

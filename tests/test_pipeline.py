@@ -73,6 +73,8 @@ class TestRunConfig:
             RunConfig(test_fraction=0.0).validate()
         with pytest.raises(ValueError):
             RunConfig(energy_threshold=0.0).validate()
+        with pytest.raises(ValueError, match="histogram_bins must be >= 2"):
+            RunConfig(histogram_bins=1).validate()
 
 
 class TestPipelineModel:
