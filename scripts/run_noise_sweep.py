@@ -11,13 +11,13 @@ Each writes one CSV into --out-dir and prints a summary line per row.
 """
 
 import argparse
-import csv
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from lgsqe import ImageSet, stroke_images
+from lgsqe.datasets import write_csv
 from lgsqe.evaluate import accuracy, confusion, filter_samples
 from lgsqe.gbdt import GbdtParams
 from lgsqe.pipeline import RunConfig, fit_and_evaluate
@@ -31,10 +31,7 @@ def noise_ladder(real, base, config, out_path):
         _, _, report = fit_and_evaluate(real, generated, config)
         rows.append((sigma, report.accuracy, report.pr_auc))
         print(f"[ladder] sigma={sigma:.2f}  accuracy={report.accuracy:.4f}  pr_auc={report.pr_auc:.4f}")
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sigma", "accuracy", "pr_auc"])
-        writer.writerows(rows)
+    write_csv(out_path, ("sigma", "accuracy", "pr_auc"), rows)
 
 
 def filtering_curve(real, base, config, out_path):
@@ -52,10 +49,7 @@ def filtering_curve(real, base, config, out_path):
         acc = accuracy(confusion(scores, labels, 0.5))
         rows.append((keep, m, gen_scores[kept].mean(), acc))
         print(f"[filter] keep={keep:.1f}  kept={m}  mean_score={rows[-1][2]:.4f}  accuracy={acc:.4f}")
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["keep_fraction", "kept_count", "mean_kept_score", "accuracy"])
-        writer.writerows(rows)
+    write_csv(out_path, ("keep_fraction", "kept_count", "mean_kept_score", "accuracy"), rows)
 
 
 def training_sweep(real, base, config, out_path):
@@ -65,10 +59,7 @@ def training_sweep(real, base, config, out_path):
         _, _, report = fit_and_evaluate(real, generated, replace(config, real_fraction=fraction))
         rows.append((fraction, report.accuracy))
         print(f"[sweep] real_fraction={fraction:.2f}  accuracy={report.accuracy:.4f}")
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["real_fraction", "accuracy"])
-        writer.writerows(rows)
+    write_csv(out_path, ("real_fraction", "accuracy"), rows)
 
 
 def main():

@@ -85,12 +85,11 @@ def cmd_eval(args) -> int:
     real = load_images(args.real, fmt=args.real_format, provenance="real")
     generated = load_images(args.generated, fmt=args.generated_format, provenance="generated")
 
-    use = args.use
-    if use == "auto":
-        use = "holdout" if matches_training_data(model, real, generated) else "all"
+    matches = args.use != "all" and matches_training_data(model, real, generated)
+    if args.use == "holdout" and not matches:
+        raise LgsqeError("--use holdout requires the exact files the model was fitted on")
+    use = "holdout" if matches else "all"
     if use == "holdout":
-        if not matches_training_data(model, real, generated):
-            raise LgsqeError("--use holdout requires the exact files the model was fitted on")
         split = holdout_split(model, real, generated)
         real_eval, gen_eval = split.test_real, split.test_generated
     else:

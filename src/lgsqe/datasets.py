@@ -186,27 +186,35 @@ def load_images(path, fmt: str = "auto", provenance: str | None = None) -> Image
 
 @dataclass(frozen=True, eq=False)
 class LabeledSplit:
-    """Disjoint train/test partitions of a real and a generated ImageSet.
+    """Disjoint train/test index sets into a real and a generated ImageSet.
 
-    Real samples carry label 0, generated samples label 1. The split's real
-    fraction subsamples only the real training portion; test sets are never
-    shrunk.
+    Real samples carry label 0, generated samples label 1. Only the indices
+    are stored; test sets are gathered on read. The real fraction subsamples
+    only the real training indices; test sets are never shrunk.
     """
 
-    train_real: ImageSet
-    train_generated: ImageSet
-    test_real: ImageSet
-    test_generated: ImageSet
+    real: ImageSet
+    generated: ImageSet
     train_real_idx: np.ndarray
     train_generated_idx: np.ndarray
     test_real_idx: np.ndarray
     test_generated_idx: np.ndarray
 
+    @property
+    def test_real(self) -> ImageSet:
+        return self.real.subset(self.test_real_idx)
+
+    @property
+    def test_generated(self) -> ImageSet:
+        return self.generated.subset(self.test_generated_idx)
+
     def train_union(self) -> tuple[np.ndarray, np.ndarray]:
-        """The training pixels, real then generated, and their labels."""
-        real, generated = self.train_real, self.train_generated
-        labels = np.concatenate([np.zeros(real.count, dtype=np.int8), np.ones(generated.count, dtype=np.int8)])
-        return np.concatenate([real.pixels, generated.pixels], axis=0), labels
+        """The training pixels, real then generated, gathered into one array, and their labels."""
+        n_real, n_gen = self.train_real_idx.size, self.train_generated_idx.size
+        pixels = np.empty((n_real + n_gen, *self.real.pixels.shape[1:]), dtype=np.float32)
+        np.take(self.real.pixels, self.train_real_idx, axis=0, out=pixels[:n_real])
+        np.take(self.generated.pixels, self.train_generated_idx, axis=0, out=pixels[n_real:])
+        return pixels, np.concatenate([np.zeros(n_real, dtype=np.int8), np.ones(n_gen, dtype=np.int8)])
 
 
 def make_labeled_split(
@@ -242,13 +250,4 @@ def make_labeled_split(
     n_train_real = int(real_fraction * train_real_full.size)
     train_real_idx = np.sort(train_real_full[:n_train_real])
 
-    return LabeledSplit(
-        train_real=real.subset(train_real_idx),
-        train_generated=generated.subset(train_gen_idx),
-        test_real=real.subset(test_real_idx),
-        test_generated=generated.subset(test_gen_idx),
-        train_real_idx=train_real_idx,
-        train_generated_idx=train_gen_idx,
-        test_real_idx=test_real_idx,
-        test_generated_idx=test_gen_idx,
-    )
+    return LabeledSplit(real, generated, train_real_idx, train_gen_idx, test_real_idx, test_gen_idx)

@@ -328,6 +328,10 @@ class BoostedEnsemble:
 
     def __post_init__(self):
         """Check that children follow their parent inside its tree, so every descent ends at a leaf."""
+        for name in ("learning_rate", "base_score"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise FormatError(f"ensemble {name} must be a number, got {value!r}")
         n = self.value.size
         if self.roots.ndim != 1 or {a.shape for a in (self.feature, self.threshold, self.right, self.value)} != {(n,)}:
             raise FormatError("ensemble node arrays must be flat and of equal length")

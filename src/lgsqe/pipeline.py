@@ -51,7 +51,7 @@ def imageset_fingerprint(images: ImageSet) -> str:
     h = hashlib.sha256()
     h.update(repr(images.pixels.shape).encode())
     h.update(images.provenance.encode())
-    h.update(np.ascontiguousarray(images.pixels, dtype="<f4").tobytes())
+    h.update(np.ascontiguousarray(images.pixels, dtype="<f4"))
     return h.hexdigest()
 
 
@@ -204,6 +204,20 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _config(doc: dict) -> RunConfig:
+    """The config block read from JSON: known keys, each value of its key's type (a float key also takes an int, and
+    no key a bool), validated as ``fit`` validates it."""
+    for key, value in doc.items():
+        if key not in CONFIG_FIELDS:
+            raise FormatError(f"unknown config key {key!r}")
+        types = CONFIG_FIELDS[key][1]
+        if type(value) not in types and not (type(value) is int and float in types):
+            raise FormatError(f"config.{key} must be {types[0].__name__}, got {value!r}")
+    config = RunConfig.from_dict(doc)
+    config.validate()
+    return config
+
+
 def _training(doc) -> dict:
     """The training record read from JSON; evaluation reads its fingerprints."""
     prints = doc.get("fingerprints") if isinstance(doc, dict) else None
@@ -274,7 +288,7 @@ class PipelineModel:
         version = doc.get("format_version", "")
         if version.split(".")[0] != MODEL_VERSION.split(".")[0]:
             raise VersionError(f"unsupported model format version {version!r}")
-        config = RunConfig.from_dict(doc["config"])
+        config = _config(doc["config"])
         saab = _saab_from_dict(doc["saab"])
         kernels = np.asarray(doc["selection"]["spectral_kernels"], dtype=np.float64)
         model = cls(
@@ -295,6 +309,9 @@ class PipelineModel:
                 f"ensemble expects {self.ensemble.n_features} features, selection has {self.selection.indices.size}"
             )
         split_columns(self.saab, self.selection.indices, self.spectral_kernels)
+        width = self.training.get("representation_width")
+        if width != self.saab.width:
+            raise FormatError(f"training.representation_width {width!r} differs from the saab width {self.saab.width}")
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -335,18 +352,18 @@ def fit_pipeline(real: ImageSet, generated: ImageSet, config: RunConfig) -> tupl
     tick = time.perf_counter()
     split = _labeled_split(real, generated, config)
     train_pixels, train_labels = split.train_union()
-    train_images = ImageSet(train_pixels, REAL)
     timings["split"] = time.perf_counter() - tick
 
     tick = time.perf_counter()
     saab, pooled, cw = fit_representation(
-        train_images,
+        ImageSet(train_pixels, REAL),
         patch_size=config.patch_size,
         stride=config.stride,
         energy_threshold=config.energy_threshold,
         explicit_channels=config.k1,
         cw_explicit_channels=config.cw_k,
     )
+    del train_pixels
     timings["representation"] = time.perf_counter() - tick
 
     tick = time.perf_counter()
@@ -373,7 +390,7 @@ def fit_pipeline(real: ImageSet, generated: ImageSet, config: RunConfig) -> tupl
         "fingerprints": {"real": imageset_fingerprint(real), "generated": imageset_fingerprint(generated)},
         "representation_width": saab.width,
         "selected_count": int(selection.indices.size),
-        "train_counts": {"real": split.train_real.count, "generated": split.train_generated.count},
+        "train_counts": {"real": split.train_real_idx.size, "generated": split.train_generated_idx.size},
         "train_accuracy": train_correct / train_labels.size,
     }
     model = PipelineModel(

@@ -97,6 +97,9 @@ class SaabModel:
     cw_widths: tuple[int, ...] = ()
 
     def __post_init__(self):
+        geometry = {name: getattr(self, name) for name in ("input_side", "channels", "patch_size", "stride")}
+        if not all(type(v) is int and v >= 1 for v in geometry.values()) or self.patch_size > self.input_side:
+            raise GeometryError(f"saab geometry {geometry} must be positive integers with patch_size <= input_side")
         size = self.pooled_side**2
         if self.cw_widths and (
             len(self.cw_widths) != self.num_channels or not all(1 <= w <= size for w in self.cw_widths)

@@ -176,6 +176,16 @@ class TestScore:
             ("short-cw-widths", "cw_widths"),
             ("zero-cw-width", "cw_widths"),
             ("wide-cw-width", "cw_widths"),
+            ("zero-stride", "saab geometry"),
+            ("float-stride", "saab geometry"),
+            ("string-threshold", "config.threshold"),
+            ("string-histogram-bins", "config.histogram_bins"),
+            ("string-test-fraction", "config.test_fraction"),
+            ("bool-top-k", "config.top_k"),
+            ("out-of-range-threshold", "threshold must lie in [0, 1]"),
+            ("string-learning-rate", "ensemble learning_rate"),
+            ("string-base-score", "ensemble base_score"),
+            ("wrong-representation-width", "training.representation_width"),
         ],
     )
     def test_malformed_model_one_error_line(self, cli_data, fitted_model, tmp_path, capsys, fault, key):
@@ -185,7 +195,23 @@ class TestScore:
         saab, selection, forest = doc["saab"], doc["selection"], doc["ensemble"]
         split = int(np.flatnonzero(np.asarray(forest["feature"]) >= 0)[0])  # a node whose feature and right are not -1
         map_size = (((saab["input_side"] - saab["patch_size"]) // saab["stride"] + 1) // 2) ** 2  # pooled_side**2
-        if fault == "no-ensemble-roots":
+        # Wrong types and values that would otherwise load, then fail later (if at all) without naming the file.
+        edits = {
+            "zero-stride": (saab, "stride", 0),
+            "float-stride": (saab, "stride", 2.0),
+            "string-threshold": (doc["config"], "threshold", "x"),
+            "string-histogram-bins": (doc["config"], "histogram_bins", "x"),
+            "string-test-fraction": (doc["config"], "test_fraction", "0.2"),
+            "bool-top-k": (doc["config"], "top_k", True),
+            "out-of-range-threshold": (doc["config"], "threshold", 1.5),
+            "string-learning-rate": (forest, "learning_rate", "x"),
+            "string-base-score": (forest, "base_score", "x"),
+            "wrong-representation-width": (doc["training"], "representation_width", 5),
+        }
+        if fault in edits:
+            block, name, value = edits[fault]
+            block[name] = value
+        elif fault == "no-ensemble-roots":
             del forest["roots"]
         elif fault == "no-saab-stride":
             del saab["stride"]
@@ -364,6 +390,20 @@ class TestEval:
         code = main(["eval", str(fitted_model), str(real_path), str(fresh), "-o", str(tmp_path / "r.json"), "--use", "holdout"])
         assert code == 1
         assert "lgsqe: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("use", ["auto", "holdout"])
+    def test_sources_hashed_once(self, cli_data, fitted_model, tmp_path, monkeypatch, use):
+        _, real_path, gen_path = cli_data
+        hashed, fingerprint = [], lgsqe.pipeline.imageset_fingerprint
+
+        def counted(images):
+            hashed.append(images.provenance)
+            return fingerprint(images)
+
+        monkeypatch.setattr(lgsqe.pipeline, "imageset_fingerprint", counted)
+        out = tmp_path / "r.json"
+        assert main(["eval", str(fitted_model), str(real_path), str(gen_path), "-o", str(out), "--use", use]) == 0
+        assert hashed == ["real", "generated"] and json.loads(out.read_text())["metadata"]["evaluated_on"] == "holdout"
 
     def test_repeat_eval_byte_identical(self, cli_data, fitted_model, tmp_path):
         tmp, real_path, gen_path = cli_data

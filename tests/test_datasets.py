@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import lgsqe
 from lgsqe.errors import FormatError, GeometryError, LengthError, LgsqeError, VersionError
 
-from conftest import damaged_file, random_image_set
+from conftest import damaged_file, random_image_set, traced_peak
 
 
 def write_idx(path, images: np.ndarray) -> None:
@@ -190,15 +190,15 @@ class TestSplit:
         real = random_image_set(1000, seed=1)
         generated = random_image_set(1000, seed=2, provenance="generated")
         split = lgsqe.make_labeled_split(real, generated, test_fraction=0.2, real_fraction=1.0, seed=0)
-        assert split.train_real.count == 800 and split.train_generated.count == 800
+        assert split.train_real_idx.size == 800 and split.train_generated_idx.size == 800
         assert split.test_real.count == 200 and split.test_generated.count == 200
 
     def test_real_fraction_shrinks_only_real_train(self):
         real = random_image_set(1000, seed=1)
         generated = random_image_set(1000, seed=2, provenance="generated")
         split = lgsqe.make_labeled_split(real, generated, test_fraction=0.2, real_fraction=0.2, seed=0)
-        assert split.train_real.count == 160
-        assert split.train_generated.count == 800
+        assert split.train_real_idx.size == 160
+        assert split.train_generated_idx.size == 800
         assert split.test_real.count == 200 and split.test_generated.count == 200
 
     def test_same_seed_identical(self):
@@ -230,7 +230,7 @@ class TestSplit:
         split = lgsqe.make_labeled_split(real, generated, test_fraction, real_fraction, seed)
         assert not set(split.train_real_idx) & set(split.test_real_idx)
         assert not set(split.train_generated_idx) & set(split.test_generated_idx)
-        assert split.train_generated.count + split.test_generated.count == n_gen
+        assert split.train_generated_idx.size + split.test_generated.count == n_gen
 
     def test_union_labels(self):
         real = random_image_set(10, seed=1)
@@ -238,7 +238,36 @@ class TestSplit:
         split = lgsqe.make_labeled_split(real, generated, seed=0)
         _, labels = split.train_union()
         assert set(labels.tolist()) == {0, 1}
-        assert labels.sum() == split.train_generated.count
+        assert labels.sum() == split.train_generated_idx.size
+
+    def test_gathers_equal_subsets(self):
+        real = random_image_set(40, side=6, channels=3, seed=1)
+        generated = random_image_set(30, side=6, channels=3, seed=2, provenance="generated")
+        split = lgsqe.make_labeled_split(real, generated, test_fraction=0.3, real_fraction=0.5, seed=5)
+        assert split.real is real and split.generated is generated
+        for gathered, source, idx in (
+            (split.test_real, real, split.test_real_idx),
+            (split.test_generated, generated, split.test_generated_idx),
+        ):
+            assert gathered.provenance == source.provenance
+            assert gathered.pixels.tobytes() == source.subset(idx).pixels.tobytes()
+        pixels, labels = split.train_union()
+        expected = np.concatenate(
+            [real.subset(split.train_real_idx).pixels, generated.subset(split.train_generated_idx).pixels]
+        )
+        assert pixels.shape == expected.shape and pixels.tobytes() == expected.tobytes()
+        counts = [split.train_real_idx.size, split.train_generated_idx.size]
+        assert labels.tobytes() == np.repeat(np.int8([0, 1]), counts).tobytes()
+
+    def test_split_allocates_no_pixels(self):
+        # At a fixed image count only the index arrays are allocated, so the peak does not grow with the image
+        # side; copying the subsets would cost the whole pixel tensor (3.1 MB per source at side 64).
+        peaks = {}
+        for side in (4, 64):
+            real = random_image_set(200, side=side, seed=1)
+            generated = random_image_set(200, side=side, seed=2, provenance="generated")
+            _, peaks[side] = traced_peak(lambda: lgsqe.make_labeled_split(real, generated, seed=3))
+        assert peaks[64] <= peaks[4] + 1024, peaks
 
     def test_empty_source_rejected(self):
         real = random_image_set(10, seed=1)

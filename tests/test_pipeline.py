@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -33,6 +34,14 @@ class TestSeeds:
         b = random_image_set(4, seed=2)
         assert imageset_fingerprint(a) == imageset_fingerprint(lgsqe.ImageSet(a.pixels, "real"))
         assert imageset_fingerprint(a) != imageset_fingerprint(b)
+
+    def test_fingerprint_hashes_the_pixels_in_place(self):
+        # The digest of shape, provenance and pixel bytes, taken without a bytes copy of the pixels.
+        images = random_image_set(64, side=32, channels=3, seed=3)
+        expected = hashlib.sha256(repr(images.pixels.shape).encode() + b"real" + images.pixels.astype("<f4").tobytes())
+        digest, peak = traced_peak(lambda: imageset_fingerprint(images))
+        assert digest == expected.hexdigest()
+        assert peak < images.pixels.nbytes, peak
 
 
 class TestRunConfig:

@@ -258,6 +258,14 @@ class TestChannelWiseSaab:
             with pytest.raises(GeometryError, match="cw_widths"):
                 replace(hop, cw_widths=widths)
 
+    def test_geometry_checked(self, small_images):
+        # Positive integers only, and a patch no larger than the image: a zero stride divided by zero in pooled_side.
+        hop = replace(lgsqe.fit_representation(small_images, 3, 2)[0], cw_widths=())
+        bad = {"stride": 0, "input_side": -16, "patch_size": 17, "channels": True}
+        for name, value in (*bad.items(), ("stride", 2.0)):
+            with pytest.raises(GeometryError, match="saab geometry"):
+                replace(hop, **{name: value})
+
 
 def build_all(images, hop, cw):
     indices = np.arange(hop.width)

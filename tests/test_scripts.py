@@ -38,5 +38,7 @@ def test_run_noise_sweep(tmp_path):
     }
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(headers)
     for name, header in headers.items():
-        lines = (tmp_path / name).read_text().splitlines()
+        raw = (tmp_path / name).read_bytes()
+        assert b"\r" not in raw  # lines end in LF, as in every CSV the CLI writes
+        lines = raw.decode().splitlines()
         assert lines[0] == header and len(lines) == 6  # five rows per sub-experiment
