@@ -17,7 +17,7 @@ from .datasets import (
     make_labeled_split,
     save_raw_tensor,
 )
-from .dft import DftRanking, FeatureSelection, dft_loss, rank_features, select_features
+from .dft import DftRanking, dft_loss, rank_features, select_features
 from .errors import FormatError, GeometryError, LengthError, LgsqeError, VersionError
 from .evaluate import (
     ConfusionCounts,

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .datasets import load_images, save_raw_tensor, write_csv
+from .datasets import ImageSet, load_images, save_raw_tensor, write_csv
 from .dft import write_ranking_csv
 from .errors import LgsqeError
 from .evaluate import filter_samples, histogram_svg, write_scores_csv
@@ -47,15 +47,25 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 def _build_config(args: argparse.Namespace) -> RunConfig:
     doc = parse_config_file(args.config) if args.config else {}
     doc.update({key: value for key in CONFIG_FIELDS if (value := getattr(args, key)) is not None})
-    config = RunConfig.from_dict(doc)
-    config.validate()
-    return config
+    return RunConfig.from_dict(doc)
+
+
+def _add_sources(parser: argparse.ArgumentParser, real_help: str | None = None, generated_help: str | None = None):
+    """The real and the generated image file, each with its format flag."""
+    parser.add_argument("real", help=real_help)
+    parser.add_argument("generated", help=generated_help)
+    parser.add_argument("--real-format", default="auto", choices=FORMATS)
+    parser.add_argument("--generated-format", default="auto", choices=FORMATS)
+
+
+def _load_sources(args: argparse.Namespace) -> tuple[ImageSet, ImageSet]:
+    real = load_images(args.real, fmt=args.real_format, provenance="real")
+    return real, load_images(args.generated, fmt=args.generated_format, provenance="generated")
 
 
 def cmd_fit(args) -> int:
     config = _build_config(args)
-    real = load_images(args.real, fmt=args.real_format, provenance="real")
-    generated = load_images(args.generated, fmt=args.generated_format, provenance="generated")
+    real, generated = _load_sources(args)
     model, record = fit_pipeline(real, generated, config)
     model.save(args.out)
     if args.ranking_csv:
@@ -82,8 +92,7 @@ def cmd_score(args) -> int:
 
 def cmd_eval(args) -> int:
     model = PipelineModel.load(args.model)
-    real = load_images(args.real, fmt=args.real_format, provenance="real")
-    generated = load_images(args.generated, fmt=args.generated_format, provenance="generated")
+    real, generated = _load_sources(args)
 
     matches = args.use != "all" and matches_training_data(model, real, generated)
     if args.use == "holdout" and not matches:
@@ -136,8 +145,7 @@ def cmd_sweep(args) -> int:
     if not args.fractions:
         raise LgsqeError("at least one real-sample fraction is required")
     config = _build_config(args)
-    real = load_images(args.real, fmt=args.real_format, provenance="real")
-    generated = load_images(args.generated, fmt=args.generated_format, provenance="generated")
+    real, generated = _load_sources(args)
     rows = []
     for fraction in args.fractions:
         model, _, report = fit_and_evaluate(real, generated, replace(config, real_fraction=fraction))
@@ -156,11 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="train a pipeline on a real and a generated source")
-    p_fit.add_argument("real", help="real image file (idx/cifar/lgt)")
-    p_fit.add_argument("generated", help="generated image file")
     p_fit.add_argument("-o", "--out", required=True, help="output model JSON path")
-    p_fit.add_argument("--real-format", default="auto", choices=FORMATS)
-    p_fit.add_argument("--generated-format", default="auto", choices=FORMATS)
+    _add_sources(p_fit, "real image file (idx/cifar/lgt)", "generated image file")
     p_fit.add_argument("--ranking-csv", help="also export the feature ranking as CSV")
     _add_config_flags(p_fit)
     p_fit.set_defaults(func=cmd_fit)
@@ -174,11 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="aggregate model-level metrics on test data")
     p_eval.add_argument("model")
-    p_eval.add_argument("real")
-    p_eval.add_argument("generated")
     p_eval.add_argument("-o", "--out", required=True, help="output report JSON path")
-    p_eval.add_argument("--real-format", default="auto", choices=FORMATS)
-    p_eval.add_argument("--generated-format", default="auto", choices=FORMATS)
+    _add_sources(p_eval)
     p_eval.add_argument(
         "--use",
         default="auto",
@@ -200,12 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_filter.set_defaults(func=cmd_filter)
 
     p_sweep = sub.add_parser("sweep", help="refit over a grid of real-sample fractions")
-    p_sweep.add_argument("real")
-    p_sweep.add_argument("generated")
     p_sweep.add_argument("-o", "--out", required=True, help="output CSV path")
     p_sweep.add_argument("--fractions", type=float, nargs="+", required=True)
-    p_sweep.add_argument("--real-format", default="auto", choices=FORMATS)
-    p_sweep.add_argument("--generated-format", default="auto", choices=FORMATS)
+    _add_sources(p_sweep)
     _add_config_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 

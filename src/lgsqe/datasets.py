@@ -200,6 +200,14 @@ class LabeledSplit:
     test_real_idx: np.ndarray
     test_generated_idx: np.ndarray
 
+    def __post_init__(self):
+        """Check every index here, so train_union gathers with ``mode="clip"``, which buffers no output."""
+        for name, source in (("real", self.real), ("generated", self.generated)):
+            for part in ("train", "test"):
+                idx = getattr(self, f"{part}_{name}_idx")
+                if idx.size and not (idx.min() >= 0 and idx.max() < source.count):
+                    raise IndexError(f"{part}_{name}_idx must lie in [0, {source.count})")
+
     @property
     def test_real(self) -> ImageSet:
         return self.real.subset(self.test_real_idx)
@@ -212,8 +220,8 @@ class LabeledSplit:
         """The training pixels, real then generated, gathered into one array, and their labels."""
         n_real, n_gen = self.train_real_idx.size, self.train_generated_idx.size
         pixels = np.empty((n_real + n_gen, *self.real.pixels.shape[1:]), dtype=np.float32)
-        np.take(self.real.pixels, self.train_real_idx, axis=0, out=pixels[:n_real])
-        np.take(self.generated.pixels, self.train_generated_idx, axis=0, out=pixels[n_real:])
+        np.take(self.real.pixels, self.train_real_idx, axis=0, out=pixels[:n_real], mode="clip")
+        np.take(self.generated.pixels, self.train_generated_idx, axis=0, out=pixels[n_real:], mode="clip")
         return pixels, np.concatenate([np.zeros(n_real, dtype=np.int8), np.ones(n_gen, dtype=np.int8)])
 
 

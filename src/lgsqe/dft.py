@@ -32,15 +32,6 @@ from .datasets import write_csv
 BLOCK_VALUES = 2**20  # values per column block, about 8 MB of float64
 
 
-def _label_entropy(n1: int, n: int) -> float:
-    out = 0.0
-    for c in (n - n1, n1):
-        if c > 0:
-            p = c / n
-            out -= p * np.log(p)
-    return out
-
-
 def _binary_labels(labels) -> np.ndarray:
     """Labels as 0/1 integers; every label must be 0 or 1 (or bool) and both must occur."""
     labels = np.asarray(labels)
@@ -110,7 +101,7 @@ def _score_block(block: np.ndarray, y: np.ndarray, num_bins: int) -> tuple[np.nd
     best = weighted.argmin(axis=1)  # ties go to the smallest partition point
     rows = np.arange(w)
     constant = f_min == f_max
-    losses = np.where(constant, _label_entropy(n1, n), weighted[rows, best])
+    losses = np.where(constant, _side_entropy(n - n1, n1, n), weighted[rows, best])
     return losses, np.where(constant, f_min, cuts[rows, best])
 
 
@@ -171,17 +162,6 @@ def rank_features(features: np.ndarray | Iterator[np.ndarray], labels: np.ndarra
     return DftRanking(losses=losses, thresholds=thresholds, order=np.argsort(losses, kind="stable"))
 
 
-@dataclass(frozen=True, eq=False)
-class FeatureSelection:
-    """Column indices kept for classification, ordered by ascending loss."""
-
-    indices: np.ndarray
-    elbow_index: int | None = None
-
-    def __len__(self) -> int:
-        return self.indices.size
-
-
 def _elbow_index(sorted_losses: np.ndarray) -> int:
     """Index of maximum perpendicular distance to the endpoint chord."""
     d = sorted_losses.size
@@ -193,17 +173,17 @@ def _elbow_index(sorted_losses: np.ndarray) -> int:
     return int(np.argmax(dist))
 
 
-def select_features(ranking: DftRanking, mode: str = "top_k", k: int | None = None) -> FeatureSelection:
-    """Pick a prefix of the ascending-loss ordering, by count or by elbow."""
+def select_features(ranking: DftRanking, mode: str = "top_k", k: int | None = None) -> np.ndarray:
+    """The indices of the columns kept for classification, a prefix of the
+    ascending-loss ordering picked by count or by elbow (which it ends at)."""
     if mode == "top_k":
         if k is None or not 1 <= k <= ranking.dimension:
             raise ValueError(f"k must lie in [1, {ranking.dimension}], got {k}")
-        return FeatureSelection(ranking.order[:k].copy())
+        return ranking.order[:k].copy()
     if mode == "elbow":
         if ranking.dimension < 3:
             raise ValueError("elbow selection needs at least 3 dimensions")
-        elbow = _elbow_index(ranking.losses[ranking.order])
-        return FeatureSelection(ranking.order[: elbow + 1].copy(), elbow_index=elbow)
+        return ranking.order[: _elbow_index(ranking.losses[ranking.order]) + 1].copy()
     raise ValueError(f"unknown selection mode {mode!r}")
 
 

@@ -164,19 +164,9 @@ class EvaluationReport:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "EvaluationReport":
-        counts = ConfusionCounts(**doc["counts"])
-        return cls(
-            counts=counts,
-            accuracy=doc["accuracy"],
-            precision=doc["precision"],
-            recall=doc["recall"],
-            pr_auc=doc["pr_auc"],
-            roc_auc=doc["roc_auc"],
-            threshold=doc["threshold"],
-            histogram=doc["histogram"],
-            metadata=doc.get("metadata", {}),
-            version=doc["format_version"],
-        )
+        """Inverse of to_dict."""
+        doc = dict(doc)
+        return cls(counts=ConfusionCounts(**doc.pop("counts")), version=doc.pop("format_version"), **doc)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

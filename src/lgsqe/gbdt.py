@@ -124,7 +124,6 @@ class _TreeBuilder:
         self.flat = flat  # (n, d) bin-major index code * d + feature
         self.params = params
         self.feature, self.threshold, self.right, self.value, self.roots = [], [], [], [], []
-        self.leaf = np.empty(x.shape[0], dtype=np.int64)  # the leaf each grown row lands in
         # The root's counts whenever a round grows on all rows (no subsample): counted once per fit.
         self.all_counts = np.bincount(flat.ravel(), minlength=MAX_BINS * x.shape[1])
         self.cum = np.empty((MAX_BINS, 3, x.shape[1]))  # every split search's prefix sums
@@ -169,7 +168,6 @@ class _TreeBuilder:
         if split is None:
             denom = float(self.h[rows].sum()) + self.params.reg_lambda
             self._append(-1, 0.0, -float(self.g[rows].sum()) / denom if denom > 0 else 0.0)
-            self.leaf[rows] = node
             return ()
 
         feat, bin_ = split
@@ -382,12 +380,9 @@ def fit_ensemble(
             rows = np.sort(picked)
         else:
             rows = all_rows
-        root = forest.grow(rows, g, h)  # then take the new tree's node arrays, indexed from its root
+        root = forest.grow(rows, g, h)  # then every row descends the new tree, indexed from its root
         feature, threshold, right, value = (np.asarray(getattr(forest, k)[root:]) for k in list(_NODE_ARRAYS)[:4])
-        leaf = forest.leaf - root
-        if rows.size < y.size:  # rows left out of the subsample descend the new tree
-            out = np.setdiff1d(all_rows, rows, assume_unique=True)
-            leaf[out] = _descend(x, out, np.zeros_like(out), feature, threshold, right - root)
+        leaf = _descend(x, all_rows, np.zeros_like(all_rows), feature, threshold, right - root)
         margin = margin + params.learning_rate * value[leaf]
         losses.append(_log_loss(y, _sigmoid(margin)))
 

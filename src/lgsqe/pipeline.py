@@ -23,9 +23,9 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .datasets import REAL, ImageSet, make_labeled_split
-from .dft import FeatureSelection, rank_features, select_features
+from .dft import rank_features, select_features
 from .errors import FormatError, GeometryError, VersionError, integer_array
-from .evaluate import EvaluationReport, aggregate_report
+from .evaluate import EvaluationReport, accuracy, aggregate_report, confusion
 from .gbdt import BoostedEnsemble, GbdtParams, fit_ensemble
 from .saab import (
     SaabModel,
@@ -120,10 +120,19 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        """Inverse of to_dict; missing keys take their defaults."""
+        """Inverse of to_dict, validated; missing keys take their defaults. Every key must be known and its value of
+        the key's type (a float key also takes an int, and no key a bool)."""
+        for key, value in doc.items():
+            if key not in CONFIG_FIELDS:
+                raise ValueError(f"unknown config key {key!r}")
+            types = CONFIG_FIELDS[key][1]
+            if type(value) not in types and not (type(value) is int and float in types):
+                raise ValueError(f"config.{key} must be {types[0].__name__}, got {value!r}")
         gbdt_kwargs = {k[5:]: v for k, v in doc.items() if k.startswith("gbdt_")}
         plain = {k: v for k, v in doc.items() if not k.startswith("gbdt_")}
-        return cls(gbdt=GbdtParams(**gbdt_kwargs), **plain)
+        config = cls(gbdt=GbdtParams(**gbdt_kwargs), **plain)
+        config.validate()
+        return config
 
 
 def _config_fields() -> dict[str, tuple[Field, tuple[type, ...]]]:
@@ -204,20 +213,6 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _config(doc: dict) -> RunConfig:
-    """The config block read from JSON: known keys, each value of its key's type (a float key also takes an int, and
-    no key a bool), validated as ``fit`` validates it."""
-    for key, value in doc.items():
-        if key not in CONFIG_FIELDS:
-            raise FormatError(f"unknown config key {key!r}")
-        types = CONFIG_FIELDS[key][1]
-        if type(value) not in types and not (type(value) is int and float in types):
-            raise FormatError(f"config.{key} must be {types[0].__name__}, got {value!r}")
-    config = RunConfig.from_dict(doc)
-    config.validate()
-    return config
-
-
 def _training(doc) -> dict:
     """The training record read from JSON; evaluation reads its fingerprints."""
     prints = doc.get("fingerprints") if isinstance(doc, dict) else None
@@ -230,15 +225,15 @@ def _training(doc) -> dict:
 class PipelineModel:
     """A fully fitted pipeline plus the record of how it was trained.
 
-    ``selection.indices`` holds the representation index of each stored
-    column (see the ``saab`` module for how an index decodes): the selected
-    columns that some tree splits on. Scoring computes only those. ``saab``
-    is the first hop; ``spectral_kernels`` holds, per spectral index in
-    ``selection.indices`` order, its row of its channel's c/w kernel matrix.
+    ``indices`` (``selection.indices`` in the file) holds the representation
+    index of each stored column (see the ``saab`` module for how an index
+    decodes): the selected columns that some tree splits on. Scoring computes
+    only those. ``saab`` is the first hop; ``spectral_kernels`` holds, per
+    spectral index in ``indices`` order, its row of its channel's c/w matrix.
     """
 
     saab: SaabModel
-    selection: FeatureSelection
+    indices: np.ndarray
     spectral_kernels: np.ndarray
     ensemble: BoostedEnsemble
     config: RunConfig
@@ -247,7 +242,7 @@ class PipelineModel:
 
     def score_images(self, images: ImageSet) -> np.ndarray:
         """Soft score per image; near 0 means realistic, near 1 detectable."""
-        features = build_representation(images, self.saab, self.selection.indices, self.spectral_kernels)
+        features = build_representation(images, self.saab, self.indices, self.spectral_kernels)
         return self.ensemble.predict_score(features)
 
     def evaluate(
@@ -276,7 +271,7 @@ class PipelineModel:
             "config": self.config.to_dict(),
             "saab": _saab_to_dict(self.saab),
             "selection": {
-                "indices": [int(i) for i in self.selection.indices],
+                "indices": [int(i) for i in self.indices],
                 "spectral_kernels": self.spectral_kernels.tolist(),
             },
             "ensemble": self.ensemble.to_dict(),
@@ -288,12 +283,12 @@ class PipelineModel:
         version = doc.get("format_version", "")
         if version.split(".")[0] != MODEL_VERSION.split(".")[0]:
             raise VersionError(f"unsupported model format version {version!r}")
-        config = _config(doc["config"])
+        config = RunConfig.from_dict(doc["config"])
         saab = _saab_from_dict(doc["saab"])
         kernels = np.asarray(doc["selection"]["spectral_kernels"], dtype=np.float64)
         model = cls(
             saab=saab,
-            selection=FeatureSelection(integer_array(doc["selection"]["indices"], "selection.indices")),
+            indices=integer_array(doc["selection"]["indices"], "selection.indices"),
             spectral_kernels=kernels.reshape(-1, saab.pooled_side**2),
             ensemble=BoostedEnsemble.from_dict(doc["ensemble"]),
             config=config,
@@ -304,11 +299,11 @@ class PipelineModel:
         return model
 
     def _check_consistency(self):
-        if self.ensemble.n_features != self.selection.indices.size:
+        if self.ensemble.n_features != self.indices.size:
             raise GeometryError(
-                f"ensemble expects {self.ensemble.n_features} features, selection has {self.selection.indices.size}"
+                f"ensemble expects {self.ensemble.n_features} features, selection has {self.indices.size}"
             )
-        split_columns(self.saab, self.selection.indices, self.spectral_kernels)
+        split_columns(self.saab, self.indices, self.spectral_kernels)
         width = self.training.get("representation_width")
         if width != self.saab.width:
             raise FormatError(f"training.representation_width {width!r} differs from the saab width {self.saab.width}")
@@ -368,34 +363,33 @@ def fit_pipeline(real: ImageSet, generated: ImageSet, config: RunConfig) -> tupl
 
     tick = time.perf_counter()
     ranking = rank_features(representation_blocks(pooled, cw), train_labels, num_bins=config.num_bins)
-    selection = select_features(ranking, config.select_mode, config.top_k)  # the elbow ignores top_k
+    selected = select_features(ranking, config.select_mode, config.top_k)  # the elbow ignores top_k
     timings["dft"] = time.perf_counter() - tick
 
     tick = time.perf_counter()
-    train = select_columns(pooled, saab, selection.indices, kernel_rows(saab, cw, selection.indices))
+    train = select_columns(pooled, saab, selected, kernel_rows(saab, cw, selected))
     del pooled
     ensemble = fit_ensemble(train, train_labels, config.gbdt, seed=derive_seed(config.seed, "gbdt"))
     timings["gbdt"] = time.perf_counter() - tick
 
-    train_scores = ensemble.predict_score(train)
-    train_correct = int(np.sum((train_scores >= config.threshold) == (train_labels == 1)))
+    train_accuracy = accuracy(confusion(ensemble.predict_score(train), train_labels, config.threshold))
     # Number the split-on columns compactly: every split still compares the same value with the same threshold.
     splits = ensemble.feature >= 0
     used, compact = np.unique(ensemble.feature[splits], return_inverse=True)
     feature = ensemble.feature.copy()
     feature[splits] = compact
     ensemble = replace(ensemble, feature=feature, n_features=used.size)
-    indices = selection.indices[used]
+    indices = selected[used]
     training = {
         "fingerprints": {"real": imageset_fingerprint(real), "generated": imageset_fingerprint(generated)},
         "representation_width": saab.width,
-        "selected_count": int(selection.indices.size),
+        "selected_count": int(selected.size),
         "train_counts": {"real": split.train_real_idx.size, "generated": split.train_generated_idx.size},
-        "train_accuracy": train_correct / train_labels.size,
+        "train_accuracy": train_accuracy,
     }
     model = PipelineModel(
         saab=saab,
-        selection=FeatureSelection(indices),
+        indices=indices,
         spectral_kernels=kernel_rows(saab, cw, indices),
         ensemble=ensemble,
         config=config,

@@ -185,6 +185,9 @@ class TestLoaderFuzz:
         assert images.pixels.size == 0 or 0.0 <= images.pixels.min() <= images.pixels.max() <= 1.0
 
 
+INDEX_FIELDS = ["train_real_idx", "train_generated_idx", "test_real_idx", "test_generated_idx"]
+
+
 class TestSplit:
     def test_counts_arithmetic(self):
         real = random_image_set(1000, seed=1)
@@ -268,6 +271,25 @@ class TestSplit:
             generated = random_image_set(200, side=side, seed=2, provenance="generated")
             _, peaks[side] = traced_peak(lambda: lgsqe.make_labeled_split(real, generated, seed=3))
         assert peaks[64] <= peaks[4] + 1024, peaks
+
+    def test_union_allocates_only_itself(self):
+        # Gathering straight into the union: np.take's default mode="raise" would buffer each half (1.5x in all).
+        real = random_image_set(500, side=32, channels=3, seed=1)
+        generated = random_image_set(500, side=32, channels=3, seed=2, provenance="generated")
+        split = lgsqe.make_labeled_split(real, generated, seed=3)
+        (pixels, labels), peak = traced_peak(split.train_union)
+        assert peak <= 1.05 * (pixels.nbytes + labels.nbytes), (peak, pixels.nbytes)
+
+    @pytest.mark.parametrize("field", INDEX_FIELDS)
+    @pytest.mark.parametrize("bad", [10, -1])
+    def test_out_of_range_index_rejected(self, field, bad):
+        real = random_image_set(10, seed=1)
+        generated = random_image_set(10, seed=2, provenance="generated")
+        split = lgsqe.make_labeled_split(real, generated, seed=0)
+        indices = {name: getattr(split, name).copy() for name in INDEX_FIELDS}
+        indices[field][0] = bad  # a clipped gather would read image 9 or 0 instead
+        with pytest.raises(IndexError, match=field):
+            lgsqe.LabeledSplit(real, generated, **indices)
 
     def test_empty_source_rejected(self):
         real = random_image_set(10, seed=1)

@@ -350,13 +350,13 @@ class TestSelectFeatures:
     def test_top_k_prefix(self):
         ranking = self._ranking_of(np.linspace(0.7, 0.1, 1000))
         selection = select_features(ranking, "top_k", k=800)
-        assert len(selection) == 800
-        assert selection.indices[0] == 999  # smallest loss is the last column
+        assert selection.size == 800
+        assert selection[0] == 999  # smallest loss is the last column
 
     def test_top_k_identity(self):
         ranking = self._ranking_of([0.3, 0.1, 0.2])
         selection = select_features(ranking, "top_k", k=3)
-        np.testing.assert_array_equal(np.sort(selection.indices), [0, 1, 2])
+        np.testing.assert_array_equal(np.sort(selection), [0, 1, 2])
 
     def test_k_out_of_range(self):
         ranking = self._ranking_of([0.3, 0.1, 0.2])
@@ -375,9 +375,9 @@ class TestSelectFeatures:
         dx, dy = 499.0, sorted_losses[-1] - sorted_losses[0]
         dist = np.abs(dx * (sorted_losses - sorted_losses[0]) - dy * x) / np.hypot(dx, dy)
         oracle_elbow = int(np.argmax(dist))
-        assert selection.elbow_index == oracle_elbow
-        assert abs(selection.elbow_index - 50) <= 1
-        assert len(selection) == selection.elbow_index + 1
+        assert abs(oracle_elbow - 50) <= 1
+        assert selection.size == oracle_elbow + 1
+        np.testing.assert_array_equal(selection, ranking.order[: oracle_elbow + 1])
 
     def test_elbow_internal_helper_matches(self):
         rng = np.random.default_rng(5)

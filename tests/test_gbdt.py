@@ -425,8 +425,8 @@ class TestPackedForest:
 
     @pytest.mark.parametrize("name", ["stumps", "depth-6", "subsample"])
     def test_final_train_loss_matches_prediction(self, name):
-        # The fit takes each training row's leaf from the growth (and the
-        # left-out rows from a descent); prediction must land on the same leaves.
+        # The fit finds every training row's leaf by the descent prediction
+        # uses, subsampled or not, so its last margin is prediction's margin.
         features, labels, ensemble = self._fit(PACKED_FIXTURES[name])
         assert ensemble.train_loss[-1] == _log_loss(labels, _sigmoid(ensemble.predict_margin(features)))
 

@@ -85,6 +85,21 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="histogram_bins must be >= 2"):
             RunConfig(histogram_bins=1).validate()
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"bogus": 1}, "unknown config key 'bogus'"),
+            ({"top_k": True}, "config.top_k must be int, got True"),
+            ({"threshold": "0.5"}, "config.threshold must be float, got '0.5'"),
+            ({"test_fraction": 1.5}, r"test_fraction must lie in \(0, 1\)"),
+        ],
+        ids=["unknown-key", "bool-top-k", "string-threshold", "test-fraction-above-1"],
+    )
+    def test_from_dict_checks_and_validates(self, doc, message):
+        # The one reader of a flat config dict, for model files and the command line alike.
+        with pytest.raises(ValueError, match=message):
+            RunConfig.from_dict(doc)
+
 
 class TestPipelineModel:
     def test_save_load_save_byte_identical(self, small_pipeline, tmp_path):
@@ -125,15 +140,15 @@ class TestPipelineModel:
         # A spectral column without a stored kernel row: the model stores no whole c/w kernel matrix to take one from.
         model, _, _ = small_pipeline
         doc = json.loads(model.to_json())
-        spectral, spatial = model.saab.spatial_width + 1, model.selection.indices < model.saab.spatial_width
-        assert spectral not in model.selection.indices
+        spectral, spatial = model.saab.spatial_width + 1, model.indices < model.saab.spatial_width
+        assert spectral not in model.indices
         doc["selection"]["indices"][int(np.flatnonzero(spatial)[0])] = spectral  # one more spectral index than kernel rows
         with pytest.raises(GeometryError, match="spectral kernels"):
             lgsqe.PipelineModel.from_dict(doc)
 
     def test_only_selected_kernel_rows_kept(self, small_pipeline, tmp_path):
         model, real, generated = small_pipeline
-        indices = model.selection.indices
+        indices = model.indices
         spectral = indices[indices >= model.saab.spatial_width] - model.saab.spatial_width
         assert spectral.size
         model.save(tmp_path / "model.json")
@@ -141,7 +156,7 @@ class TestPipelineModel:
         assert "cw_models" not in doc["saab"] and "provenance" not in doc["selection"]
         assert doc["format_version"] == "7.0.0" and doc["saab"]["cw_widths"] == list(model.saab.cw_widths)
         loaded = lgsqe.PipelineModel.load(tmp_path / "model.json")
-        assert loaded.selection.indices.tobytes() == indices.tobytes() and loaded.saab.cw_widths == model.saab.cw_widths
+        assert loaded.indices.tobytes() == indices.tobytes() and loaded.saab.cw_widths == model.saab.cw_widths
         assert loaded.spectral_kernels.tobytes() == model.spectral_kernels.tobytes()
         # The columns are the selected ones of the full representation, and so are the scores.
         split = holdout_split(model, real, generated)
@@ -160,7 +175,7 @@ class TestPipelineModel:
         features = unchunked_representation(hop, cw, split.test_real)
         np.testing.assert_array_equal(
             loaded.score_images(split.test_real),
-            model.ensemble.predict_score(features[:, model.selection.indices]),
+            model.ensemble.predict_score(features[:, model.indices]),
         )
 
     @pytest.mark.filterwarnings("ignore:only .* patches for dimension")
@@ -170,7 +185,7 @@ class TestPipelineModel:
         generated = lgsqe.gaussian_degrade(random_image_set(60, side=side, channels=channels, seed=side + 1), 0.1, seed=3)
         config = RunConfig(patch_size=3, stride=1, top_k=300, gbdt=GbdtParams(n_rounds=5, max_depth=3))
         model, _ = fit_pipeline(real, generated, config)
-        indices = model.selection.indices
+        indices = model.indices
         assert np.any(indices >= model.saab.spatial_width)  # a spectral column is stored
         feature = model.ensemble.feature
         np.testing.assert_array_equal(np.unique(feature[feature >= 0]), np.arange(model.ensemble.n_features))
@@ -200,7 +215,7 @@ class TestPipelineModel:
         generated = random_image_set(40, side=16, seed=6, provenance="generated")
         config = RunConfig(patch_size=3, top_k=20, gbdt=GbdtParams(n_rounds=3, min_samples_leaf=60))
         model, _ = fit_pipeline(real, generated, config)
-        assert model.ensemble.n_features == 0 and model.selection.indices.size == 0
+        assert model.ensemble.n_features == 0 and model.indices.size == 0
         assert model.spectral_kernels.shape == (0, model.saab.pooled_side**2)
         assert model.training["selected_count"] == 20
         model.save(tmp_path / "a.json")
@@ -232,7 +247,7 @@ class TestPipelineModel:
         model, _, _ = small_pipeline
         training = model.training
         assert type(training["representation_width"]) is int
-        assert training["selected_count"] == model.config.top_k >= len(model.selection)
+        assert training["selected_count"] == model.config.top_k >= model.indices.size
         assert 0.0 <= training["train_accuracy"] <= 1.0
 
     def test_geometry_mismatch_rejected(self, small_pipeline):
