@@ -11,6 +11,9 @@ Three on-disk formats are supported:
   little-endian float32 values in [0, 1].
 
 All loaders normalize pixels into [0, 1] and return immutable ``ImageSet``s.
+Each file is read once. IDX and CIFAR-10 bytes are decoded into one float32
+buffer, so loading peaks at about 1.25x the decoded pixels (the read bytes
+plus that buffer); LGT pixels are a view on the read bytes.
 """
 
 from __future__ import annotations
@@ -75,8 +78,27 @@ class ImageSet:
 
 def load_idx(path) -> ImageSet:
     """Parse an IDX unsigned-byte image file (the MNIST container format)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    return load_images(path, "idx")
+
+
+def load_cifar_bin(path, provenance: str = REAL) -> ImageSet:
+    """Parse a CIFAR-10 binary batch. Class labels are read and discarded."""
+    return load_images(path, "cifar", provenance)
+
+
+def load_raw_tensor(path) -> ImageSet:
+    """Parse an LGT raw tensor dump (see module docstring for the layout)."""
+    return load_images(path, "lgt")
+
+
+def _unit_pixels(data: np.ndarray) -> np.ndarray:
+    """Bytes 0-255 as float32 in [0, 1], decoded into one C-order buffer and divided in place."""
+    pixels = np.ascontiguousarray(data, dtype=np.float32)
+    pixels /= 255.0
+    return pixels
+
+
+def _parse_idx(raw: bytes, path) -> tuple[np.ndarray, str]:
     if len(raw) < 16:
         raise LengthError(f"{path}: file too short for an IDX image header")
     magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
@@ -85,14 +107,10 @@ def load_idx(path) -> ImageSet:
     expected = 16 + count * rows * cols
     if len(raw) != expected:
         raise LengthError(f"{path}: expected {expected} bytes for {count} {rows}x{cols} images, got {len(raw)}")
-    data = np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(count, rows, cols, 1)
-    return _image_set(path, data.astype(np.float32) / 255.0, REAL)
+    return _unit_pixels(np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(count, rows, cols, 1)), REAL
 
 
-def load_cifar_bin(path, provenance: str = REAL) -> ImageSet:
-    """Parse a CIFAR-10 binary batch. Class labels are read and discarded."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def _parse_cifar(raw: bytes, path) -> tuple[np.ndarray, str]:
     if len(raw) % CIFAR_RECORD_BYTES != 0:
         raise LengthError(
             f"{path}: length {len(raw)} is not a multiple of the {CIFAR_RECORD_BYTES}-byte record size"
@@ -100,14 +118,10 @@ def load_cifar_bin(path, provenance: str = REAL) -> ImageSet:
     count = len(raw) // CIFAR_RECORD_BYTES
     records = np.frombuffer(raw, dtype=np.uint8).reshape(count, CIFAR_RECORD_BYTES)
     planes = records[:, 1:].reshape(count, 3, 32, 32)  # channel-planar R,G,B
-    pixels = np.transpose(planes, (0, 2, 3, 1)).astype(np.float32) / 255.0
-    return _image_set(path, pixels.reshape(count, 32, 32, 3), provenance)
+    return _unit_pixels(np.transpose(planes, (0, 2, 3, 1))), REAL
 
 
-def load_raw_tensor(path) -> ImageSet:
-    """Parse an LGT raw tensor dump (see module docstring for the layout)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def _parse_lgt(raw: bytes, path) -> tuple[np.ndarray, str]:
     if len(raw) < 4 or raw[:3] != LGT_MAGIC[:3]:
         raise FormatError(f"{path}: missing LGT magic")
     if raw[:4] != LGT_MAGIC:
@@ -121,16 +135,8 @@ def load_raw_tensor(path) -> ImageSet:
     expected = 21 + count * height * width * channels * 4
     if len(raw) != expected:
         raise LengthError(f"{path}: header declares {expected} bytes, file has {len(raw)}")
-    values = np.frombuffer(raw, dtype="<f4", offset=21)
-    return _image_set(path, values.reshape(count, height, width, channels), GENERATED if flag else REAL)
-
-
-def _image_set(path, pixels: np.ndarray, provenance: str) -> ImageSet:
-    """The ImageSet of a loaded file; when the tensor is rejected, the error names the file."""
-    try:
-        return ImageSet(pixels, provenance)
-    except (GeometryError, ValueError) as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    values = np.frombuffer(raw, dtype="<f4", offset=21)  # a view on the read bytes
+    return values.reshape(count, height, width, channels), GENERATED if flag else REAL
 
 
 def save_raw_tensor(images: ImageSet, path) -> None:
@@ -140,7 +146,7 @@ def save_raw_tensor(images: ImageSet, path) -> None:
         fh.write(LGT_MAGIC)
         fh.write(struct.pack("<IIII", n, h, w, c))
         fh.write(bytes([1 if images.provenance == GENERATED else 0]))
-        fh.write(np.ascontiguousarray(images.pixels, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(images.pixels, dtype="<f4"))
 
 
 def write_csv(path, header, rows) -> None:
@@ -149,39 +155,30 @@ def write_csv(path, header, rows) -> None:
         fh.writelines(",".join(map(str, row)) + "\n" for row in (header, *rows))
 
 
-def _looks_like_cifar(path) -> bool:
-    """At least one whole 3073-byte record, each starting with a CIFAR-10 label byte 0-9."""
+def load_images(path, fmt: str = "auto", provenance: str | None = None) -> ImageSet:
+    """Load by explicit format name or by sniffing the read bytes: LGT magic, IDX magic, then whole
+    3073-byte records that each start with a CIFAR-10 label byte 0-9. The file is read once.
+
+    ``provenance`` overrides the stored one (always ``"real"`` for IDX and CIFAR-10)."""
+    parsers = {"idx": _parse_idx, "cifar": _parse_cifar, "lgt": _parse_lgt}
+    if fmt != "auto" and fmt not in parsers:
+        raise ValueError(f"unknown image format {fmt!r}")
     with open(path, "rb") as fh:
         raw = fh.read()
-    if not raw or len(raw) % CIFAR_RECORD_BYTES:
-        return False
-    return max(raw[::CIFAR_RECORD_BYTES]) <= 9
-
-
-def load_images(path, fmt: str = "auto", provenance: str | None = None) -> ImageSet:
-    """Load by explicit format name or by sniffing magic bytes / record size."""
     if fmt == "auto":
-        with open(path, "rb") as fh:
-            head = fh.read(4)
-        if head == LGT_MAGIC:
+        if raw[:4] == LGT_MAGIC:
             fmt = "lgt"
-        elif len(head) == 4 and struct.unpack(">I", head)[0] == IDX_IMAGE_MAGIC:
+        elif raw[:4] == struct.pack(">I", IDX_IMAGE_MAGIC):
             fmt = "idx"
-        elif _looks_like_cifar(path):
+        elif raw and len(raw) % CIFAR_RECORD_BYTES == 0 and max(raw[::CIFAR_RECORD_BYTES]) <= 9:
             fmt = "cifar"
         else:
             raise FormatError(f"{path}: unknown image format (not LGT, IDX or CIFAR-10)")
-    if fmt == "idx":
-        loaded = load_idx(path)
-    elif fmt == "cifar":
-        loaded = load_cifar_bin(path)
-    elif fmt == "lgt":
-        loaded = load_raw_tensor(path)
-    else:
-        raise ValueError(f"unknown image format {fmt!r}")
-    if provenance is not None and provenance != loaded.provenance:
-        loaded = ImageSet(loaded.pixels, provenance)
-    return loaded
+    pixels, stored = parsers[fmt](raw, path)
+    try:
+        return ImageSet(pixels, stored if provenance is None else provenance)
+    except (GeometryError, ValueError) as exc:  # a rejected tensor or provenance names the file
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -371,8 +371,8 @@ def fit_ensemble(
 
     forest = _TreeBuilder(x, flat, params)
     losses: list[float] = []
+    p = _sigmoid(margin)
     for _ in range(params.n_rounds):
-        p = _sigmoid(margin)
         g = p - y
         h = p * (1.0 - p)
         if params.subsample < 1.0:
@@ -384,7 +384,8 @@ def fit_ensemble(
         feature, threshold, right, value = (np.asarray(getattr(forest, k)[root:]) for k in list(_NODE_ARRAYS)[:4])
         leaf = _descend(x, all_rows, np.zeros_like(all_rows), feature, threshold, right - root)
         margin = margin + params.learning_rate * value[leaf]
-        losses.append(_log_loss(y, _sigmoid(margin)))
+        p = _sigmoid(margin)  # this round's loss and the next round's gradients
+        losses.append(_log_loss(y, p))
 
     return BoostedEnsemble(
         **{name: np.asarray(getattr(forest, name), dtype=dtype) for name, dtype in _NODE_ARRAYS.items()},

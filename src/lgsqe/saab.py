@@ -150,14 +150,12 @@ def extract_patches(images: ImageSet, patch_size: int, stride: int) -> PatchMatr
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
     grid_n = (side - patch_size) // stride + 1
-    if n_img == 0:
-        data = np.empty((0, patch_size * patch_size * channels), dtype=np.float64)
-        return PatchMatrix(data, 0, grid_n, patch_size, stride, channels, side)
     windows = np.lib.stride_tricks.sliding_window_view(images.pixels, (patch_size, patch_size), axis=(1, 2))
     # windows: (n, side-F+1, side-F+1, C, F, F) -> stride the grid, flatten F,F,C
     windows = windows[:, ::stride, ::stride]
     windows = np.moveaxis(windows, 3, 5)  # (n, grid, grid, F, F, C)
-    data = np.ascontiguousarray(windows, dtype=np.float64).reshape(n_img * grid_n * grid_n, -1)
+    width = patch_size * patch_size * channels
+    data = np.ascontiguousarray(windows, dtype=np.float64).reshape(n_img * grid_n * grid_n, width)
     return PatchMatrix(data, n_img, grid_n, patch_size, stride, channels, side)
 
 
@@ -187,11 +185,9 @@ def _complement_basis(dim: int) -> np.ndarray:
 
 def _fix_signs(kernels: np.ndarray) -> np.ndarray:
     """Flip each kernel so its first entry of magnitude > 1e-9 is positive."""
-    fixed = kernels.copy()
-    for row in fixed:
-        nz = np.nonzero(np.abs(row) > 1e-9)[0]
-        if nz.size and row[nz[0]] < 0:
-            row *= -1.0
+    large = np.abs(kernels) > 1e-9
+    fixed = kernels.copy()  # C order even for a transposed ``kernels``: einsum bytes depend on operand layout
+    fixed[large.any(axis=1) & (kernels[np.arange(len(kernels)), large.argmax(axis=1)] < 0)] *= -1.0
     return fixed
 
 

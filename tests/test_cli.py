@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import lgsqe
 from lgsqe.cli import _build_config, build_parser, main
 from lgsqe.errors import LgsqeError
-from lgsqe.pipeline import RunConfig, parse_config_file, write_config_file
+from lgsqe.pipeline import CONFIG_FIELDS, RunConfig, parse_config_file, write_config_file
 
 from conftest import damaged_file
 
@@ -561,6 +562,32 @@ class TestConfigSchema:
         assert main(["fit", "real.lgt", "gen.lgt", "-o", str(tmp_path / "m.json"), "--config", str(cfg)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "unknown config key 'gbdt_seed'" in err[0]
+
+    def test_readme_table_matches_fields(self, capsys):
+        """The README configuration table is a hand-kept copy of the schema: it lists every config flag of
+        ``lgsqe fit --help`` and no other, each default as the field's (``unset`` for None). One default given
+        for several flags applies to each; a store_const flag such as ``--elbow`` takes none."""
+        with pytest.raises(SystemExit):
+            main(["fit", "--help"])
+        group = capsys.readouterr().out.split("pipeline configuration:\n", 1)[1].split("\n\n", 1)[0]
+        help_flags = set(re.findall(r"^  (--[a-z0-9-]+)", group, re.M)) - {"--config"}
+        by_flag = {f.metadata.get("flag", "--" + f.name.replace("_", "-")): f for f, _ in CONFIG_FIELDS.values()}
+        assert help_flags == set(by_flag)
+        readme = (SRC.parent / "README.md").read_text()
+        table = readme.split("| flag | default | meaning |\n| --- | --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+        table_flags = []
+        for line in table.splitlines():
+            flag_cell, default_cell, _ = (cell.strip() for cell in line.strip("|").split("|"))
+            flags = re.findall(r"`(--[a-z0-9-]+)`", flag_cell)
+            valued = [flag for flag in flags if "const" not in by_flag[flag].metadata]
+            defaults = [d.strip() for d in default_cell.split(",")]
+            defaults = defaults * len(valued) if len(defaults) == 1 else defaults
+            assert len(defaults) == len(valued), line
+            for flag, text in zip(valued, defaults):
+                default = by_flag[flag].default
+                assert text == ("unset" if default is None else str(default)), (flag, text, default)
+            table_flags += flags
+        assert sorted(table_flags) == sorted(help_flags)
 
 
 def test_package_does_not_import_scipy():

@@ -1,3 +1,4 @@
+import builtins
 import struct
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import lgsqe
 from lgsqe.errors import FormatError, GeometryError, LengthError, LgsqeError, VersionError
 
-from conftest import damaged_file, random_image_set, traced_peak
+from conftest import damaged_file, image_file_bytes, random_image_set, traced_peak
 
 
 def write_idx(path, images: np.ndarray) -> None:
@@ -165,6 +166,64 @@ class TestAutoDetect:
         empty.write_bytes(b"")
         with pytest.raises(FormatError, match="empty.bin: unknown image format"):
             lgsqe.load_images(empty)
+
+
+class TestOneRead:
+    @pytest.mark.parametrize("fmt", ["idx", "cifar", "lgt"])
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_file_opened_once(self, tmp_path, monkeypatch, fmt, explicit):
+        path = tmp_path / f"two.{fmt}"
+        path.write_bytes(image_file_bytes()[fmt][0])
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert lgsqe.load_images(path, fmt=fmt if explicit else "auto").count == 2
+        assert [str(f) for f in opened] == [str(path)]
+
+    @pytest.mark.parametrize("fmt, bound", [("idx", 1.3), ("cifar", 1.3), ("lgt", 1.05)])
+    def test_decode_peak(self, tmp_path, fmt, bound):
+        # The read bytes plus one float32 buffer (1.25x the pixels for IDX and CIFAR); LGT pixels view the bytes.
+        # Decoding through astype and a division, plus a C-order copy for CIFAR, would peak at 2.25x.
+        rng = np.random.default_rng(0)
+        path = tmp_path / f"big.{fmt}"
+        if fmt == "idx":
+            write_idx(path, rng.integers(0, 256, (2000, 28, 28), dtype=np.uint8))
+        elif fmt == "cifar":
+            records = rng.integers(0, 256, (500, 3073), dtype=np.uint8)
+            records[:, 0] %= 10
+            path.write_bytes(records.tobytes())
+        else:
+            lgsqe.save_raw_tensor(random_image_set(2000, side=28), path)
+        images, peak = traced_peak(lambda: lgsqe.load_images(path))
+        assert peak <= bound * images.pixels.nbytes, (peak, images.pixels.nbytes)
+
+    def test_save_copies_nothing(self, tmp_path):
+        images = random_image_set(500, side=32, channels=3, seed=4)
+        _, peak = traced_peak(lambda: lgsqe.save_raw_tensor(images, tmp_path / "out.lgt"))
+        assert peak <= 0.05 * images.pixels.nbytes, (peak, images.pixels.nbytes)
+
+    def test_byte_decoding_oracle(self, tmp_path):
+        # Every byte value decodes to the float32 quotient byte / 255, bit for bit.
+        table = np.arange(256, dtype=np.uint8).astype(np.float32) / 255.0
+        idx_path = tmp_path / "all.idx"
+        write_idx(idx_path, np.arange(256, dtype=np.uint8).reshape(1, 16, 16))
+        assert lgsqe.load_idx(idx_path).pixels.tobytes() == table.tobytes()
+        record = np.concatenate([[9], np.arange(3072) % 256]).astype(np.uint8)
+        cifar_path = tmp_path / "all.bin"
+        cifar_path.write_bytes(record.tobytes())
+        expected = table[record[1:].reshape(3, 32, 32).transpose(1, 2, 0)]
+        assert lgsqe.load_cifar_bin(cifar_path).pixels.tobytes() == expected.tobytes()
+
+    def test_bad_provenance_names_the_file(self, tmp_path):
+        path = tmp_path / "two.idx"
+        path.write_bytes(image_file_bytes()["idx"][0])
+        with pytest.raises(ValueError, match="two.idx: provenance must be"):
+            lgsqe.load_images(path, provenance="fake")
 
 
 class TestLoaderFuzz:

@@ -122,6 +122,30 @@ class TestFitSaab:
             first = row[np.nonzero(np.abs(row) > 1e-9)[0][0]]
             assert first > 0
 
+    def test_sign_fix_matches_per_row_rule(self):
+        crafted = np.array(
+            [
+                [1e-12, -1e-10, -0.5, 0.7],  # leading near-zeros, then a negative entry: flipped
+                [1e-12, -1e-10, 5e-10, 0.0],  # every entry tiny: kept
+                [-0.3, 0.2, 0.1, 0.9],  # negative first entry: flipped
+                [0.0, 2e-9, -0.8, 0.1],  # first entry above 1e-9 is positive: kept
+            ]
+        )
+        rng = np.random.default_rng(5)
+        noise = rng.normal(size=(40, 4)) * rng.choice([1e-12, 1.0], size=(40, 4))
+        for rows in (crafted, noise):
+            kernels = np.asfortranarray(rows)  # the layout of the transposed eigenvectors
+            expected = rows.copy()
+            for row in expected:  # the per-row rule
+                nz = np.nonzero(np.abs(row) > 1e-9)[0]
+                if nz.size and row[nz[0]] < 0:
+                    row *= -1.0
+            fixed = saab._fix_signs(kernels)
+            assert fixed.flags.c_contiguous
+            assert fixed.tobytes() == expected.tobytes()
+            assert np.array_equal(kernels, rows)
+        assert np.sign(saab._fix_signs(crafted)[:, 2]).tolist() == [1.0, 1.0, -1.0, -1.0]
+
     def test_rank_deficient_warns(self):
         data = np.random.default_rng(4).normal(size=(5, 16))
         with pytest.warns(UserWarning):
