@@ -99,8 +99,12 @@ class RunConfig:
             raise ValueError("channels must be 1, 3 or unset")
         if not 0.0 < self.energy_threshold <= 1.0:
             raise ValueError("energy_threshold must lie in (0, 1]")
+        if (self.k1 is not None and self.k1 < 1) or (self.cw_k is not None and self.cw_k < 1):
+            raise ValueError("k1 and cw_k must be >= 1 or unset")
         if self.select_mode not in ("top_k", "elbow"):
             raise ValueError(f"unknown selection mode {self.select_mode!r}")
+        if self.select_mode == "top_k" and self.top_k < 1:
+            raise ValueError("top_k must be >= 1")  # the elbow ignores it
         if self.num_bins < 2:
             raise ValueError("num_bins must be >= 2")
         if not 0.0 <= self.threshold <= 1.0:

@@ -29,11 +29,15 @@ Fitting and building the representation never hold a patch matrix or response
 tensor of the whole set, so their memory grows with the image count only
 through the pooled values and columns they keep.
 
-Covariance accumulation deliberately goes through ``np.einsum`` rather than
-BLAS matmul: BLAS may split the long contraction axis across threads, which
-changes summation order with the thread count and would break byte-identical
-refits. The first hop's fit therefore depends on ``CHUNK_ROWS`` (the order in
-which chunk moments merge), not on the thread count.
+The fit's Gram products (each block's covariance moments, for the first hop
+and every c/w channel) and the ranking's spectral projections go through
+BLAS, with their output widths padded to a multiple of 8, which keeps their
+bytes the same at every BLAS thread count tried (a test checks 1 and 2).
+Their bytes do depend on each operand's shape, so the first hop's fit
+depends on ``CHUNK_ROWS``, the order in which chunk moments merge. Only
+``_project``, which makes every spectral column that scoring and the boosted
+trees read, stays on ``np.einsum``: a BLAS product's bytes for one row may
+depend on the other rows of the call, and scoring must not.
 """
 
 from __future__ import annotations
@@ -183,6 +187,16 @@ def _complement_basis(dim: int) -> np.ndarray:
     return house[:, 1:]
 
 
+def _padded(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` with zero columns appended up to a multiple of 8. A BLAS
+    product whose output has such a width gave the same bytes at 1 to 8
+    OpenBLAS threads at every shape tried; a Gram product of any other width
+    from 100 up did not."""
+    padded = np.zeros((matrix.shape[0], -(-matrix.shape[1] // 8) * 8))
+    padded[:, : matrix.shape[1]] = matrix
+    return padded
+
+
 def _fix_signs(kernels: np.ndarray) -> np.ndarray:
     """Flip each kernel so its first entry of magnitude > 1e-9 is positive."""
     large = np.abs(kernels) > 1e-9
@@ -219,14 +233,17 @@ def _fit_kernels(
     even for rank-deficient input. Projecting a raw row onto a basis of that
     subspace removes its DC response, so each block is projected, centered on
     its own mean, and its moments are merged into the running ones in block
-    order with the Chan-Golub-LeVeque pairwise update.
+    order with the Chan-Golub-LeVeque pairwise update. The basis carries zero
+    columns up to a multiple of 8 (see ``_padded``), which keeps the bytes of
+    its BLAS products independent of the thread count; they are dropped before
+    ``eigh``.
     """
     basis, count = None, 0
     for data in blocks:
         if not np.isfinite(data).all():
             raise ValueError("patches contain non-finite values")
         if basis is None:
-            basis = _complement_basis(data.shape[1])  # (dim, dim-1)
+            basis = _padded(_complement_basis(data.shape[1]))  # (dim, dim-1 rounded up to 8)
             mean, m2 = np.zeros(basis.shape[1]), np.zeros((basis.shape[1], basis.shape[1]))
         rows = data.shape[0]
         if rows == 0:
@@ -236,7 +253,7 @@ def _fit_kernels(
         projected -= block_mean
         delta, total = block_mean - mean, count + rows
         mean = mean + delta * (rows / total)
-        m2 = m2 + np.einsum("ij,ik->jk", projected, projected) + np.outer(delta, delta) * (count * rows / total)
+        m2 = m2 + projected.T @ projected + np.outer(delta, delta) * (count * rows / total)
         count = total
     if count == 0:
         raise ValueError("cannot fit a Saab model on zero patches")
@@ -244,6 +261,7 @@ def _fit_kernels(
     if count < dim:
         warnings.warn(f"only {count} patches for dimension {dim}; fit proceeds with reduced rank")
 
+    basis, m2 = basis[:, : dim - 1], m2[: dim - 1, : dim - 1]
     eigvals, eigvecs = np.linalg.eigh(m2 / (count - 1 if count > 1 else 1))
     order = np.argsort(eigvals)[::-1]
     eigvals = np.clip(eigvals[order], 0.0, None)
@@ -368,8 +386,8 @@ def fit_representation(
     )
     n, side, k1 = images.count, hop.pooled_side, hop.num_channels
     pooled = np.empty((n, side * side * k1))
-    for lo, block in _pooled_chunks(images, hop, np.arange(pooled.shape[1])):
-        pooled[lo : lo + block.shape[0]] = block
+    for lo, chunk in _image_chunks(images, patch_size, stride):
+        pooled[lo : lo + chunk.count] = abs_max_pool(apply_saab(hop, chunk)).reshape(chunk.count, pooled.shape[1])
     cw = fit_cw_saab(pooled.reshape(n, side, side, k1), energy_threshold, cw_explicit_channels)
     return replace(hop, cw_widths=tuple(len(kernels) for kernels in cw)), pooled, cw
 
@@ -377,10 +395,11 @@ def fit_representation(
 def representation_blocks(pooled: np.ndarray, cw: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
     """Every representation column, in index order, as consecutive (n, w)
     blocks: ``pooled`` itself, then each channel's spectral block, projected
-    when it is asked for."""
+    when it is asked for. The blocks only rank the columns, so they take one
+    BLAS product each; they agree with ``_project``'s columns to rounding."""
     yield pooled
     for ch, kernels in enumerate(cw):
-        yield _project(pooled[:, ch :: len(cw)], kernels)
+        yield (np.ascontiguousarray(pooled[:, ch :: len(cw)]) @ _padded(kernels.T))[:, : len(kernels)]
 
 
 def kernel_rows(model: SaabModel, cw: Sequence[np.ndarray], indices: np.ndarray) -> np.ndarray:

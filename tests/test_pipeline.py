@@ -84,6 +84,14 @@ class TestRunConfig:
             RunConfig(energy_threshold=0.0).validate()
         with pytest.raises(ValueError, match="histogram_bins must be >= 2"):
             RunConfig(histogram_bins=1).validate()
+        # Channel and feature counts are refused before any image is read.
+        for bad in ({"k1": 0}, {"cw_k": 0}, {"cw_k": -2}):
+            with pytest.raises(ValueError, match="k1 and cw_k must be >= 1 or unset"):
+                RunConfig(**bad).validate()
+        with pytest.raises(ValueError, match="top_k must be >= 1"):
+            RunConfig(top_k=0).validate()
+        # An elbow-mode model ignores top_k, so its value still loads.
+        RunConfig(top_k=0, select_mode="elbow", k1=1, cw_k=1).validate()
 
     @pytest.mark.parametrize(
         "doc, message",

@@ -296,6 +296,23 @@ def build_all(images, hop, cw):
     return lgsqe.build_representation(images, hop, indices, kernel_rows(hop, cw, indices))
 
 
+def assert_ranking_blocks(pooled, cw, reference):
+    """The fit's ranking blocks are ``pooled``, then each channel's map times
+    its kernel matrix (zero-padded to a multiple of 8 rows) as one BLAS
+    product, bit for bit; they match the einsum columns ``reference`` (which
+    scoring and the trees read) to rounding."""
+    blocks = list(saab.representation_blocks(pooled, cw))
+    expected = [pooled] + [
+        (np.ascontiguousarray(pooled[:, ch :: len(cw)]) @ saab._padded(k.T))[:, : len(k)] for ch, k in enumerate(cw)
+    ]
+    assert len(blocks) == len(expected)
+    for got, want in zip(blocks, expected):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # A coefficient near 0 is a difference of terms near the largest ones, so its rounding is bounded in those units.
+    scale = np.abs(reference).max(initial=0.0)
+    np.testing.assert_allclose(np.concatenate(blocks, axis=1), reference, rtol=1e-12, atol=1e-12 * scale)
+
+
 def spectral_indices(hop, channel):
     """The indices of a channel's c/w coefficients, in row order."""
     start = hop.spatial_width + sum(hop.cw_widths[:channel])
@@ -312,9 +329,9 @@ class TestBuildRepresentation:
         spectral = sum(len(matrix) for matrix in cw)
         assert features.shape == (small_images.count, spatial + spectral) and hop.width == spatial + spectral
         assert pooled.shape == (small_images.count, spatial) and hop.spatial_width == spatial
-        # The fit's blocks and the built columns are the oracle's, in index order.
+        # The built columns are the oracle's, in index order, and the fit's ranking blocks agree with them.
         reference = unchunked_representation(hop, cw, small_images)
-        np.testing.assert_array_equal(np.concatenate(list(saab.representation_blocks(pooled, cw)), axis=1), reference)
+        assert_ranking_blocks(pooled, cw, reference)
         np.testing.assert_array_equal(features, reference)
         # The decode rule: a spatial index is a flat pooled position, a spectral one a row of the stacked c/w matrices.
         maps = lgsqe.abs_max_pool(lgsqe.apply_saab(hop, small_images))
@@ -444,7 +461,7 @@ class TestStreamedFirstHop:
         assert [chunk.count for _, chunk in saab._image_chunks(images, 3, 1)] == [3, 3, 3, 2]
         hop, pooled, cw = lgsqe.fit_representation(images, 3, 1)
         trained = unchunked_representation(hop, cw, images)
-        np.testing.assert_array_equal(np.concatenate(list(saab.representation_blocks(pooled, cw)), axis=1), trained)
+        assert_ranking_blocks(pooled, cw, trained)
         assert hop.width == trained.shape[1]
         indices = np.random.default_rng(side).choice(hop.width, size=50, replace=False)
         kernels = kernel_rows(hop, cw, indices)
@@ -518,27 +535,37 @@ THREADS_SCRIPT = """
 import hashlib, sys
 import numpy as np
 import lgsqe
-from lgsqe.saab import _project
+from lgsqe.saab import _fit_kernels, _project, representation_blocks
 
-pixels, kernels, maps = (np.load(path) for path in sys.argv[1:4])
+pixels, kernels, maps, block = (np.load(path) for path in sys.argv[1:5])
+with np.load(sys.argv[5]) as saved:
+    cw = [saved[f"arr_{ch}"] for ch in range(len(saved.files))]
 hop, pooled, _ = lgsqe.fit_representation(lgsqe.ImageSet(pixels), 3, 1)
-for part in (hop.ac_kernels, hop.eigenvalues, pooled, _project(maps, kernels)):
+spectral = np.concatenate(list(representation_blocks(pooled, cw))[1:], axis=1)
+cw_kernels, cw_eigenvalues = _fit_kernels([block], 1.0, None)
+for part in (hop.ac_kernels, hop.eigenvalues, pooled, _project(maps, kernels), spectral, cw_kernels, cw_eigenvalues):
     print(hashlib.sha256(np.ascontiguousarray(part).tobytes()).hexdigest())
 """
 
 
 @pytest.mark.filterwarnings("ignore:only .* patches for dimension")
 def test_bytes_do_not_depend_on_blas_threads(tmp_path):
-    """First-hop kernels and eigenvalues, the pooled responses, and a c/w
-    kernel matrix fitted here, at 32x32x3 with patch 3 and stride 1: the same
-    bytes with 1 and 2 BLAS threads. (The c/w fit's eigh is left out.)"""
+    """At 32x32x3 with patch 3 and stride 1, the same bytes with 1 and 2 BLAS
+    threads: first-hop kernels and eigenvalues, the pooled responses, a c/w
+    kernel matrix's columns, every ranking block, and the c/w kernels fitted on
+    144 of a channel's 225 map values, a width at which an unpadded Gram
+    product is thread dependent. (``eigh`` itself is thread dependent on these
+    maps at 150, 160 and 225 values, so the full c/w fit is left out.)"""
     images = random_image_set(160, side=32, channels=3, seed=5)
     hop, pooled, cw = lgsqe.fit_representation(images, 3, 1)
     channel = max(range(len(cw)), key=lambda ch: len(cw[ch]))
     maps = pooled.reshape(images.count, hop.pooled_side**2, hop.num_channels)[..., channel]
-    paths = [tmp_path / name for name in ("pixels.npy", "kernels.npy", "maps.npy")]
-    for path, array in zip(paths, (images.pixels, cw[channel], maps)):
+    arrays = (images.pixels, cw[channel], maps, np.ascontiguousarray(maps[:, :144]))
+    paths = [tmp_path / name for name in ("pixels.npy", "kernels.npy", "maps.npy", "block.npy")]
+    for path, array in zip(paths, arrays):
         np.save(path, array)
+    paths.append(tmp_path / "cw.npz")
+    np.savez(paths[-1], *cw)
 
     def digests(threads):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
@@ -549,5 +576,5 @@ def test_bytes_do_not_depend_on_blas_threads(tmp_path):
         return run.stdout.split()
 
     one = digests("1")
-    assert len(one) == 4
+    assert len(one) == 7
     assert one == digests("2")
