@@ -16,7 +16,7 @@ import numpy as np
 from .datasets import ImageSet, load_images, save_raw_tensor, write_csv
 from .dft import write_ranking_csv
 from .errors import LgsqeError
-from .evaluate import filter_samples, histogram_svg, write_scores_csv
+from .evaluate import check_bins, check_keep_fraction, check_threshold, filter_samples, histogram_svg, write_scores_csv
 from .pipeline import (
     CONFIG_FIELDS,
     PipelineModel,
@@ -91,6 +91,11 @@ def cmd_score(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    # Bad values fail before any image is read; unset ones take the model's validated config.
+    if args.threshold is not None:
+        check_threshold(args.threshold)
+    if args.histogram_bins is not None:
+        check_bins(args.histogram_bins)
     model = PipelineModel.load(args.model)
     real, generated = _load_sources(args)
 
@@ -130,6 +135,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_filter(args) -> int:
+    check_keep_fraction(args.keep_fraction)  # before any image is read
     model = PipelineModel.load(args.model)
     samples = load_images(args.samples, fmt=args.format, provenance="generated")
     scores = model.score_images(samples)

@@ -31,13 +31,27 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
+def check_threshold(threshold: float) -> None:
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
+
+
+def check_bins(bins: int) -> None:
+    if bins < 2:
+        raise ValueError(f"bins must be >= 2, got {bins}")
+
+
+def check_keep_fraction(keep_fraction: float) -> None:
+    if not 0.0 < keep_fraction <= 1.0:
+        raise ValueError(f"keep_fraction must lie in (0, 1], got {keep_fraction}")
+
+
 def confusion(scores: np.ndarray, labels: np.ndarray, threshold: float) -> ConfusionCounts:
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
         raise GeometryError("scores and labels must have identical shape")
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
+    check_threshold(threshold)
     predicted = scores >= threshold
     actual = labels == 1
     return ConfusionCounts(
@@ -112,8 +126,7 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 def score_histogram(scores: np.ndarray, provenance: np.ndarray, bins: int = 50) -> dict:
     """Uniform [0, 1] histogram with separate real/generated counts."""
-    if bins < 2:
-        raise ValueError(f"bins must be >= 2, got {bins}")
+    check_bins(bins)
     scores = np.asarray(scores, dtype=np.float64)
     provenance = np.asarray(provenance)
     edges = np.linspace(0.0, 1.0, bins + 1)
@@ -131,8 +144,7 @@ def filter_samples(sample_ids: np.ndarray, scores: np.ndarray, keep_fraction: fl
 
     Ties break by sample id; output is ordered by ascending score.
     """
-    if not 0.0 < keep_fraction <= 1.0:
-        raise ValueError(f"keep_fraction must lie in (0, 1], got {keep_fraction}")
+    check_keep_fraction(keep_fraction)
     sample_ids = np.asarray(sample_ids)
     scores = np.asarray(scores, dtype=np.float64)
     if sample_ids.shape != scores.shape:

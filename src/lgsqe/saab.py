@@ -25,9 +25,14 @@ constant patch always has zero AC response.
 The first hop streams over the images in chunks of whole images of about
 ``CHUNK_ROWS`` patch rows. Fitting accumulates the patch moments chunk by
 chunk; applying the hop extracts, projects and pools one chunk at a time.
-Fitting and building the representation never hold a patch matrix or response
-tensor of the whole set, so their memory grows with the image count only
-through the pooled values and columns they keep.
+Each pass over the images (the fit's moments, the fit's pooling, and
+scoring's ``_pooled_chunks``) allocates one float64 patch buffer and one
+response buffer, a chunk's rows each (about 7 MB of patches at 27
+dimensions), and every chunk of the pass is written into them
+(``extract_patches(..., out=)`` and ``apply_saab(..., out=)``). Fitting and
+building the representation never hold a patch matrix or response tensor of
+the whole set, so their memory grows with the image count only through the
+pooled values and columns they keep.
 
 The fit's Gram products (each block's covariance moments, for the first hop
 and every c/w channel) and the ranking's spectral projections go through
@@ -55,9 +60,9 @@ from .errors import GeometryError
 
 _ZERO_ENERGY = 1e-12
 
-# Patch rows per first-hop chunk (about 14 MB of float64 at 27 dimensions). A
+# Patch rows per first-hop chunk (about 7 MB of float64 at 27 dimensions). A
 # chunk holds whole images, at least one.
-CHUNK_ROWS = 2**16
+CHUNK_ROWS = 2**15
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,8 +151,10 @@ def _dc_kernel(dim: int) -> np.ndarray:
     return np.full(dim, 1.0 / np.sqrt(dim))
 
 
-def extract_patches(images: ImageSet, patch_size: int, stride: int) -> PatchMatrix:
-    """Slice every image into overlapping patch_size^2 x C blocks."""
+def extract_patches(images: ImageSet, patch_size: int, stride: int, out: np.ndarray | None = None) -> PatchMatrix:
+    """Slice every image into overlapping patch_size^2 x C blocks. The rows are
+    written into ``out`` when it is given: a C-contiguous float64 array of the
+    result's shape, which the result's ``data`` then is."""
     n_img, side, _, channels = images.pixels.shape
     if patch_size > side:
         raise GeometryError(f"patch size {patch_size} exceeds image side {side}")
@@ -156,20 +163,30 @@ def extract_patches(images: ImageSet, patch_size: int, stride: int) -> PatchMatr
     grid_n = (side - patch_size) // stride + 1
     windows = np.lib.stride_tricks.sliding_window_view(images.pixels, (patch_size, patch_size), axis=(1, 2))
     # windows: (n, side-F+1, side-F+1, C, F, F) -> stride the grid, flatten F,F,C
-    windows = windows[:, ::stride, ::stride]
-    windows = np.moveaxis(windows, 3, 5)  # (n, grid, grid, F, F, C)
-    width = patch_size * patch_size * channels
-    data = np.ascontiguousarray(windows, dtype=np.float64).reshape(n_img * grid_n * grid_n, width)
+    windows = np.moveaxis(windows[:, ::stride, ::stride], 3, 5)  # (n, grid, grid, F, F, C)
+    shape = (n_img * grid_n * grid_n, patch_size * patch_size * channels)
+    data = np.empty(shape) if out is None else out
+    if data.shape != shape or data.dtype != np.float64 or not data.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
+    np.copyto(data.reshape(windows.shape), windows)  # casts from the float32 windows, no temporary
     return PatchMatrix(data, n_img, grid_n, patch_size, stride, channels, side)
 
 
-def _image_chunks(images: ImageSet, patch_size: int, stride: int) -> Iterator[tuple[int, ImageSet]]:
-    """Consecutive runs of whole images, about ``CHUNK_ROWS`` patch rows each,
-    with the index of their first image. An empty set is one empty chunk."""
+def _chunks(
+    images: ImageSet, patch_size: int, stride: int, k1: int = 0
+) -> Iterator[tuple[int, ImageSet, np.ndarray, np.ndarray]]:
+    """Consecutive runs of whole images, about ``CHUNK_ROWS`` patch rows each:
+    the index of a run's first image, the run, and its rows of one patch
+    buffer and of one (rows, ``k1``) response buffer, both allocated once and
+    rewritten by every run. An empty set is one empty run."""
     grid_n = max(1, (images.side - patch_size) // max(1, stride) + 1)
     step = max(1, CHUNK_ROWS // (grid_n * grid_n))
+    rows = min(step, images.count) * grid_n * grid_n
+    patches, responses = np.empty((rows, patch_size * patch_size * images.channels)), np.empty((rows, k1))
     for lo in range(0, max(images.count, 1), step):
-        yield lo, ImageSet(images.pixels[lo : lo + step], images.provenance)
+        chunk = ImageSet(images.pixels[lo : lo + step], images.provenance)
+        used = chunk.count * grid_n * grid_n
+        yield lo, chunk, patches[:used], responses[:used]
 
 
 def _complement_basis(dim: int) -> np.ndarray:
@@ -236,9 +253,10 @@ def _fit_kernels(
     order with the Chan-Golub-LeVeque pairwise update. The basis carries zero
     columns up to a multiple of 8 (see ``_padded``), which keeps the bytes of
     its BLAS products independent of the thread count; they are dropped before
-    ``eigh``.
+    ``eigh``. The projections of all blocks share one buffer, grown when a
+    block is longer than every earlier one.
     """
-    basis, count = None, 0
+    basis, count, buffer = None, 0, np.empty((0, 0))
     for data in blocks:
         if not np.isfinite(data).all():
             raise ValueError("patches contain non-finite values")
@@ -248,7 +266,9 @@ def _fit_kernels(
         rows = data.shape[0]
         if rows == 0:
             continue
-        projected = data @ basis
+        if rows > len(buffer):
+            buffer = np.empty((rows, basis.shape[1]))
+        projected = np.matmul(data, basis, out=buffer[:rows])
         block_mean = projected.mean(axis=0)
         projected -= block_mean
         delta, total = block_mean - mean, count + rows
@@ -295,19 +315,26 @@ def fit_saab(
     )
 
 
-def apply_saab(model: SaabModel, images: ImageSet) -> np.ndarray:
+def apply_saab(
+    model: SaabModel, images: ImageSet, out: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
     """Project every patch onto the fitted basis.
 
     Returns a (count, grid_n, grid_n, K1) response tensor with the DC
-    response in channel 0 and AC responses in eigenvalue order.
+    response in channel 0 and AC responses in eigenvalue order. ``out``, when
+    given, is a pair of C-contiguous float64 buffers, (patch rows, patch_dim)
+    and (patch rows, K1): the patches are written into the first (see
+    ``extract_patches``) and the responses into the second, which the result
+    is a view of.
     """
     if images.side != model.input_side or images.channels != model.channels:
         raise GeometryError(
             f"model fitted for {model.input_side}x{model.input_side}x{model.channels} images, "
             f"got {images.side}x{images.side}x{images.channels}"
         )
-    patches = extract_patches(images, model.patch_size, model.stride)
-    responses = patches.data @ model.kernel_matrix().T
+    patch_out, response_out = (None, None) if out is None else out
+    patches = extract_patches(images, model.patch_size, model.stride, out=patch_out)
+    responses = np.matmul(patches.data, model.kernel_matrix().T, out=response_out)
     return responses.reshape(images.count, patches.grid_n, patches.grid_n, model.num_channels)
 
 
@@ -378,16 +405,17 @@ def fit_representation(
     matrix feeds the c/w fits, the ranking and the selected columns, so the
     images are pooled once.
     """
-    chunks = _image_chunks(images, patch_size, stride)
+    chunks = _chunks(images, patch_size, stride)
     hop = fit_saab(
-        (extract_patches(chunk, patch_size, stride) for _, chunk in chunks),
+        (extract_patches(chunk, patch_size, stride, out=patches) for _, chunk, patches, _ in chunks),
         energy_threshold=energy_threshold,
         explicit_channels=explicit_channels,
     )
     n, side, k1 = images.count, hop.pooled_side, hop.num_channels
     pooled = np.empty((n, side * side * k1))
-    for lo, chunk in _image_chunks(images, patch_size, stride):
-        pooled[lo : lo + chunk.count] = abs_max_pool(apply_saab(hop, chunk)).reshape(chunk.count, pooled.shape[1])
+    for lo, chunk, patches, responses in _chunks(images, patch_size, stride, k1):
+        responses = apply_saab(hop, chunk, out=(patches, responses))
+        pooled[lo : lo + chunk.count] = abs_max_pool(responses).reshape(chunk.count, pooled.shape[1])
     cw = fit_cw_saab(pooled.reshape(n, side, side, k1), energy_threshold, cw_explicit_channels)
     return replace(hop, cw_widths=tuple(len(kernels) for kernels in cw)), pooled, cw
 
@@ -426,8 +454,8 @@ def _pooled_chunks(images: ImageSet, model: SaabModel, positions: np.ndarray) ->
     # corners[a, b, i]: where element (a, b) of window i sits in a chunk's flattened responses.
     offsets = np.array([[0, 1], [grid_n, grid_n + 1]]) * k1
     corners = offsets[:, :, None] + ((2 * row * grid_n + 2 * col) * k1 + channel)
-    for lo, chunk in _image_chunks(images, model.patch_size, model.stride):
-        responses = apply_saab(model, chunk).reshape(chunk.count, grid_n * grid_n * k1)
+    for lo, chunk, patches, responses in _chunks(images, model.patch_size, model.stride, k1):
+        responses = apply_saab(model, chunk, out=(patches, responses)).reshape(chunk.count, grid_n * grid_n * k1)
         yield lo, abs_max_pool(responses[:, corners]).reshape(chunk.count, corners.shape[2])
 
 

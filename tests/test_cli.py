@@ -1,3 +1,4 @@
+import builtins
 import csv
 import io
 import json
@@ -468,6 +469,36 @@ class TestFilter:
         ])
         assert code == 1
         assert "keep_fraction" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("filter", "--keep-fraction", "1.5", "keep_fraction must lie in (0, 1], got 1.5"),
+        ("eval", "--threshold", "2", "threshold must lie in [0, 1], got 2.0"),
+        ("eval", "--histogram-bins", "0", "bins must be >= 2, got 0"),
+    ],
+    ids=["keep-fraction", "threshold", "histogram-bins"],
+)
+def test_bad_value_fails_before_images_are_read(
+    cli_data, fitted_model, tmp_path, monkeypatch, capsys, command, flag, value, message
+):
+    _, real_path, gen_path = cli_data
+    opened, real_open = [], builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    out = tmp_path / "out"
+    argv = {
+        "filter": ["filter", str(fitted_model), str(gen_path), "-o", str(out), "--ids-out", str(tmp_path / "ids.csv")],
+        "eval": ["eval", str(fitted_model), str(real_path), str(gen_path), "-o", str(out)],
+    }[command]
+    assert main([*argv, flag, value]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"lgsqe: error: {message}"]
+    assert not {str(real_path), str(gen_path)} & set(opened) and not out.exists()
 
 
 class TestSweep:
