@@ -85,7 +85,9 @@ def _pr_points(scores: np.ndarray, labels: np.ndarray) -> list[tuple[float, floa
     undefined precision are dropped; the first valid precision is extended
     flat to recall zero so the trapezoid covers [0, max recall].
     """
-    thresholds = np.unique(np.concatenate([scores, [0.0, 1.0]]))[::-1]
+    # Sorted without repeats, as np.unique would give them; a plain np.unique imports numpy.ma in numpy 2.x.
+    thresholds = np.sort(np.concatenate([scores, [0.0, 1.0]]))
+    thresholds = thresholds[np.concatenate([[True], thresholds[1:] != thresholds[:-1]])][::-1]
     order = np.argsort(scores, kind="stable")
     positives_below = np.concatenate([[0], np.cumsum(labels[order] == 1)])
     below = np.searchsorted(scores[order], thresholds, side="left")  # scores < t

@@ -29,20 +29,30 @@ Each pass over the images (the fit's moments, the fit's pooling, and
 scoring's ``_pooled_chunks``) allocates one float64 patch buffer and one
 response buffer, a chunk's rows each (about 7 MB of patches at 27
 dimensions), and every chunk of the pass is written into them
-(``extract_patches(..., out=)`` and ``apply_saab(..., out=)``). Fitting and
-building the representation never hold a patch matrix or response tensor of
-the whole set, so their memory grows with the image count only through the
-pooled values and columns they keep.
+(``extract_patches(..., out=)`` and ``apply_saab(..., out=)``). Scoring's
+response buffer holds only the channels whose whole map it reads; every
+other window it reads is projected from its four corner patches. Fitting
+and building the representation never hold a patch matrix or response
+tensor of the whole set, so their memory grows with the image count only
+through the pooled values and columns they keep.
 
-The fit's Gram products (each block's covariance moments, for the first hop
-and every c/w channel) and the ranking's spectral projections go through
-BLAS, with their output widths padded to a multiple of 8, which keeps their
-bytes the same at every BLAS thread count tried (a test checks 1 and 2).
-Their bytes do depend on each operand's shape, so the first hop's fit
-depends on ``CHUNK_ROWS``, the order in which chunk moments merge. Only
-``_project``, which makes every spectral column that scoring and the boosted
-trees read, stays on ``np.einsum``: a BLAS product's bytes for one row may
-depend on the other rows of the call, and scoring must not.
+Every value that scoring and the boosted trees read, first-hop responses
+and spectral columns alike, is made by ``_project``, an ``np.einsum`` whose
+bytes for one coefficient depend only on its two rows: a BLAS product's
+bytes for one row may depend on the other rows of the call, on the thread
+count and on the OpenBLAS kernel. Scoring makes no BLAS call, so a model
+file gives the same scores, and an image alone the bytes of its row in a
+batch, at every thread count and under every OpenBLAS kernel. The cost is
+the fit's pooling pass: einsum projects a 2**15-row chunk onto 27 kernels in
+8 to 10 ms, where a BLAS product took about 2 (one thread of a 2-vCPU Xeon
+VM). The fit's Gram products (each block's
+covariance moments, for the first hop and every c/w channel), the ranking's
+spectral projections and the ``eigh`` of each covariance still go through
+BLAS or LAPACK. The products' output widths are padded to a multiple of 8,
+which keeps their bytes the same at every BLAS thread count tried (a test
+checks 1 and 2), but their bytes, and so refit bytes, still depend on the
+machine and its OpenBLAS kernel, and on each operand's shape: the first
+hop's fit depends on ``CHUNK_ROWS``, the order in which chunk moments merge.
 """
 
 from __future__ import annotations
@@ -173,16 +183,16 @@ def extract_patches(images: ImageSet, patch_size: int, stride: int, out: np.ndar
 
 
 def _chunks(
-    images: ImageSet, patch_size: int, stride: int, k1: int = 0
+    images: ImageSet, patch_size: int, stride: int, channels: int = 0
 ) -> Iterator[tuple[int, ImageSet, np.ndarray, np.ndarray]]:
     """Consecutive runs of whole images, about ``CHUNK_ROWS`` patch rows each:
     the index of a run's first image, the run, and its rows of one patch
-    buffer and of one (rows, ``k1``) response buffer, both allocated once and
-    rewritten by every run. An empty set is one empty run."""
+    buffer and of one (rows, ``channels``) response buffer, both allocated once
+    and rewritten by every run. An empty set is one empty run."""
     grid_n = max(1, (images.side - patch_size) // max(1, stride) + 1)
     step = max(1, CHUNK_ROWS // (grid_n * grid_n))
     rows = min(step, images.count) * grid_n * grid_n
-    patches, responses = np.empty((rows, patch_size * patch_size * images.channels)), np.empty((rows, k1))
+    patches, responses = np.empty((rows, patch_size * patch_size * images.channels)), np.empty((rows, channels))
     for lo in range(0, max(images.count, 1), step):
         chunk = ImageSet(images.pixels[lo : lo + step], images.provenance)
         used = chunk.count * grid_n * grid_n
@@ -327,15 +337,19 @@ def apply_saab(
     ``extract_patches``) and the responses into the second, which the result
     is a view of.
     """
+    _check_geometry(model, images)
+    patch_out, response_out = (None, None) if out is None else out
+    patches = extract_patches(images, model.patch_size, model.stride, out=patch_out)
+    responses = _project(patches.data[:, None], model.kernel_matrix(), out=response_out)
+    return responses.reshape(images.count, patches.grid_n, patches.grid_n, model.num_channels)
+
+
+def _check_geometry(model: SaabModel, images: ImageSet) -> None:
     if images.side != model.input_side or images.channels != model.channels:
         raise GeometryError(
             f"model fitted for {model.input_side}x{model.input_side}x{model.channels} images, "
             f"got {images.side}x{images.side}x{images.channels}"
         )
-    patch_out, response_out = (None, None) if out is None else out
-    patches = extract_patches(images, model.patch_size, model.stride, out=patch_out)
-    responses = np.matmul(patches.data, model.kernel_matrix().T, out=response_out)
-    return responses.reshape(images.count, patches.grid_n, patches.grid_n, model.num_channels)
 
 
 def abs_max_pool(responses: np.ndarray) -> np.ndarray:
@@ -380,11 +394,15 @@ def fit_cw_saab(
     return tuple(matrices)
 
 
-def _project(maps: np.ndarray, kernels: np.ndarray) -> np.ndarray:
-    """Each row of ``maps`` projected onto each row of ``kernels``. Unlike a BLAS
-    product, ``np.einsum`` on C-contiguous operands gives each coefficient bytes
-    that depend only on its two rows (an F-ordered operand sums in another order)."""
-    return np.einsum("ij,kj->ik", np.ascontiguousarray(maps), np.ascontiguousarray(kernels))
+def _project(maps: np.ndarray, kernels: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Dot products along the last axis of ``maps`` and ``kernels``, their
+    other axes broadcast against each other: ``_project(maps[:, None], kernels)``
+    projects every row of ``maps`` onto every row of ``kernels``. Written into
+    ``out`` when it is given. Unlike a BLAS product, ``np.einsum`` on
+    C-contiguous operands gives each coefficient bytes that depend only on its
+    two rows, not on the other rows of the call, their shape or where they sit
+    in memory (an F-ordered operand sums in another order)."""
+    return np.einsum("...j,...j->...", np.ascontiguousarray(maps), np.ascontiguousarray(kernels), out=out)
 
 
 def fit_representation(
@@ -442,21 +460,47 @@ def _pooled_chunks(images: ImageSet, model: SaabModel, positions: np.ndarray) ->
     at a time: the index of the chunk's first image and a (chunk count x
     len(positions)) block.
 
-    Only the 2x2 windows at ``positions`` are pooled, by ``abs_max_pool``'s
-    tournament, so each value equals the full pooled tensor's bit for bit.
+    Only the responses that these windows read are projected, by ``_project``
+    as ``apply_saab`` does: the channels whose whole map is read, over every
+    patch row in one call, and every other window from its four corner
+    patches, each onto its channel's kernel. Both are pooled by
+    ``abs_max_pool``'s tournament, so each value equals the full pooled
+    tensor's bit for bit.
     """
     grid_n = (model.input_side - model.patch_size) // model.stride + 1
     if model.pooled_side < 1:
         raise GeometryError(f"need a spatial extent of at least 2 to pool, got {grid_n}x{grid_n}")
-    k1 = model.num_channels
+    k1, cells = model.num_channels, grid_n * grid_n
     cell, channel = np.divmod(np.asarray(positions, dtype=np.intp), k1)
-    row, col = np.divmod(cell, model.pooled_side)
-    # corners[a, b, i]: where element (a, b) of window i sits in a chunk's flattened responses.
-    offsets = np.array([[0, 1], [grid_n, grid_n + 1]]) * k1
-    corners = offsets[:, :, None] + ((2 * row * grid_n + 2 * col) * k1 + channel)
-    for lo, chunk, patches, responses in _chunks(images, model.patch_size, model.stride, k1):
-        responses = apply_saab(model, chunk, out=(patches, responses)).reshape(chunk.count, grid_n * grid_n * k1)
-        yield lo, abs_max_pool(responses[:, corners]).reshape(chunk.count, corners.shape[2])
+    read = np.zeros((k1, model.pooled_side**2), bool)
+    read[channel, cell] = True
+    whole = np.flatnonzero(read.all(axis=1))
+    # Slot of each channel in the pooled maps of the whole channels, -1 for the others.
+    slot = np.full(k1, -1)
+    slot[whole] = np.arange(whole.size)
+    in_map, alone = np.flatnonzero(slot[channel] >= 0), np.flatnonzero(slot[channel] < 0)
+    map_at = cell[in_map] * whole.size + slot[channel[in_map]]
+    row, col = np.divmod(cell[alone], model.pooled_side)
+    # corners[a, b, i]: the grid position of element (a, b) of window alone[i].
+    corners = np.array([[0, 1], [grid_n, grid_n + 1]])[:, :, None] + (2 * row * grid_n + 2 * col)
+    kernels = model.kernel_matrix()
+    alone_kernels = kernels[channel[alone]]
+    step = max(1, cells // 4)  # windows per call, so their corner patches take at most a chunk's patch buffer
+    for lo, chunk, patches, responses in _chunks(images, model.patch_size, model.stride, whole.size):
+        patches = extract_patches(chunk, model.patch_size, model.stride, out=patches).data
+        block = np.empty((chunk.count, len(cell)))
+        if whole.size:
+            maps = _project(patches[:, None], kernels[whole], out=responses)
+            pooled = abs_max_pool(maps.reshape(chunk.count, grid_n, grid_n, whole.size))
+            block[:, in_map] = pooled.reshape(chunk.count, whole.size * read.shape[1])[:, map_at]
+        first = np.arange(chunk.count)[:, None, None, None] * cells
+        for i in range(0, alone.size, step):
+            # The corner patches, (count, 2, 2, windows, patch_dim), live only inside this statement.
+            pooled = abs_max_pool(
+                _project(np.take(patches, first + corners[:, :, i : i + step], axis=0), alone_kernels[i : i + step])
+            )
+            block[:, alone[i : i + step]] = pooled.reshape(chunk.count, pooled.shape[3])
+        yield lo, block
 
 
 def split_columns(model: SaabModel, indices: np.ndarray, kernels: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -487,8 +531,10 @@ def build_representation(images: ImageSet, model: SaabModel, indices: np.ndarray
     computed: those of the spatial columns and the whole maps of the channels
     that a spectral column names. A spectral column is its channel's map
     projected onto its row, so a column's bytes depend only on its image and
-    its row, not on the other images or columns of the call.
+    its row, not on the other images or columns of the call. No BLAS call is
+    made, so neither do they depend on the BLAS thread count or kernel.
     """
+    _check_geometry(model, images)
     return _assemble(images.count, model, indices, kernels, partial(_pooled_chunks, images, model))
 
 
@@ -513,16 +559,17 @@ def _assemble(count: int, model: SaabModel, indices: np.ndarray, kernels: np.nda
     indices = np.asarray(indices, dtype=np.intp)
     spatial, spectral, channels = split_columns(model, indices, kernels)
     size, k1 = model.pooled_side**2, model.num_channels
-    read = np.unique(channels)
+    read = np.flatnonzero(np.bincount(channels, minlength=k1))
     # The read channels' maps, one after another, then the spatial columns' windows.
     map_positions = (read[:, None] + np.arange(size) * k1).ravel()
     data = np.empty((count, indices.size), order="F")
-    for lo, block in pooled_at(np.concatenate([map_positions, indices[spatial]])):
+    # With no columns there is nothing to read, and no patch is extracted.
+    for lo, block in pooled_at(np.concatenate([map_positions, indices[spatial]])) if indices.size else ():
         rows = slice(lo, lo + block.shape[0])
         data[rows, spatial] = block[:, map_positions.size :]
         for j, ch in enumerate(read):
             mine = channels == ch
-            data[rows, spectral[mine]] = _project(block[:, j * size : (j + 1) * size], kernels[mine])
+            data[rows, spectral[mine]] = _project(block[:, None, j * size : (j + 1) * size], kernels[mine])
     # min and max propagate NaN, and are infinite if any value is.
     if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
         raise ValueError("feature matrix contains non-finite values")

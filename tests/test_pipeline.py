@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +25,18 @@ from lgsqe.pipeline import (
 )
 
 from conftest import random_image_set, traced_peak, unchunked_representation
+
+
+def spy_on_extraction(monkeypatch) -> list[int]:
+    """The image count of every ``saab.extract_patches`` call from here on."""
+    counts, extract = [], saab.extract_patches
+
+    def spy(images, *args, **kwargs):
+        counts.append(images.count)
+        return extract(images, *args, **kwargs)
+
+    monkeypatch.setattr(saab, "extract_patches", spy)
+    return counts
 
 
 class TestSeeds:
@@ -217,7 +233,7 @@ class TestPipelineModel:
             assert row.tobytes() == features[i].tobytes()
             assert model.score_images(alone).tobytes() == scores[i].tobytes()
 
-    def test_zero_split_forest(self, tmp_path):
+    def test_zero_split_forest(self, tmp_path, monkeypatch):
         # 32 + 32 training rows cannot make two leaves of 60: every tree is one leaf.
         real = random_image_set(40, side=16, seed=5)
         generated = random_image_set(40, side=16, seed=6, provenance="generated")
@@ -230,7 +246,9 @@ class TestPipelineModel:
         lgsqe.PipelineModel.load(tmp_path / "a.json").save(tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         expected = np.clip(1.0 / (1.0 + np.exp(-model.ensemble.base_score)), 1e-15, 1.0 - 1e-15)
+        extracted = spy_on_extraction(monkeypatch)
         np.testing.assert_array_equal(model.score_images(real), np.full(real.count, expected))
+        assert extracted == []  # no stored column, so no patch is extracted
 
     def test_holdout_split_reproducible(self, small_pipeline):
         model, real, generated = small_pipeline
@@ -258,19 +276,80 @@ class TestPipelineModel:
         assert training["selected_count"] == model.config.top_k >= model.indices.size
         assert 0.0 <= training["train_accuracy"] <= 1.0
 
-    def test_geometry_mismatch_rejected(self, small_pipeline):
+    def test_geometry_mismatch_rejected(self, small_pipeline, monkeypatch):
         model, real, generated = small_pipeline
         wrong = random_image_set(10, side=12, seed=3)
         with pytest.raises(GeometryError):
             fit_pipeline(real, wrong, model.config)
-        with pytest.raises(GeometryError):
-            model.score_images(wrong)
+        extracted = spy_on_extraction(monkeypatch)
+        for images in (wrong, random_image_set(10, side=16, channels=3, seed=3)):
+            with pytest.raises(GeometryError, match="model fitted for 16x16x1 images"):
+                model.score_images(images)
+        assert extracted == []  # refused before any patch is extracted
+        model.score_images(generated)
+        assert extracted == [generated.count]
 
     def test_channels_validated(self, small_pipeline):
         _, real, generated = small_pipeline
         config = RunConfig(patch_size=3, channels=3, top_k=5, gbdt=GbdtParams(n_rounds=2))
         with pytest.raises(GeometryError):
             fit_pipeline(real, generated, config)
+
+
+# The CPU flag each OpenBLAS kernel needs; forcing a kernel whose instructions the CPU lacks crashes the process.
+CORETYPE_FLAGS = {"SandyBridge": "avx", "Haswell": "avx2", "Zen": "avx2", "SkylakeX": "avx512f"}
+
+SCORE_SCRIPT = """
+import hashlib, sys
+import numpy as np
+import lgsqe
+
+model = lgsqe.PipelineModel.load(sys.argv[1])
+batch = lgsqe.load_images(sys.argv[2])
+columns = (model.saab, model.indices, model.spectral_kernels)
+features, scores = lgsqe.build_representation(batch, *columns), model.score_images(batch)
+first = batch.subset(np.array([0]))
+print(lgsqe.build_representation(first, *columns).tobytes() == features[:1].tobytes())
+print(model.score_images(first).tobytes() == scores[:1].tobytes())
+print(hashlib.sha256(features.tobytes() + scores.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.skipif(
+    not (sys.platform.startswith("linux") and platform.machine() == "x86_64"),
+    reason="OpenBLAS kernels are forced by their x86-64 names and chosen from /proc/cpuinfo",
+)
+@pytest.mark.filterwarnings("ignore:only .* patches for dimension")
+def test_scores_do_not_depend_on_blas_threads_or_kernel(tmp_path):
+    """Scoring makes no BLAS call: with 1 and 2 OpenBLAS threads, under
+    OpenBLAS's own kernel and under each kernel the CPU can run, a 32x32x3
+    patch-3 model gives 600 images the same representation and score bytes,
+    and image 0 scored alone gives the bytes of row 0 of the batch."""
+    with open("/proc/cpuinfo") as fh:
+        flags = set(next(line for line in fh if line.startswith("flags")).split(":", 1)[1].split())
+    kernels = [None] + [name for name, flag in CORETYPE_FLAGS.items() if flag in flags]
+    real = random_image_set(60, side=32, channels=3, seed=32)
+    generated = lgsqe.gaussian_degrade(random_image_set(60, side=32, channels=3, seed=33), 0.1, seed=3)
+    config = RunConfig(patch_size=3, stride=1, top_k=300, gbdt=GbdtParams(n_rounds=5, max_depth=3))
+    model, _ = fit_pipeline(real, generated, config)
+    assert np.any(model.indices >= model.saab.spatial_width)  # a spectral column is stored
+    model.save(tmp_path / "model.json")
+    lgsqe.save_raw_tensor(random_image_set(600, side=32, channels=3, seed=34), tmp_path / "batch.lgt")
+    runs = {}
+    for threads in ("1", "2"):
+        for kernel in kernels:
+            env = {**os.environ, **{f"{lib}_NUM_THREADS": threads for lib in ("OPENBLAS", "OMP", "MKL")}}
+            env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(lgsqe.__path__[0]), env.get("PYTHONPATH", "")])
+            env.pop("OPENBLAS_CORETYPE", None)
+            if kernel:
+                env["OPENBLAS_CORETYPE"] = kernel
+            run = subprocess.run(
+                [sys.executable, "-c", SCORE_SCRIPT, str(tmp_path / "model.json"), str(tmp_path / "batch.lgt")],
+                env=env, capture_output=True, text=True, check=True, timeout=120,
+            )
+            runs[threads, kernel] = run.stdout.split()
+    digest = runs["1", None][2]
+    assert all(out == ["True", "True", digest] for out in runs.values()), runs
 
 
 class TestBoundedMemory:
