@@ -78,10 +78,10 @@ class GbdtParams:
             raise ValueError("n_rounds must be >= 0")
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.reg_lambda < 0:
-            raise ValueError("reg_lambda must be >= 0")
+        if not 0 < self.learning_rate < np.inf:  # also false for NaN
+            raise ValueError("learning_rate must be positive and finite")
+        if not 0 <= self.reg_lambda < np.inf:
+            raise ValueError("reg_lambda must be >= 0 and finite")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
         if not 0.0 < self.subsample <= 1.0:

@@ -24,17 +24,18 @@ constant patch always has zero AC response.
 
 The first hop streams over the images in chunks of whole images of about
 ``CHUNK_ROWS`` patch rows. Fitting accumulates the patch moments chunk by
-chunk; applying the hop extracts, projects and pools one chunk at a time.
-Each pass over the images (the fit's moments, the fit's pooling, and
-scoring's ``_pooled_chunks``) allocates one float64 patch buffer and one
-response buffer, a chunk's rows each (about 7 MB of patches at 27
-dimensions), and every chunk of the pass is written into them
-(``extract_patches(..., out=)`` and ``apply_saab(..., out=)``). Scoring's
-response buffer holds only the channels whose whole map it reads; every
-other window it reads is projected from its four corner patches. Fitting
-and building the representation never hold a patch matrix or response
-tensor of the whole set, so their memory grows with the image count only
-through the pooled values and columns they keep.
+chunk; pooling extracts, projects and pools one chunk at a time, and one
+routine, ``_pooled_chunks``, pools for both the fit (every position) and
+scoring (the positions its columns read). Each pass over the images (the
+fit's moments and each ``_pooled_chunks`` stream) allocates one float64
+patch buffer and one response buffer, a chunk's rows each (about 7 MB of
+patches at 27 dimensions), and every chunk of the pass is written into them
+(``extract_patches(..., out=)`` and ``_project(..., out=)``). The response
+buffer holds only the channels whose whole map is read; every other window
+read is projected from its four corner patches. Fitting and building the
+representation never hold a patch matrix or response tensor of the whole
+set, so their memory grows with the image count only through the pooled
+values and columns they keep; ``apply_saab`` is the whole-set reference.
 
 Every value that scoring and the boosted trees read, first-hop responses
 and spectral columns alike, is made by ``_project``, an ``np.einsum`` whose
@@ -43,9 +44,9 @@ bytes for one row may depend on the other rows of the call, on the thread
 count and on the OpenBLAS kernel. Scoring makes no BLAS call, so a model
 file gives the same scores, and an image alone the bytes of its row in a
 batch, at every thread count and under every OpenBLAS kernel. The cost is
-the fit's pooling pass: einsum projects a 2**15-row chunk onto 27 kernels in
-8 to 10 ms, where a BLAS product took about 2 (one thread of a 2-vCPU Xeon
-VM). The fit's Gram products (each block's
+the fit's pooling pass: einsum projects a 2**15-row chunk onto 25 to 27
+kernels in 8 to 13 ms, where a BLAS product takes about 2 (one thread of a
+2-vCPU Xeon VM). The fit's Gram products (each block's
 covariance moments, for the first hop and every c/w channel), the ranking's
 spectral projections and the ``eigh`` of each covariance still go through
 BLAS or LAPACK. The products' output widths are padded to a multiple of 8,
@@ -325,22 +326,16 @@ def fit_saab(
     )
 
 
-def apply_saab(
-    model: SaabModel, images: ImageSet, out: tuple[np.ndarray, np.ndarray] | None = None
-) -> np.ndarray:
+def apply_saab(model: SaabModel, images: ImageSet) -> np.ndarray:
     """Project every patch onto the fitted basis.
 
     Returns a (count, grid_n, grid_n, K1) response tensor with the DC
-    response in channel 0 and AC responses in eigenvalue order. ``out``, when
-    given, is a pair of C-contiguous float64 buffers, (patch rows, patch_dim)
-    and (patch rows, K1): the patches are written into the first (see
-    ``extract_patches``) and the responses into the second, which the result
-    is a view of.
+    response in channel 0 and AC responses in eigenvalue order, for the whole
+    set at once; ``_pooled_chunks`` streams its pooled values bit for bit.
     """
     _check_geometry(model, images)
-    patch_out, response_out = (None, None) if out is None else out
-    patches = extract_patches(images, model.patch_size, model.stride, out=patch_out)
-    responses = _project(patches.data[:, None], model.kernel_matrix(), out=response_out)
+    patches = extract_patches(images, model.patch_size, model.stride)
+    responses = _project(patches.data[:, None], model.kernel_matrix())
     return responses.reshape(images.count, patches.grid_n, patches.grid_n, model.num_channels)
 
 
@@ -419,9 +414,10 @@ def fit_representation(
     matrix per pooled channel (see ``fit_cw_saab``).
 
     Two streamed passes run over the images: the first accumulates the
-    first-hop moments, the second applies the fitted hop and pools. The pooled
-    matrix feeds the c/w fits, the ranking and the selected columns, so the
-    images are pooled once.
+    first-hop moments, the second pools every position through
+    ``_pooled_chunks``, the routine that scoring pools with, so the fit's
+    pooled values are scoring's bytes. The pooled matrix feeds the c/w fits,
+    the ranking and the selected columns, so the images are pooled once.
     """
     chunks = _chunks(images, patch_size, stride)
     hop = fit_saab(
@@ -430,10 +426,9 @@ def fit_representation(
         explicit_channels=explicit_channels,
     )
     n, side, k1 = images.count, hop.pooled_side, hop.num_channels
-    pooled = np.empty((n, side * side * k1))
-    for lo, chunk, patches, responses in _chunks(images, patch_size, stride, k1):
-        responses = apply_saab(hop, chunk, out=(patches, responses))
-        pooled[lo : lo + chunk.count] = abs_max_pool(responses).reshape(chunk.count, pooled.shape[1])
+    pooled = np.empty((n, hop.spatial_width))
+    for lo, block in _pooled_chunks(images, hop, np.arange(hop.spatial_width)):
+        pooled[lo : lo + len(block)] = block
     cw = fit_cw_saab(pooled.reshape(n, side, side, k1), energy_threshold, cw_explicit_channels)
     return replace(hop, cw_widths=tuple(len(kernels) for kernels in cw)), pooled, cw
 
@@ -488,11 +483,12 @@ def _pooled_chunks(images: ImageSet, model: SaabModel, positions: np.ndarray) ->
     step = max(1, cells // 4)  # windows per call, so their corner patches take at most a chunk's patch buffer
     for lo, chunk, patches, responses in _chunks(images, model.patch_size, model.stride, whole.size):
         patches = extract_patches(chunk, model.patch_size, model.stride, out=patches).data
+        maps = _project(patches[:, None], kernels[whole], out=responses)
+        pooled = abs_max_pool(maps.reshape(chunk.count, grid_n, grid_n, whole.size))
+        # Allocated after pooling, and the pooled maps freed below: pooling every map is the fit's peak.
         block = np.empty((chunk.count, len(cell)))
-        if whole.size:
-            maps = _project(patches[:, None], kernels[whole], out=responses)
-            pooled = abs_max_pool(maps.reshape(chunk.count, grid_n, grid_n, whole.size))
-            block[:, in_map] = pooled.reshape(chunk.count, whole.size * read.shape[1])[:, map_at]
+        block[:, in_map] = pooled.reshape(chunk.count, whole.size * read.shape[1])[:, map_at]
+        del pooled
         first = np.arange(chunk.count)[:, None, None, None] * cells
         for i in range(0, alone.size, step):
             # The corner patches, (count, 2, 2, windows, patch_dim), live only inside this statement.

@@ -477,13 +477,17 @@ class TestFilter:
         ("filter", "--keep-fraction", "1.5", "keep_fraction must lie in (0, 1], got 1.5"),
         ("eval", "--threshold", "2", "threshold must lie in [0, 1], got 2.0"),
         ("eval", "--histogram-bins", "0", "bins must be >= 2, got 0"),
+        ("fit", "--learning-rate", "nan", "learning_rate must be positive and finite"),
+        ("fit", "--config", "run.cfg", "reg_lambda must be >= 0 and finite"),
     ],
-    ids=["keep-fraction", "threshold", "histogram-bins"],
+    ids=["keep-fraction", "threshold", "histogram-bins", "learning-rate-nan", "config-reg-lambda-inf"],
 )
 def test_bad_value_fails_before_images_are_read(
     cli_data, fitted_model, tmp_path, monkeypatch, capsys, command, flag, value, message
 ):
     _, real_path, gen_path = cli_data
+    monkeypatch.chdir(tmp_path)
+    Path("run.cfg").write_text("gbdt_reg_lambda=inf\n")
     opened, real_open = [], builtins.open
 
     def counting_open(file, *args, **kwargs):
@@ -495,6 +499,7 @@ def test_bad_value_fails_before_images_are_read(
     argv = {
         "filter": ["filter", str(fitted_model), str(gen_path), "-o", str(out), "--ids-out", str(tmp_path / "ids.csv")],
         "eval": ["eval", str(fitted_model), str(real_path), str(gen_path), "-o", str(out)],
+        "fit": ["fit", str(real_path), str(gen_path), "-o", str(out)],
     }[command]
     assert main([*argv, flag, value]) == 1
     assert capsys.readouterr().err.splitlines() == [f"lgsqe: error: {message}"]

@@ -505,9 +505,15 @@ class TestBoundedMemory:
 
 class TestParams:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            GbdtParams(learning_rate=0.0).validate()
-        with pytest.raises(ValueError):
-            GbdtParams(subsample=0.0).validate()
-        with pytest.raises(ValueError):
-            GbdtParams(max_depth=0).validate()
+        nan, inf = float("nan"), float("inf")
+        bad = [
+            {"learning_rate": 0.0},
+            {"subsample": 0.0},
+            {"max_depth": 0},
+            *({"learning_rate": v} for v in (nan, inf, -inf)),
+            *({"reg_lambda": v} for v in (nan, inf, -inf)),
+        ]
+        for kwargs in bad:
+            with pytest.raises(ValueError):
+                GbdtParams(**kwargs).validate()
+        GbdtParams(learning_rate=1e300, reg_lambda=0.0).validate()

@@ -454,12 +454,16 @@ def chunk_images(side, images_per_chunk, patch_size=3, stride=1):
 class TestStreamedFirstHop:
     """The first hop runs in chunks of whole images; results must not show the seams."""
 
-    @pytest.mark.parametrize("side,channels", [(16, 1), (32, 3)], ids=["16x16x1", "32x32x3"])
-    def test_chunk_seams_bit_exact(self, monkeypatch, side, channels):
-        monkeypatch.setattr(saab, "CHUNK_ROWS", chunk_images(side, 3))
+    @pytest.mark.parametrize(
+        "side,channels,patch_size,stride",
+        [(16, 1, 3, 1), (28, 1, 5, 2), (32, 3, 3, 1)],
+        ids=["16x16x1", "28x28x1", "32x32x3"],
+    )
+    def test_chunk_seams_bit_exact(self, monkeypatch, side, channels, patch_size, stride):
+        monkeypatch.setattr(saab, "CHUNK_ROWS", chunk_images(side, 3, patch_size, stride))
         images = random_image_set(11, side=side, channels=channels, seed=side + 1)
-        assert [chunk.count for _, chunk, _, _ in saab._chunks(images, 3, 1)] == [3, 3, 3, 2]
-        hop, pooled, cw = lgsqe.fit_representation(images, 3, 1)
+        assert [chunk.count for _, chunk, _, _ in saab._chunks(images, patch_size, stride)] == [3, 3, 3, 2]
+        hop, pooled, cw = lgsqe.fit_representation(images, patch_size, stride)
         trained = unchunked_representation(hop, cw, images)
         assert_ranking_blocks(pooled, cw, trained)
         assert hop.width == trained.shape[1]
