@@ -78,8 +78,8 @@ def recall(counts: ConfusionCounts) -> float | None:
     return counts.tp / denom if denom else None
 
 
-def _pr_points(scores: np.ndarray, labels: np.ndarray) -> list[tuple[float, float]]:
-    """(recall, precision) pairs swept over descending thresholds.
+def _pr_points(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Recall and precision arrays swept over descending thresholds.
 
     Thresholds are the distinct score values plus {0, 1}. Points with an
     undefined precision are dropped; the first valid precision is extended
@@ -94,19 +94,15 @@ def _pr_points(scores: np.ndarray, labels: np.ndarray) -> list[tuple[float, floa
     predicted = scores.size - below
     tp = positives_below[-1] - positives_below[below]
     valid = predicted > 0
-    points = list(zip((tp[valid] / positives_below[-1]).tolist(), (tp[valid] / predicted[valid]).tolist()))
-    if points:
-        points.insert(0, (0.0, points[0][1]))
-    return points
+    recall, precision = tp[valid] / positives_below[-1], tp[valid] / predicted[valid]
+    return np.concatenate([recall[:1] * 0.0, recall]), np.concatenate([precision[:1], precision])
 
 
 def pr_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Trapezoidal area under the precision-recall curve; labels as in ``roc_auc``."""
-    points = _pr_points(np.asarray(scores, dtype=np.float64), _binary_labels(labels))
-    area = 0.0
-    for (r0, p0), (r1, p1) in zip(points[:-1], points[1:]):
-        area += (r1 - r0) * (p1 + p0) / 2.0
-    return area
+    r, p = _pr_points(np.asarray(scores, dtype=np.float64), _binary_labels(labels))
+    # cumsum adds the trapezoids one by one from 0.0, in recall order, as a running sum would.
+    return float(np.cumsum(np.concatenate([[0.0], (r[1:] - r[:-1]) * (p[1:] + p[:-1]) / 2.0]))[-1])
 
 
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:

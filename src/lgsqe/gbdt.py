@@ -32,7 +32,7 @@ keeps refits byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -304,25 +304,16 @@ class BoostedEnsemble:
         return np.clip(_sigmoid(self.predict_margin(features)), _PROB_EPS, 1.0 - _PROB_EPS)
 
     def to_dict(self) -> dict:
-        return {
-            "base_score": float(self.base_score),
-            "learning_rate": float(self.learning_rate),
-            "n_features": self.n_features,
-            "train_loss": [float(v) for v in self.train_loss],
-            **{name: getattr(self, name).tolist() for name in _NODE_ARRAYS},
-        }
+        return {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BoostedEnsemble":
-        return cls(
-            **{
-                name: (
-                    integer_array(doc[name], f"ensemble {name}") if dtype is np.int64 else np.asarray(doc[name], dtype)
-                )
-                for name, dtype in _NODE_ARRAYS.items()
-            },
-            **{key: doc[key] for key in ("learning_rate", "base_score", "n_features", "train_loss")},
-        )
+        """Inverse of ``to_dict``: each field read by name, the node arrays as their ``_NODE_ARRAYS`` dtype."""
+        values = {f.name: doc[f.name] for f in fields(cls)}
+        for name, dtype in _NODE_ARRAYS.items():
+            value = values[name]
+            values[name] = integer_array(value, f"ensemble {name}") if dtype is np.int64 else np.asarray(value, dtype)
+        return cls(**values)
 
     def __post_init__(self):
         """Check that children follow their parent inside its tree, so every descent ends at a leaf."""

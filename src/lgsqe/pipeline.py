@@ -178,37 +178,6 @@ def parse_config_file(path) -> dict:
     return out
 
 
-def write_config_file(config: RunConfig, path) -> None:
-    with open(path, "w") as fh:
-        for key, value in config.to_dict().items():
-            fh.write(f"{key}={'none' if value is None else value}\n")
-
-
-def _saab_to_dict(model: SaabModel) -> dict:
-    return {
-        "ac_kernels": model.ac_kernels.tolist(),
-        "eigenvalues": model.eigenvalues.tolist(),
-        "input_side": model.input_side,
-        "channels": model.channels,
-        "patch_size": model.patch_size,
-        "stride": model.stride,
-        "cw_widths": list(model.cw_widths),
-    }
-
-
-def _saab_from_dict(doc: dict) -> SaabModel:
-    dim = doc["patch_size"] ** 2 * doc["channels"]
-    return SaabModel(
-        ac_kernels=np.asarray(doc["ac_kernels"], dtype=np.float64).reshape(-1, dim),
-        eigenvalues=np.asarray(doc["eigenvalues"], dtype=np.float64),
-        input_side=doc["input_side"],
-        channels=doc["channels"],
-        patch_size=doc["patch_size"],
-        stride=doc["stride"],
-        cw_widths=tuple(integer_array(doc["cw_widths"], "saab.cw_widths").tolist()),
-    )
-
-
 def _finite_float(text: str) -> float:
     """A JSON number as a float, refusing what Python's json reads as non-finite (``NaN``, ``Infinity``, ``1e999``)."""
     value = float(text)
@@ -273,7 +242,7 @@ class PipelineModel:
         return {
             "format_version": self.version,
             "config": self.config.to_dict(),
-            "saab": _saab_to_dict(self.saab),
+            "saab": self.saab.to_dict(),
             "selection": {
                 "indices": [int(i) for i in self.indices],
                 "spectral_kernels": self.spectral_kernels.tolist(),
@@ -288,7 +257,7 @@ class PipelineModel:
         if version.split(".")[0] != MODEL_VERSION.split(".")[0]:
             raise VersionError(f"unsupported model format version {version!r}")
         config = RunConfig.from_dict(doc["config"])
-        saab = _saab_from_dict(doc["saab"])
+        saab = SaabModel.from_dict(doc["saab"])
         kernels = np.asarray(doc["selection"]["spectral_kernels"], dtype=np.float64)
         model = cls(
             saab=saab,

@@ -60,14 +60,14 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from itertools import chain
 
 import numpy as np
 
 from .datasets import ImageSet
-from .errors import GeometryError
+from .errors import GeometryError, integer_array
 
 _ZERO_ENERGY = 1e-12
 
@@ -155,6 +155,21 @@ class SaabModel:
     def kernel_matrix(self) -> np.ndarray:
         """(K1, K) projection matrix with the DC kernel as row 0."""
         return np.concatenate([_dc_kernel(self.patch_dim)[None, :], self.ac_kernels], axis=0)
+
+    def to_dict(self) -> dict:
+        """The model file's ``saab`` record: every field, arrays as nested lists."""
+        return {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "SaabModel":
+        """Inverse of ``to_dict``: each field read by name (a missing one raises ``KeyError``, other keys are
+        ignored), the three array fields coerced and checked."""
+        values = {f.name: doc[f.name] for f in fields(cls)}
+        dim = values["patch_size"] ** 2 * values["channels"]
+        values["ac_kernels"] = np.asarray(values["ac_kernels"], dtype=np.float64).reshape(-1, dim)
+        values["eigenvalues"] = np.asarray(values["eigenvalues"], dtype=np.float64)
+        values["cw_widths"] = tuple(integer_array(values["cw_widths"], "saab.cw_widths").tolist())
+        return cls(**values)
 
 
 def _dc_kernel(dim: int) -> np.ndarray:
@@ -429,6 +444,7 @@ def fit_representation(
     pooled = np.empty((n, hop.spatial_width))
     for lo, block in _pooled_chunks(images, hop, np.arange(hop.spatial_width)):
         pooled[lo : lo + len(block)] = block
+        del block  # freed before the next chunk pools
     cw = fit_cw_saab(pooled.reshape(n, side, side, k1), energy_threshold, cw_explicit_channels)
     return replace(hop, cw_widths=tuple(len(kernels) for kernels in cw)), pooled, cw
 
@@ -497,6 +513,7 @@ def _pooled_chunks(images: ImageSet, model: SaabModel, positions: np.ndarray) ->
             )
             block[:, alone[i : i + step]] = pooled.reshape(chunk.count, pooled.shape[3])
         yield lo, block
+        del block  # the caller's reference is the only one left while the next chunk pools
 
 
 def split_columns(model: SaabModel, indices: np.ndarray, kernels: np.ndarray) -> tuple[np.ndarray, ...]:

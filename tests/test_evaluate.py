@@ -146,7 +146,7 @@ class TestPrAuc:
         scores = rng.choice(np.array(levels), size=n)
         labels = rng.integers(0, 2, size=n).astype(np.int8)
         labels[: 2] = [0, 1]
-        assert _pr_points(scores, labels) == pr_points_oracle(scores, labels)
+        assert list(zip(*(a.tolist() for a in _pr_points(scores, labels)))) == pr_points_oracle(scores, labels)
         assert lgsqe.pr_auc(scores, labels) == pr_auc_oracle(scores, labels)
 
 

@@ -5,6 +5,7 @@ import platform
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from lgsqe.pipeline import (
     imageset_fingerprint,
     matches_training_data,
     parse_config_file,
-    write_config_file,
 )
 
 from conftest import random_image_set, traced_peak, unchunked_representation
@@ -69,7 +69,7 @@ class TestRunConfig:
     def test_config_file_round_trip(self, tmp_path):
         config = RunConfig(patch_size=3, stride=1, top_k=12, cw_k=4, select_mode="elbow")
         path = tmp_path / "run.cfg"
-        write_config_file(config, path)
+        path.write_text("".join(f"{k}={'none' if v is None else v}\n" for k, v in config.to_dict().items()))
         assert RunConfig.from_dict({**RunConfig().to_dict(), **parse_config_file(path)}) == config
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -133,6 +133,13 @@ class TestPipelineModel:
         model.save(first)
         lgsqe.PipelineModel.load(first).save(second)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_golden_file_resaves_to_its_bytes(self):
+        """A committed format-7.0.0 file (a seeded 16x16x3 fit at patch 3,
+        stride 1, 5 rounds, with spatial and spectral columns) loads and
+        serializes to its own bytes, which pins every record's codec."""
+        path = Path(__file__).parent / "golden" / "model-16x16x3.json"
+        assert lgsqe.PipelineModel.load(path).to_json().encode() == path.read_bytes()
 
     def test_refit_byte_identical(self, small_pipeline):
         model, real, generated = small_pipeline

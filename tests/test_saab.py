@@ -1,6 +1,8 @@
+import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -83,6 +85,19 @@ class TestFitSaab:
         model = lgsqe.fit_saab(patches)
         assert np.all(model.eigenvalues < 1e-12)
         assert model.num_channels == 1  # zero variance keeps DC only
+
+    def test_dc_only_hop_round_trips(self):
+        """A hop with no AC kernel and no c/w widths survives its JSON record;
+        keys outside the fields are ignored and a missing one is a KeyError."""
+        model = lgsqe.fit_saab(patch_matrix_from_array(np.full((50, 9), 3.25)))
+        doc = json.loads(json.dumps(model.to_dict()))
+        clone = saab.SaabModel.from_dict({**doc, "unknown": 1})
+        assert clone.ac_kernels.shape == (0, 9) and clone.cw_widths == ()
+        assert clone.eigenvalues.tobytes() == model.eigenvalues.tobytes()
+        assert clone.to_dict() == doc
+        del doc["stride"]
+        with pytest.raises(KeyError, match="stride"):
+            saab.SaabModel.from_dict(doc)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(42)
@@ -575,6 +590,25 @@ class TestBoundedMemory:
         small_peak, small_kept = fit(self.COUNT)
         large_peak, large_kept = fit(4 * self.COUNT)
         assert large_peak - small_peak <= 1.1 * (large_kept - small_kept)
+
+    def test_fit_pools_each_chunk_without_the_last_block(self, monkeypatch):
+        """The fit's pooling pass peaks while a chunk pools, and every chunk
+        starts to pool with no more traced memory alive than the first: the
+        last chunk's block of pooled values, once copied into the pooled
+        matrix, is freed (held, it adds one block from the second chunk on)."""
+        alive = []
+        pool = saab.abs_max_pool
+
+        def spy(responses):
+            alive.append(tracemalloc.get_traced_memory()[0])
+            return pool(responses)
+
+        monkeypatch.setattr(saab, "abs_max_pool", spy)
+        images = self.images(5 * 4)
+        (hop, _, _), _ = traced_peak(lambda: lgsqe.fit_representation(images, 3, 1))
+        block = 4 * hop.spatial_width * 8
+        assert len(alive) == 5
+        assert max(alive) - alive[0] <= block / 2, (max(alive) - alive[0]) / block
 
     def test_build_selected_columns(self):
         hop, _, cw = lgsqe.fit_representation(self.images(64), 3, 1)
