@@ -46,22 +46,24 @@ file gives the same scores, and an image alone the bytes of its row in a
 batch, at every thread count and under every OpenBLAS kernel. The cost is
 the fit's pooling pass: einsum projects a 2**15-row chunk onto 25 to 27
 kernels in 8 to 13 ms, where a BLAS product takes about 2 (one thread of a
-2-vCPU Xeon VM). The fit's Gram products (each block's
-covariance moments, for the first hop and every c/w channel), the ranking's
-spectral projections and the ``eigh`` of each covariance still go through
-BLAS or LAPACK. The products' output widths are padded to a multiple of 8,
-which keeps their bytes the same at every BLAS thread count tried (a test
-checks 1 and 2), but their bytes, and so refit bytes, still depend on the
-machine and its OpenBLAS kernel, and on each operand's shape: the first
-hop's fit depends on ``CHUNK_ROWS``, the order in which chunk moments merge.
+2-vCPU Xeon VM). The fit's Gram products (each block's covariance moments,
+for the first hop and every c/w channel), the ranking's spectral projections
+and the ``eigh`` of each covariance still go through BLAS or LAPACK, on one
+thread of numpy's bundled OpenBLAS (``_one_blas_thread``), so refit bytes do
+not depend on the thread count. They still depend on the machine and its
+OpenBLAS kernel, and on each operand's shape: the first hop's fit depends on
+``CHUNK_ROWS``, the order in which chunk moments merge.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import warnings
 from collections.abc import Iterable, Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 
 import numpy as np
@@ -230,14 +232,31 @@ def _complement_basis(dim: int) -> np.ndarray:
     return house[:, 1:]
 
 
-def _padded(matrix: np.ndarray) -> np.ndarray:
-    """``matrix`` with zero columns appended up to a multiple of 8. A BLAS
-    product whose output has such a width gave the same bytes at 1 to 8
-    OpenBLAS threads at every shape tried; a Gram product of any other width
-    from 100 up did not."""
-    padded = np.zeros((matrix.shape[0], -(-matrix.shape[1] // 8) * 8))
-    padded[:, : matrix.shape[1]] = matrix
-    return padded
+@cache
+def _openblas_threads() -> tuple | None:
+    """The thread-count getter and setter of the OpenBLAS in numpy's wheel,
+    looked up once as threadpoolctl does, or ``None`` if it bundles none."""
+    for path in glob.glob(f"{np.__path__[0]}.libs/*openblas*") + glob.glob(f"{np.__path__[0]}/.dylibs/*openblas*"):
+        library = ctypes.CDLL(path)
+        for prefix in ("scipy_openblas", "openblas"):  # numpy >= 2.0 wheels, then older ones
+            if hasattr(library, f"{prefix}_set_num_threads64_"):
+                get, set_ = library[f"{prefix}_get_num_threads64_"], library[f"{prefix}_set_num_threads64_"]
+                get.argtypes, get.restype, set_.argtypes, set_.restype = [], ctypes.c_int, [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one thread of numpy's bundled OpenBLAS (under another
+    BLAS, as is), then restore the count, which is the whole process's."""
+    get, set_ = _openblas_threads() or (lambda: 1, lambda count: None)
+    count = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(count)
 
 
 def _fix_signs(kernels: np.ndarray) -> np.ndarray:
@@ -264,6 +283,7 @@ def _kept_ac_count(eigenvalues: np.ndarray, energy_threshold: float | None, expl
     return int(np.searchsorted(cumulative, energy_threshold) + 1)
 
 
+@_one_blas_thread()
 def _fit_kernels(
     blocks: Iterable[np.ndarray], energy_threshold: float | None, explicit_channels: int | None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -276,18 +296,17 @@ def _fit_kernels(
     even for rank-deficient input. Projecting a raw row onto a basis of that
     subspace removes its DC response, so each block is projected, centered on
     its own mean, and its moments are merged into the running ones in block
-    order with the Chan-Golub-LeVeque pairwise update. The basis carries zero
-    columns up to a multiple of 8 (see ``_padded``), which keeps the bytes of
-    its BLAS products independent of the thread count; they are dropped before
-    ``eigh``. The projections of all blocks share one buffer, grown when a
-    block is longer than every earlier one.
+    order with the Chan-Golub-LeVeque pairwise update. The projections of all
+    blocks share one buffer, grown when a block is longer than every earlier
+    one. Every BLAS and LAPACK call runs on one OpenBLAS thread (see
+    ``_one_blas_thread``), so the result does not depend on the thread count.
     """
     basis, count, buffer = None, 0, np.empty((0, 0))
     for data in blocks:
         if not np.isfinite(data).all():
             raise ValueError("patches contain non-finite values")
         if basis is None:
-            basis = _padded(_complement_basis(data.shape[1]))  # (dim, dim-1 rounded up to 8)
+            basis = _complement_basis(data.shape[1])  # (dim, dim-1)
             mean, m2 = np.zeros(basis.shape[1]), np.zeros((basis.shape[1], basis.shape[1]))
         rows = data.shape[0]
         if rows == 0:
@@ -307,7 +326,6 @@ def _fit_kernels(
     if count < dim:
         warnings.warn(f"only {count} patches for dimension {dim}; fit proceeds with reduced rank")
 
-    basis, m2 = basis[:, : dim - 1], m2[: dim - 1, : dim - 1]
     eigvals, eigvecs = np.linalg.eigh(m2 / (count - 1 if count > 1 else 1))
     order = np.argsort(eigvals)[::-1]
     eigvals = np.clip(eigvals[order], 0.0, None)
@@ -453,10 +471,12 @@ def representation_blocks(pooled: np.ndarray, cw: Sequence[np.ndarray]) -> Itera
     """Every representation column, in index order, as consecutive (n, w)
     blocks: ``pooled`` itself, then each channel's spectral block, projected
     when it is asked for. The blocks only rank the columns, so they take one
-    BLAS product each; they agree with ``_project``'s columns to rounding."""
+    BLAS product each, on one thread; they agree with ``_project``'s columns to rounding."""
     yield pooled
     for ch, kernels in enumerate(cw):
-        yield (np.ascontiguousarray(pooled[:, ch :: len(cw)]) @ _padded(kernels.T))[:, : len(kernels)]
+        with _one_blas_thread():
+            block = np.ascontiguousarray(pooled[:, ch :: len(cw)]) @ kernels.T
+        yield block
 
 
 def kernel_rows(model: SaabModel, cw: Sequence[np.ndarray], indices: np.ndarray) -> np.ndarray:
@@ -494,6 +514,7 @@ def _pooled_chunks(images: ImageSet, model: SaabModel, positions: np.ndarray) ->
     row, col = np.divmod(cell[alone], model.pooled_side)
     # corners[a, b, i]: the grid position of element (a, b) of window alone[i].
     corners = np.array([[0, 1], [grid_n, grid_n + 1]])[:, :, None] + (2 * row * grid_n + 2 * col)
+    every = alone.size == 0 and np.array_equal(map_at, np.arange(map_at.size))  # the fit's positions, in order
     kernels = model.kernel_matrix()
     alone_kernels = kernels[channel[alone]]
     step = max(1, cells // 4)  # windows per call, so their corner patches take at most a chunk's patch buffer
@@ -501,9 +522,11 @@ def _pooled_chunks(images: ImageSet, model: SaabModel, positions: np.ndarray) ->
         patches = extract_patches(chunk, model.patch_size, model.stride, out=patches).data
         maps = _project(patches[:, None], kernels[whole], out=responses)
         pooled = abs_max_pool(maps.reshape(chunk.count, grid_n, grid_n, whole.size))
-        # Allocated after pooling, and the pooled maps freed below: pooling every map is the fit's peak.
-        block = np.empty((chunk.count, len(cell)))
-        block[:, in_map] = pooled.reshape(chunk.count, whole.size * read.shape[1])[:, map_at]
+        if every:  # every position in flat order: the pooled maps are the block
+            block = pooled.reshape(chunk.count, len(cell))
+        else:  # allocated after pooling, and the pooled maps freed below, so both are held only for the gather
+            block = np.empty((chunk.count, len(cell)))
+            block[:, in_map] = pooled.reshape(chunk.count, whole.size * read.shape[1])[:, map_at]
         del pooled
         first = np.arange(chunk.count)[:, None, None, None] * cells
         for i in range(0, alone.size, step):

@@ -306,6 +306,33 @@ class TestPipelineModel:
 # The CPU flag each OpenBLAS kernel needs; forcing a kernel whose instructions the CPU lacks crashes the process.
 CORETYPE_FLAGS = {"SandyBridge": "avx", "Haswell": "avx2", "Zen": "avx2", "SkylakeX": "avx512f"}
 
+only_x86_linux = pytest.mark.skipif(
+    not (sys.platform.startswith("linux") and platform.machine() == "x86_64"),
+    reason="OpenBLAS kernels are forced by their x86-64 names and chosen from /proc/cpuinfo",
+)
+
+
+def blas_kernels() -> list[str | None]:
+    """OpenBLAS's own kernel choice (``None``), then each kernel the CPU can run."""
+    with open("/proc/cpuinfo") as fh:
+        flags = set(next(line for line in fh if line.startswith("flags")).split(":", 1)[1].split())
+    return [None] + [name for name, flag in CORETYPE_FLAGS.items() if flag in flags]
+
+
+def run_blas_script(script, args, threads, kernel) -> list[str]:
+    """The whitespace-split output of ``script`` run on ``args`` in a new
+    interpreter with ``threads`` BLAS threads under OpenBLAS kernel ``kernel``."""
+    env = {**os.environ, **{f"{lib}_NUM_THREADS": threads for lib in ("OPENBLAS", "OMP", "MKL")}}
+    env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(lgsqe.__path__[0]), env.get("PYTHONPATH", "")])
+    env.pop("OPENBLAS_CORETYPE", None)
+    if kernel:
+        env["OPENBLAS_CORETYPE"] = kernel
+    run = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    return run.stdout.split()
+
+
 SCORE_SCRIPT = """
 import hashlib, sys
 import numpy as np
@@ -322,19 +349,13 @@ print(hashlib.sha256(features.tobytes() + scores.tobytes()).hexdigest())
 """
 
 
-@pytest.mark.skipif(
-    not (sys.platform.startswith("linux") and platform.machine() == "x86_64"),
-    reason="OpenBLAS kernels are forced by their x86-64 names and chosen from /proc/cpuinfo",
-)
+@only_x86_linux
 @pytest.mark.filterwarnings("ignore:only .* patches for dimension")
 def test_scores_do_not_depend_on_blas_threads_or_kernel(tmp_path):
     """Scoring makes no BLAS call: with 1 and 2 OpenBLAS threads, under
     OpenBLAS's own kernel and under each kernel the CPU can run, a 32x32x3
     patch-3 model gives 600 images the same representation and score bytes,
     and image 0 scored alone gives the bytes of row 0 of the batch."""
-    with open("/proc/cpuinfo") as fh:
-        flags = set(next(line for line in fh if line.startswith("flags")).split(":", 1)[1].split())
-    kernels = [None] + [name for name, flag in CORETYPE_FLAGS.items() if flag in flags]
     real = random_image_set(60, side=32, channels=3, seed=32)
     generated = lgsqe.gaussian_degrade(random_image_set(60, side=32, channels=3, seed=33), 0.1, seed=3)
     config = RunConfig(patch_size=3, stride=1, top_k=300, gbdt=GbdtParams(n_rounds=5, max_depth=3))
@@ -342,21 +363,49 @@ def test_scores_do_not_depend_on_blas_threads_or_kernel(tmp_path):
     assert np.any(model.indices >= model.saab.spatial_width)  # a spectral column is stored
     model.save(tmp_path / "model.json")
     lgsqe.save_raw_tensor(random_image_set(600, side=32, channels=3, seed=34), tmp_path / "batch.lgt")
-    runs = {}
-    for threads in ("1", "2"):
-        for kernel in kernels:
-            env = {**os.environ, **{f"{lib}_NUM_THREADS": threads for lib in ("OPENBLAS", "OMP", "MKL")}}
-            env["PYTHONPATH"] = os.pathsep.join([os.path.dirname(lgsqe.__path__[0]), env.get("PYTHONPATH", "")])
-            env.pop("OPENBLAS_CORETYPE", None)
-            if kernel:
-                env["OPENBLAS_CORETYPE"] = kernel
-            run = subprocess.run(
-                [sys.executable, "-c", SCORE_SCRIPT, str(tmp_path / "model.json"), str(tmp_path / "batch.lgt")],
-                env=env, capture_output=True, text=True, check=True, timeout=120,
-            )
-            runs[threads, kernel] = run.stdout.split()
+    paths = (tmp_path / "model.json", tmp_path / "batch.lgt")
+    runs = {
+        (threads, kernel): run_blas_script(SCORE_SCRIPT, paths, threads, kernel)
+        for threads in ("1", "2")
+        for kernel in blas_kernels()
+    }
     digest = runs["1", None][2]
     assert all(out == ["True", "True", digest] for out in runs.values()), runs
+
+
+FIT_SCRIPT = """
+import hashlib, sys
+import lgsqe
+
+for real, generated in zip(sys.argv[1::2], sys.argv[2::2]):
+    config = lgsqe.RunConfig(patch_size=3, stride=1, top_k=200, gbdt=lgsqe.GbdtParams(n_rounds=3, max_depth=3))
+    model, _ = lgsqe.fit_pipeline(lgsqe.load_images(real), lgsqe.load_images(generated), config)
+    print(hashlib.sha256(model.to_json().encode()).hexdigest())
+"""
+
+
+@only_x86_linux
+def test_fits_do_not_depend_on_blas_threads(tmp_path):
+    """The fit runs its BLAS and LAPACK calls on one OpenBLAS thread: at 1 and
+    2 threads under OpenBLAS's own kernel and under each kernel the CPU can
+    run, and at 4 under its own, 28x28 and 32x32x3 patch-3 pairs give one
+    model file per kernel. Their c/w ``eigh`` (169 and 225 values per map)
+    differs between 1 and 2 threads when OpenBLAS runs it threaded."""
+    paths = []
+    for side, channels in ((28, 1), (32, 3)):
+        real = random_image_set(40, side=side, channels=channels, seed=side)
+        degraded = random_image_set(40, side=side, channels=channels, seed=side + 1)
+        generated = lgsqe.gaussian_degrade(degraded, 0.1, seed=3)
+        for name, images in (("real", real), ("generated", generated)):
+            paths.append(tmp_path / f"{name}{side}.lgt")
+            lgsqe.save_raw_tensor(images, paths[-1])
+    runs = {
+        (kernel, threads): run_blas_script(FIT_SCRIPT, paths, threads, kernel)
+        for kernel in blas_kernels()
+        for threads in (("1", "2", "4") if kernel is None else ("1", "2"))  # 4 threads once, to bound the wall time
+    }
+    differ = [(kernel, threads) for (kernel, threads), out in runs.items() if out != runs[kernel, "1"]]
+    assert all(len(out) == 2 for out in runs.values()) and not differ, differ
 
 
 class TestBoundedMemory:

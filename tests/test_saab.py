@@ -313,13 +313,12 @@ def build_all(images, hop, cw):
 
 def assert_ranking_blocks(pooled, cw, reference):
     """The fit's ranking blocks are ``pooled``, then each channel's map times
-    its kernel matrix (zero-padded to a multiple of 8 rows) as one BLAS
-    product, bit for bit; they match the einsum columns ``reference`` (which
-    scoring and the trees read) to rounding."""
+    its transposed kernel matrix as one BLAS product on one thread, bit for
+    bit; they match the einsum columns ``reference`` (which scoring and the
+    trees read) to rounding."""
     blocks = list(saab.representation_blocks(pooled, cw))
-    expected = [pooled] + [
-        (np.ascontiguousarray(pooled[:, ch :: len(cw)]) @ saab._padded(k.T))[:, : len(k)] for ch, k in enumerate(cw)
-    ]
+    with saab._one_blas_thread():
+        expected = [pooled] + [np.ascontiguousarray(pooled[:, ch :: len(cw)]) @ k.T for ch, k in enumerate(cw)]
     assert len(blocks) == len(expected)
     for got, want in zip(blocks, expected):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -647,6 +646,25 @@ class TestBoundedMemory:
         assert peak - kept <= 1.4 * buffers, (peak - kept) / buffers
 
 
+def test_fit_pins_one_blas_thread(monkeypatch, small_images):
+    """The fit's ``eigh`` runs on one OpenBLAS thread, and the caller's count
+    is back when the fit returns."""
+    calls = saab._openblas_threads()
+    if calls is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    get, set_ = calls
+    eigh, seen = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda matrix: seen.append(get()) or eigh(matrix))
+    before = get()
+    set_(2)
+    try:
+        lgsqe.fit_representation(small_images, 3, 2)
+        after = get()
+    finally:
+        set_(before)
+    assert seen and set(seen) == {1} and after == 2
+
+
 THREADS_SCRIPT = """
 import hashlib, sys
 import numpy as np
@@ -656,10 +674,11 @@ from lgsqe.saab import _fit_kernels, _project, representation_blocks
 pixels, kernels, maps, block = (np.load(path) for path in sys.argv[1:5])
 with np.load(sys.argv[5]) as saved:
     cw = [saved[f"arr_{ch}"] for ch in range(len(saved.files))]
-hop, pooled, _ = lgsqe.fit_representation(lgsqe.ImageSet(pixels), 3, 1)
+hop, pooled, fitted = lgsqe.fit_representation(lgsqe.ImageSet(pixels), 3, 1)
 spectral = np.concatenate(list(representation_blocks(pooled, cw))[1:], axis=1)
 cw_kernels, cw_eigenvalues = _fit_kernels([block], 1.0, None)
-for part in (hop.ac_kernels, hop.eigenvalues, pooled, _project(maps[:, None], kernels), spectral, cw_kernels, cw_eigenvalues):
+projected = _project(maps[:, None], kernels)
+for part in (hop.ac_kernels, hop.eigenvalues, pooled, projected, spectral, cw_kernels, cw_eigenvalues, *fitted):
     print(hashlib.sha256(np.ascontiguousarray(part).tobytes()).hexdigest())
 """
 
@@ -668,10 +687,11 @@ for part in (hop.ac_kernels, hop.eigenvalues, pooled, _project(maps[:, None], ke
 def test_bytes_do_not_depend_on_blas_threads(tmp_path):
     """At 32x32x3 with patch 3 and stride 1, the same bytes with 1 and 2 BLAS
     threads: first-hop kernels and eigenvalues, the pooled responses, a c/w
-    kernel matrix's columns, every ranking block, and the c/w kernels fitted on
-    144 of a channel's 225 map values, a width at which an unpadded Gram
-    product is thread dependent. (``eigh`` itself is thread dependent on these
-    maps at 150, 160 and 225 values, so the full c/w fit is left out.)"""
+    kernel matrix's columns, every ranking block of full-width (225-row) c/w
+    kernel matrices, the c/w kernels fitted on 144 of a channel's 225 map
+    values, and every c/w kernel matrix of the full fit. Run threaded, the
+    ranking products, the Gram product at 144 values and ``eigh`` at 225 give
+    other bytes at 2 threads than at 1."""
     images = random_image_set(160, side=32, channels=3, seed=5)
     hop, pooled, cw = lgsqe.fit_representation(images, 3, 1)
     channel = max(range(len(cw)), key=lambda ch: len(cw[ch]))
@@ -681,7 +701,7 @@ def test_bytes_do_not_depend_on_blas_threads(tmp_path):
     for path, array in zip(paths, arrays):
         np.save(path, array)
     paths.append(tmp_path / "cw.npz")
-    np.savez(paths[-1], *cw)
+    np.savez(paths[-1], *saab.fit_cw_saab(pooled.reshape(images.count, hop.pooled_side, hop.pooled_side, -1), 1.0))
 
     def digests(threads):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
@@ -692,5 +712,5 @@ def test_bytes_do_not_depend_on_blas_threads(tmp_path):
         return run.stdout.split()
 
     one = digests("1")
-    assert len(one) == 7
+    assert len(one) == 7 + len(cw)
     assert one == digests("2")
