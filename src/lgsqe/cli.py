@@ -21,6 +21,7 @@ from .pipeline import (
     CONFIG_FIELDS,
     PipelineModel,
     RunConfig,
+    checked_split,
     fit_and_evaluate,
     fit_pipeline,
     holdout_split,
@@ -108,6 +109,11 @@ def cmd_eval(args) -> int:
         real_eval, gen_eval = split.test_real, split.test_generated
     else:
         real_eval, gen_eval = real, generated
+    if real_eval.count == 0 or gen_eval.count == 0:
+        raise LgsqeError(
+            f"the evaluated set ({use}) holds {real_eval.count} real and {gen_eval.count} generated images, "
+            "and needs one of each"
+        )
 
     report = model.evaluate(
         real_eval,
@@ -152,11 +158,14 @@ def cmd_sweep(args) -> int:
         raise LgsqeError("at least one real-sample fraction is required")
     config = _build_config(args)
     real, generated = _load_sources(args)
+    configs = [replace(config, real_fraction=fraction) for fraction in args.fractions]
+    for each in configs:  # every fraction's range and split, before the first fit
+        checked_split(real, generated, each, parts=("train", "test"))
     rows = []
-    for fraction in args.fractions:
-        model, _, report = fit_and_evaluate(real, generated, replace(config, real_fraction=fraction))
-        rows.append([f"{fraction:g}", model.training["train_counts"]["real"], repr(report.accuracy)])
-        print(f"real_fraction={fraction:g}: test accuracy {report.accuracy:.4f}")
+    for each in configs:
+        model, _, report = fit_and_evaluate(real, generated, each)
+        rows.append([f"{each.real_fraction:g}", model.training["train_counts"]["real"], repr(report.accuracy)])
+        print(f"real_fraction={each.real_fraction:g}: test accuracy {report.accuracy:.4f}")
     write_csv(args.out, ("real_fraction", "real_train_count", "accuracy"), rows)
     print(f"sweep written to {args.out}")
     return 0

@@ -189,7 +189,9 @@ def aggregate_report(
     bins: int = 50,
     metadata: dict | None = None,
 ) -> EvaluationReport:
-    """Assemble all metrics into one report; labels double as provenance."""
+    """Assemble all metrics into one report; labels double as provenance.
+    ``ValueError`` unless both classes occur, before any metric is computed."""
+    _binary_labels(labels)
     counts = confusion(scores, labels, threshold)
     return EvaluationReport(
         counts=counts,

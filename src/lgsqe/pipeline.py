@@ -22,7 +22,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .datasets import REAL, ImageSet, make_labeled_split
+from .datasets import REAL, ImageSet, LabeledSplit, make_labeled_split
 from .dft import rank_features, select_features
 from .errors import FormatError, GeometryError, VersionError, integer_array
 from .evaluate import EvaluationReport, accuracy, aggregate_report, confusion
@@ -315,10 +315,15 @@ def fit_pipeline(real: ImageSet, generated: ImageSet, config: RunConfig) -> tupl
         raise GeometryError("real and generated sources must share geometry")
     if config.channels is not None and real.channels != config.channels:
         raise GeometryError(f"config expects {config.channels} channels, data has {real.channels}")
+    if (real.side - config.patch_size) // config.stride + 1 < 2:  # the pooled side would be 0
+        raise GeometryError(
+            f"patch size {config.patch_size} at stride {config.stride} leaves {real.side}x{real.side} images "
+            "a patch grid smaller than the 2x2 that pooling needs"
+        )
 
     timings: dict[str, float] = {}
     tick = time.perf_counter()
-    split = _labeled_split(real, generated, config)
+    split = checked_split(real, generated, config)
     train_pixels, train_labels = split.train_union()
     timings["split"] = time.perf_counter() - tick
 
@@ -371,19 +376,31 @@ def fit_pipeline(real: ImageSet, generated: ImageSet, config: RunConfig) -> tupl
     return model, {"timings": timings, "ranking": ranking}
 
 
-def _labeled_split(real: ImageSet, generated: ImageSet, config: RunConfig):
-    return make_labeled_split(
+def checked_split(
+    real: ImageSet, generated: ImageSet, config: RunConfig, parts: tuple[str, ...] = ("train",)
+) -> LabeledSplit:
+    """The deterministic train/test split of ``config``; ``ValueError``, naming
+    the counts, unless each of ``parts`` holds an image of each source."""
+    split = make_labeled_split(
         real,
         generated,
         test_fraction=config.test_fraction,
         real_fraction=config.real_fraction,
         seed=derive_seed(config.seed, "split"),
     )
+    for part in parts:
+        counts = [getattr(split, f"{part}_{name}_idx").size for name in ("real", "generated")]
+        if 0 in counts:
+            raise ValueError(
+                f"the {part} split holds {counts[0]} real and {counts[1]} generated images, and needs one of each "
+                f"(test_fraction {config.test_fraction:g}, real_fraction {config.real_fraction:g})"
+            )
+    return split
 
 
-def holdout_split(model: PipelineModel, real: ImageSet, generated: ImageSet):
+def holdout_split(model: PipelineModel, real: ImageSet, generated: ImageSet) -> LabeledSplit:
     """Recompute the deterministic train/test split the model was fitted on."""
-    return _labeled_split(real, generated, model.config)
+    return checked_split(real, generated, model.config, parts=())
 
 
 def fit_and_evaluate(real: ImageSet, generated: ImageSet, config: RunConfig):

@@ -24,18 +24,22 @@ constant patch always has zero AC response.
 
 The first hop streams over the images in chunks of whole images of about
 ``CHUNK_ROWS`` patch rows. Fitting accumulates the patch moments chunk by
-chunk; pooling extracts, projects and pools one chunk at a time, and one
-routine, ``_pooled_chunks``, pools for both the fit (every position) and
-scoring (the positions its columns read). Each pass over the images (the
-fit's moments and each ``_pooled_chunks`` stream) allocates one float64
-patch buffer and one response buffer, a chunk's rows each (about 7 MB of
-patches at 27 dimensions), and every chunk of the pass is written into them
-(``extract_patches(..., out=)`` and ``_project(..., out=)``). The response
-buffer holds only the channels whose whole map is read; every other window
-read is projected from its four corner patches. Fitting and building the
-representation never hold a patch matrix or response tensor of the whole
-set, so their memory grows with the image count only through the pooled
-values and columns they keep; ``apply_saab`` is the whole-set reference.
+chunk; pooling extracts, projects and pools one chunk at a time. One
+routine, ``_pooled_chunks``, pools for the fit and for scoring, and is asked
+for two kinds of thing by name: whole channels, whose pooled maps it
+returns, and single windows (flat pooled positions), whose pooled values it
+returns. The fit asks for every channel whole and no window. Scoring asks
+for the channels that its spectral columns read whole, and for the windows
+of its spatial columns: a window of a whole channel is read from that
+channel's map, any other is pooled from its four corner patches. Each pass
+over the images (the fit's moments and each ``_pooled_chunks`` stream)
+allocates one float64 patch buffer and one buffer for the whole channels'
+responses, a chunk's rows each (about 7 MB of patches at 27 dimensions), and
+every chunk of the pass is written into them (``extract_patches(..., out=)``
+and ``_project(..., out=)``). Fitting and building the representation never
+hold a patch matrix or response tensor of the whole set, so their memory
+grows with the image count only through the pooled values and columns they
+keep; ``apply_saab`` is the whole-set reference.
 
 Every value that scoring and the boosted trees read, first-hop responses
 and spectral columns alike, is made by ``_project``, an ``np.einsum`` whose
@@ -447,9 +451,9 @@ def fit_representation(
     matrix per pooled channel (see ``fit_cw_saab``).
 
     Two streamed passes run over the images: the first accumulates the
-    first-hop moments, the second pools every position through
-    ``_pooled_chunks``, the routine that scoring pools with, so the fit's
-    pooled values are scoring's bytes. The pooled matrix feeds the c/w fits,
+    first-hop moments, the second asks ``_pooled_chunks``, the routine that
+    scoring pools with, for every channel's whole map, so the fit's pooled
+    values are scoring's bytes. The pooled matrix feeds the c/w fits,
     the ranking and the selected columns, so the images are pooled once.
     """
     chunks = _chunks(images, patch_size, stride)
@@ -460,9 +464,9 @@ def fit_representation(
     )
     n, side, k1 = images.count, hop.pooled_side, hop.num_channels
     pooled = np.empty((n, hop.spatial_width))
-    for lo, block in _pooled_chunks(images, hop, np.arange(hop.spatial_width)):
-        pooled[lo : lo + len(block)] = block
-        del block  # freed before the next chunk pools
+    for lo, maps, _ in _pooled_chunks(images, hop, np.arange(k1), ()):
+        pooled[lo : lo + len(maps)] = maps.reshape(len(maps), -1)
+        del maps  # freed before the next chunk pools
     cw = fit_cw_saab(pooled.reshape(n, side, side, k1), energy_threshold, cw_explicit_channels)
     return replace(hop, cw_widths=tuple(len(kernels) for kernels in cw)), pooled, cw
 
@@ -485,58 +489,51 @@ def kernel_rows(model: SaabModel, cw: Sequence[np.ndarray], indices: np.ndarray)
     return np.concatenate(cw)[indices[indices >= model.spatial_width] - model.spatial_width]
 
 
-def _pooled_chunks(images: ImageSet, model: SaabModel, positions: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Pooled first-hop responses at the flat pooled positions ``positions``
-    (``(row * pooled_side + col) * K1 + channel``), one chunk of whole images
-    at a time: the index of the chunk's first image and a (chunk count x
-    len(positions)) block.
+def _pooled_chunks(
+    images: ImageSet, model: SaabModel, whole: np.ndarray, windows: np.ndarray
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Pooled first-hop responses, one chunk of whole images at a time: the
+    index of the chunk's first image, the pooled maps of the channels in
+    ``whole`` as a (chunk count, pooled_side**2, len(whole)) array, and a
+    (chunk count, len(windows)) block of the pooled values at the flat pooled
+    positions ``windows`` (``(row * pooled_side + col) * K1 + channel``).
 
-    Only the responses that these windows read are projected, by ``_project``
-    as ``apply_saab`` does: the channels whose whole map is read, over every
-    patch row in one call, and every other window from its four corner
-    patches, each onto its channel's kernel. Both are pooled by
-    ``abs_max_pool``'s tournament, so each value equals the full pooled
-    tensor's bit for bit.
+    Only the responses these read are projected, by ``_project`` as
+    ``apply_saab`` does: the ``whole`` channels over every patch row in one
+    call, and each window of another channel from its four corner patches,
+    onto its channel's kernel. A window of a ``whole`` channel is read from
+    that channel's map. Both are pooled by ``abs_max_pool``'s tournament, so
+    each value equals the full pooled tensor's bit for bit.
     """
     grid_n = (model.input_side - model.patch_size) // model.stride + 1
-    if model.pooled_side < 1:
-        raise GeometryError(f"need a spatial extent of at least 2 to pool, got {grid_n}x{grid_n}")
-    k1, cells = model.num_channels, grid_n * grid_n
-    cell, channel = np.divmod(np.asarray(positions, dtype=np.intp), k1)
-    read = np.zeros((k1, model.pooled_side**2), bool)
-    read[channel, cell] = True
-    whole = np.flatnonzero(read.all(axis=1))
-    # Slot of each channel in the pooled maps of the whole channels, -1 for the others.
-    slot = np.full(k1, -1)
+    whole, cells = np.asarray(whole, dtype=np.intp), grid_n * grid_n
+    cell, channel = np.divmod(np.asarray(windows, dtype=np.intp), model.num_channels)
+    # Slot of each channel in the maps, -1 for a channel read window by window.
+    slot = np.full(model.num_channels, -1)
     slot[whole] = np.arange(whole.size)
     in_map, alone = np.flatnonzero(slot[channel] >= 0), np.flatnonzero(slot[channel] < 0)
-    map_at = cell[in_map] * whole.size + slot[channel[in_map]]
     row, col = np.divmod(cell[alone], model.pooled_side)
     # corners[a, b, i]: the grid position of element (a, b) of window alone[i].
     corners = np.array([[0, 1], [grid_n, grid_n + 1]])[:, :, None] + (2 * row * grid_n + 2 * col)
-    every = alone.size == 0 and np.array_equal(map_at, np.arange(map_at.size))  # the fit's positions, in order
     kernels = model.kernel_matrix()
     alone_kernels = kernels[channel[alone]]
     step = max(1, cells // 4)  # windows per call, so their corner patches take at most a chunk's patch buffer
     for lo, chunk, patches, responses in _chunks(images, model.patch_size, model.stride, whole.size):
         patches = extract_patches(chunk, model.patch_size, model.stride, out=patches).data
-        maps = _project(patches[:, None], kernels[whole], out=responses)
-        pooled = abs_max_pool(maps.reshape(chunk.count, grid_n, grid_n, whole.size))
-        if every:  # every position in flat order: the pooled maps are the block
-            block = pooled.reshape(chunk.count, len(cell))
-        else:  # allocated after pooling, and the pooled maps freed below, so both are held only for the gather
-            block = np.empty((chunk.count, len(cell)))
-            block[:, in_map] = pooled.reshape(chunk.count, whole.size * read.shape[1])[:, map_at]
-        del pooled
+        responses = _project(patches[:, None], kernels[whole], out=responses)
+        maps = abs_max_pool(responses.reshape(chunk.count, grid_n, grid_n, whole.size))
+        maps = maps.reshape(chunk.count, model.pooled_side**2, whole.size)
+        values = np.empty((chunk.count, cell.size))
+        values[:, in_map] = maps[:, cell[in_map], slot[channel[in_map]]]
         first = np.arange(chunk.count)[:, None, None, None] * cells
         for i in range(0, alone.size, step):
             # The corner patches, (count, 2, 2, windows, patch_dim), live only inside this statement.
             pooled = abs_max_pool(
                 _project(np.take(patches, first + corners[:, :, i : i + step], axis=0), alone_kernels[i : i + step])
             )
-            block[:, alone[i : i + step]] = pooled.reshape(chunk.count, pooled.shape[3])
-        yield lo, block
-        del block  # the caller's reference is the only one left while the next chunk pools
+            values[:, alone[i : i + step]] = pooled.reshape(chunk.count, pooled.shape[3])
+        yield lo, maps, values
+        del maps, values  # the caller's references are the only ones left while the next chunk pools
 
 
 def split_columns(model: SaabModel, indices: np.ndarray, kernels: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -579,33 +576,33 @@ def select_columns(pooled: np.ndarray, model: SaabModel, indices: np.ndarray, ke
     ``pooled`` holds, as ``fit_representation`` returns them: the same bytes,
     read from ``pooled`` a few rows at a time instead of pooled again."""
     step = max(1, CHUNK_ROWS // pooled.shape[1])
+    maps = pooled.reshape(len(pooled), model.pooled_side**2, model.num_channels)
 
-    def rows(positions):
-        return ((lo, pooled[lo : lo + step, positions]) for lo in range(0, len(pooled), step))
+    def rows(whole, windows):
+        for lo in range(0, len(pooled), step):
+            yield lo, maps[lo : lo + step][:, :, whole], pooled[lo : lo + step, windows]
 
     return _assemble(len(pooled), model, indices, kernels, rows)
 
 
 def _assemble(count: int, model: SaabModel, indices: np.ndarray, kernels: np.ndarray, pooled_at) -> np.ndarray:
     """The columns of ``build_representation`` for ``count`` images, whose
-    pooled responses at flat pooled positions ``pooled_at(positions)`` gives
-    as (first image, block) row chunks; each chunk's spectral columns are
-    projected from its own maps. The result is column-major, as the boosted
-    trees read it."""
+    pooled responses ``pooled_at(whole, windows)`` gives as ``_pooled_chunks``
+    does: the maps of the channels that the spectral columns read and the
+    spatial columns' windows, in (first image, maps, values) row chunks. Each
+    chunk's spectral columns are projected from its own maps. The result is
+    column-major, as the boosted trees read it."""
     indices = np.asarray(indices, dtype=np.intp)
     spatial, spectral, channels = split_columns(model, indices, kernels)
-    size, k1 = model.pooled_side**2, model.num_channels
-    read = np.flatnonzero(np.bincount(channels, minlength=k1))
-    # The read channels' maps, one after another, then the spatial columns' windows.
-    map_positions = (read[:, None] + np.arange(size) * k1).ravel()
+    read = np.flatnonzero(np.bincount(channels, minlength=model.num_channels))
     data = np.empty((count, indices.size), order="F")
     # With no columns there is nothing to read, and no patch is extracted.
-    for lo, block in pooled_at(np.concatenate([map_positions, indices[spatial]])) if indices.size else ():
-        rows = slice(lo, lo + block.shape[0])
-        data[rows, spatial] = block[:, map_positions.size :]
+    for lo, maps, values in pooled_at(read, indices[spatial]) if indices.size else ():
+        rows = slice(lo, lo + len(values))
+        data[rows, spatial] = values
         for j, ch in enumerate(read):
             mine = channels == ch
-            data[rows, spectral[mine]] = _project(block[:, None, j * size : (j + 1) * size], kernels[mine])
+            data[rows, spectral[mine]] = _project(maps[:, None, :, j], kernels[mine])
     # min and max propagate NaN, and are infinite if any value is.
     if data.size and not (np.isfinite(data.min()) and np.isfinite(data.max())):
         raise ValueError("feature matrix contains non-finite values")

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lgsqe
+from lgsqe import saab
 from lgsqe.cli import _build_config, build_parser, main
 from lgsqe.errors import LgsqeError
 from lgsqe.pipeline import CONFIG_FIELDS, RunConfig, parse_config_file
@@ -49,6 +50,21 @@ def fitted_model(cli_data):
     code = main(["fit", str(real_path), str(gen_path), "-o", str(model_path), *FIT_FLAGS])
     assert code == 0
     return model_path
+
+
+def refuse_first_hop(monkeypatch):
+    """Fail the test if a first-hop pass runs from here on: the fit's moments or pooling, or scoring."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a first-hop pass ran")
+
+    monkeypatch.setattr(saab, "extract_patches", refuse)
+
+
+def one_error_line(capsys, *fragments):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("lgsqe: error:"), err
+    assert all(fragment in err[0] for fragment in fragments), err[0]
 
 
 class TestFit:
@@ -108,6 +124,23 @@ class TestFit:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("lgsqe: error:") and "pixel values" in err[0]
         assert str(bad) in err[0]
+
+    @pytest.mark.filterwarnings("error")  # no reduced-rank warning from a first-hop fit either
+    @pytest.mark.parametrize("patch_size,stride", [("16", "1"), ("14", "3"), ("17", "1")])
+    def test_nothing_to_pool_refused_first(self, cli_data, tmp_path, capsys, monkeypatch, patch_size, stride):
+        _, real_path, gen_path = cli_data
+        refuse_first_hop(monkeypatch)
+        flags = [*FIT_FLAGS, "--patch-size", patch_size, "--stride", stride]
+        assert main(["fit", str(real_path), str(gen_path), "-o", str(tmp_path / "m.json"), *flags]) == 1
+        one_error_line(capsys, f"patch size {patch_size} at stride {stride}", "2x2")
+        assert not (tmp_path / "m.json").exists()
+
+    def test_one_source_training_split_refused_first(self, cli_data, tmp_path, capsys, monkeypatch):
+        _, real_path, gen_path = cli_data
+        refuse_first_hop(monkeypatch)
+        flags = [*FIT_FLAGS, "--real-fraction", "0.005"]  # 0.005 of 96 real training images keeps none
+        assert main(["fit", str(real_path), str(gen_path), "-o", str(tmp_path / "m.json"), *flags]) == 1
+        one_error_line(capsys, "the train split holds 0 real and 96 generated images")
 
 
 class TestScore:
@@ -372,6 +405,29 @@ class TestEval:
         report = lgsqe.EvaluationReport.from_dict(doc)  # schema round trip
         assert report.to_json() == out.read_text()
 
+    def test_empty_holdout_refused_before_scoring(self, cli_data, tmp_path, capsys, monkeypatch):
+        _, real_path, gen_path = cli_data
+        model = tmp_path / "m.json"
+        # A test fraction of 0.005 holds out none of the 120 images of each source.
+        flags = [*FIT_FLAGS, "--test-fraction", "0.005"]
+        assert main(["fit", str(real_path), str(gen_path), "-o", str(model), *flags]) == 0
+        capsys.readouterr()
+        refuse_first_hop(monkeypatch)
+        assert main(["eval", str(model), str(real_path), str(gen_path), "-o", str(tmp_path / "r.json")]) == 1
+        one_error_line(capsys, "(holdout) holds 0 real and 0 generated images")
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("use", ["auto", "all"])
+    def test_empty_files_refused_before_scoring(self, fitted_model, tmp_path, capsys, monkeypatch, use):
+        paths = [tmp_path / "real.lgt", tmp_path / "gen.lgt"]
+        for path in paths:
+            lgsqe.save_raw_tensor(lgsqe.ImageSet(np.empty((0, 16, 16, 1), dtype=np.float32)), path)
+        refuse_first_hop(monkeypatch)
+        argv = ["eval", str(fitted_model), *map(str, paths), "-o", str(tmp_path / "r.json"), "--use", use]
+        assert main(argv) == 1
+        one_error_line(capsys, "(all) holds 0 real and 0 generated images")
+        assert not (tmp_path / "r.json").exists()
+
     def test_auto_all_on_fresh_files(self, cli_data, fitted_model, tmp_path):
         fresh_real = tmp_path / "fresh_real.lgt"
         fresh_gen = tmp_path / "fresh_gen.lgt"
@@ -532,6 +588,26 @@ class TestSweep:
         assert [r["real_fraction"] for r in rows] == ["0.5", "1"]
         assert int(rows[0]["real_train_count"]) == 48  # 0.5 of 96 train
         assert int(rows[1]["real_train_count"]) == 96
+
+    @pytest.mark.parametrize(
+        "fractions,flags,message",
+        [
+            (["1.0", "0"], [], "real_fraction must lie in (0, 1], got 0.0"),
+            (["1.0", "0.005"], [], "the train split holds 0 real and 96 generated images"),
+            (["1.0"], ["--test-fraction", "0.005"], "the test split holds 0 real and 0 generated images"),
+        ],
+        ids=["fraction-out-of-range", "empty-train-split", "empty-test-split"],
+    )
+    def test_every_fraction_checked_before_fitting(
+        self, cli_data, tmp_path, capsys, monkeypatch, fractions, flags, message
+    ):
+        _, real_path, gen_path = cli_data
+        refuse_first_hop(monkeypatch)
+        out = tmp_path / "s.csv"
+        argv = ["sweep", str(real_path), str(gen_path), "-o", str(out), "--fractions", *fractions, *FIT_FLAGS, *flags]
+        assert main(argv) == 1
+        one_error_line(capsys, message)
+        assert not out.exists()
 
     def test_missing_fractions_rejected(self, cli_data, tmp_path):
         tmp, real_path, gen_path = cli_data

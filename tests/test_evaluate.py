@@ -284,3 +284,12 @@ class TestAggregateReport:
         report = lgsqe.aggregate_report(scores, labels)
         for value in (report.accuracy, report.pr_auc, report.roc_auc):
             assert 0.0 <= value <= 1.0
+
+    @pytest.mark.parametrize("labels", [[], [0, 0, 0], [1]], ids=["empty", "real-only", "generated-only"])
+    def test_labels_without_both_classes_refused_first(self, monkeypatch, labels):
+        def no_metric(*args, **kwargs):
+            raise AssertionError("a metric was computed")
+
+        monkeypatch.setattr(lgsqe.evaluate, "confusion", no_metric)
+        with pytest.raises(ValueError, match="both classes must be present"):
+            lgsqe.aggregate_report(np.full(len(labels), 0.5), np.array(labels, dtype=np.int8))

@@ -492,6 +492,27 @@ class TestStreamedFirstHop:
         selected = lgsqe.build_representation(fresh, hop, indices, kernels)
         np.testing.assert_array_equal(selected, reference[:, indices])
 
+    @pytest.mark.parametrize(
+        "side,channels,patch_size,stride", [(28, 1, 5, 2), (32, 3, 3, 1)], ids=["28x28x1", "32x32x3"]
+    )
+    def test_pooled_chunks_read_whole_channels_and_windows(self, monkeypatch, side, channels, patch_size, stride):
+        monkeypatch.setattr(saab, "CHUNK_ROWS", chunk_images(side, 3, patch_size, stride))
+        images = random_image_set(8, side=side, channels=channels, seed=side + 3)
+        hop = lgsqe.fit_saab(lgsqe.extract_patches(images, patch_size, stride))
+        k1, size = hop.num_channels, hop.pooled_side**2
+        pooled = lgsqe.abs_max_pool(lgsqe.apply_saab(hop, images)).reshape(images.count, size, k1)
+        whole = np.array([k1 - 1, 0])  # in any order
+        # Windows of channel 0 and k1 - 1, read from their maps, and of every other channel, from corner patches.
+        drawn = np.random.default_rng(side).permutation(k1 * size)[:60]
+        windows = np.concatenate([[0, k1 - 1, 1, k1 * size - 1], drawn])
+        cell, channel = np.divmod(windows, k1)
+        assert np.isin(channel, whole).any() and not np.isin(channel, whole).all()
+        chunks = list(saab._pooled_chunks(images, hop, whole, windows))
+        assert [lo for lo, _, _ in chunks] == [0, 3, 6]
+        maps, values = (np.concatenate([chunk[i] for chunk in chunks]) for i in (1, 2))
+        assert maps.tobytes() == pooled[:, :, whole].tobytes()
+        assert values.tobytes() == pooled[:, cell, channel].tobytes()
+
     @pytest.mark.parametrize("side,channels", [(16, 1), (32, 3)], ids=["16x16x1", "32x32x3"])
     def test_streamed_moments_match_dense_covariance(self, monkeypatch, side, channels):
         monkeypatch.setattr(saab, "CHUNK_ROWS", chunk_images(side, 4))
@@ -550,20 +571,24 @@ class TestReusedBuffers:
     def test_streams_share_no_buffer(self, small_pipeline, monkeypatch):
         model, real, generated = small_pipeline
         monkeypatch.setattr(saab, "CHUNK_ROWS", chunk_images(16, 7, 3, 2))
-        positions = np.arange(model.saab.spatial_width)
+        # Every other channel whole, and every third window: read from those maps and from corner patches.
+        whole, windows = np.arange(model.saab.num_channels)[::2], np.arange(model.saab.spatial_width)[::3]
 
         def stream(images):
-            return saab._pooled_chunks(images, model.saab, positions)
+            return saab._pooled_chunks(images, model.saab, whole, windows)
 
-        one_after_the_other = [[(lo, block.copy()) for lo, block in stream(images)] for images in (real, generated)]
+        one_after_the_other = [
+            [(lo, maps.copy(), values.copy()) for lo, maps, values in stream(images)] for images in (real, generated)
+        ]
         alternately = [[], []]
         for first, second in zip(stream(real), stream(generated), strict=True):
             alternately[0].append(first)
             alternately[1].append(second)
         # Compared only once every block is out, so a block that a later chunk of either stream overwrote would show.
         for want, got in zip(one_after_the_other, alternately):
-            assert [lo for lo, _ in got] == [lo for lo, _ in want] == list(range(0, 80, 7))
-            assert all(g.tobytes() == w.tobytes() for (_, g), (_, w) in zip(got, want))
+            assert [lo for lo, _, _ in got] == [lo for lo, _, _ in want] == list(range(0, 80, 7))
+            for (_, *g), (_, *w) in zip(got, want):
+                assert [a.tobytes() for a in g] == [a.tobytes() for a in w]
 
 
 @pytest.mark.filterwarnings("ignore:only .* patches for dimension")
