@@ -16,7 +16,7 @@ import numpy as np
 from .datasets import ImageSet, load_images, save_raw_tensor, write_csv
 from .dft import write_ranking_csv
 from .errors import LgsqeError
-from .evaluate import check_bins, check_keep_fraction, check_threshold, filter_samples, histogram_svg, write_scores_csv
+from .evaluate import check_keep_fraction, filter_samples, histogram_svg, write_scores_csv
 from .pipeline import (
     CONFIG_FIELDS,
     PipelineModel,
@@ -32,11 +32,14 @@ from .pipeline import (
 FORMATS = ["auto", "idx", "cifar", "lgt"]  # --*-format choices; auto detects the magic bytes
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    """One flag per config key, named and documented by the field's metadata."""
+def _add_config_flags(parser: argparse.ArgumentParser, keys: list[str] | None = None) -> None:
+    """One flag per config key, named and documented by the field's metadata: every key and ``--config``, or
+    only ``keys``."""
     group = parser.add_argument_group("pipeline configuration")
-    group.add_argument("--config", help="key=value config file; explicit flags override it")
-    for key, (f, types) in CONFIG_FIELDS.items():
+    if keys is None:
+        group.add_argument("--config", help="key=value config file; explicit flags override it")
+    for key in keys or CONFIG_FIELDS:
+        f, types = CONFIG_FIELDS[key]
         flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
         if "const" in f.metadata:
             how = {"action": "store_const", "const": f.metadata["const"]}
@@ -45,9 +48,14 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         group.add_argument(flag, dest=key, help=f.metadata["help"], **how)
 
 
+def _flag_values(args: argparse.Namespace) -> dict:
+    """The config keys given as flags, with their values."""
+    return {key: value for key, value in vars(args).items() if key in CONFIG_FIELDS and value is not None}
+
+
 def _build_config(args: argparse.Namespace) -> RunConfig:
     doc = parse_config_file(args.config) if args.config else {}
-    doc.update({key: value for key in CONFIG_FIELDS if (value := getattr(args, key)) is not None})
+    doc.update(_flag_values(args))
     return RunConfig.from_dict(doc)
 
 
@@ -92,12 +100,10 @@ def cmd_score(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    # Bad values fail before any image is read; unset ones take the model's validated config.
-    if args.threshold is not None:
-        check_threshold(args.threshold)
-    if args.histogram_bins is not None:
-        check_bins(args.histogram_bins)
     model = PipelineModel.load(args.model)
+    config = replace(model.config, **_flag_values(args))
+    config.validate()  # before any image is read
+    model = replace(model, config=config)
     real, generated = _load_sources(args)
 
     matches = args.use != "all" and matches_training_data(model, real, generated)
@@ -118,8 +124,6 @@ def cmd_eval(args) -> int:
     report = model.evaluate(
         real_eval,
         gen_eval,
-        threshold=args.threshold,
-        bins=args.histogram_bins,
         metadata={
             "evaluated_on": use,
             "eval_counts": {"real": real_eval.count, "generated": gen_eval.count},
@@ -202,9 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "holdout", "all"],
         help="evaluate on the recorded holdout split (when the files match training) or on all samples",
     )
-    p_eval.add_argument("--threshold", type=float, help="decision threshold t")
-    p_eval.add_argument("--histogram-bins", type=int)
     p_eval.add_argument("--svg", help="also write a histogram SVG here")
+    _add_config_flags(p_eval, ["threshold", "histogram_bins"])  # override the model's config
     p_eval.set_defaults(func=cmd_eval)
 
     p_filter = sub.add_parser("filter", help="keep the most realistic generated samples")

@@ -31,16 +31,6 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
-def check_threshold(threshold: float) -> None:
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
-
-
-def check_bins(bins: int) -> None:
-    if bins < 2:
-        raise ValueError(f"bins must be >= 2, got {bins}")
-
-
 def check_keep_fraction(keep_fraction: float) -> None:
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError(f"keep_fraction must lie in (0, 1], got {keep_fraction}")
@@ -51,7 +41,8 @@ def confusion(scores: np.ndarray, labels: np.ndarray, threshold: float) -> Confu
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
         raise GeometryError("scores and labels must have identical shape")
-    check_threshold(threshold)
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
     predicted = scores >= threshold
     actual = labels == 1
     return ConfusionCounts(
@@ -124,7 +115,8 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 def score_histogram(scores: np.ndarray, provenance: np.ndarray, bins: int = 50) -> dict:
     """Uniform [0, 1] histogram with separate real/generated counts."""
-    check_bins(bins)
+    if bins < 2:
+        raise ValueError(f"bins must be >= 2, got {bins}")
     scores = np.asarray(scores, dtype=np.float64)
     provenance = np.asarray(provenance)
     edges = np.linspace(0.0, 1.0, bins + 1)

@@ -108,9 +108,9 @@ class RunConfig:
         if self.num_bins < 2:
             raise ValueError("num_bins must be >= 2")
         if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError("threshold must lie in [0, 1]")
+            raise ValueError(f"threshold must lie in [0, 1], got {self.threshold}")
         if self.histogram_bins < 2:
-            raise ValueError("histogram_bins must be >= 2")
+            raise ValueError(f"histogram_bins must be >= 2, got {self.histogram_bins}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must lie in (0, 1)")
         if not 0.0 < self.real_fraction <= 1.0:
@@ -218,25 +218,15 @@ class PipelineModel:
         features = build_representation(images, self.saab, self.indices, self.spectral_kernels)
         return self.ensemble.predict_score(features)
 
-    def evaluate(
-        self,
-        real: ImageSet,
-        generated: ImageSet,
-        threshold: float | None = None,
-        bins: int | None = None,
-        metadata: dict | None = None,
-    ) -> EvaluationReport:
+    def evaluate(self, real: ImageSet, generated: ImageSet, metadata: dict | None = None) -> EvaluationReport:
+        """The report on scoring ``real`` (label 0) and ``generated`` (label 1) at ``config.threshold``, with
+        ``config.histogram_bins`` bins. Its ``metadata`` holds ``config``, the config used, and ``entropy_base``,
+        updated with ``metadata``. For other settings, evaluate a model whose config is replaced
+        (``dataclasses.replace``)."""
         scores = np.concatenate([self.score_images(real), self.score_images(generated)])
         labels = np.concatenate([np.zeros(real.count, dtype=np.int8), np.ones(generated.count, dtype=np.int8)])
-        meta = {"config": self.config.to_dict(), "entropy_base": "e"}
-        meta.update(metadata or {})
-        return aggregate_report(
-            scores,
-            labels,
-            threshold if threshold is not None else self.config.threshold,
-            bins if bins is not None else self.config.histogram_bins,
-            metadata=meta,
-        )
+        meta = {"config": self.config.to_dict(), "entropy_base": "e", **(metadata or {})}
+        return aggregate_report(scores, labels, self.config.threshold, self.config.histogram_bins, metadata=meta)
 
     def to_dict(self) -> dict:
         return {
@@ -315,11 +305,19 @@ def fit_pipeline(real: ImageSet, generated: ImageSet, config: RunConfig) -> tupl
         raise GeometryError("real and generated sources must share geometry")
     if config.channels is not None and real.channels != config.channels:
         raise GeometryError(f"config expects {config.channels} channels, data has {real.channels}")
-    if (real.side - config.patch_size) // config.stride + 1 < 2:  # the pooled side would be 0
+    grid = (real.side - config.patch_size) // config.stride + 1
+    if grid < 2:  # the pooled side would be 0
         raise GeometryError(
             f"patch size {config.patch_size} at stride {config.stride} leaves {real.side}x{real.side} images "
             "a patch grid smaller than the 2x2 that pooling needs"
         )
+    # An explicit count keeps at most every kernel: one per patch value, or per pooled value at the c/w stage.
+    patch, channels, side = config.patch_size, real.channels, grid // 2
+    if config.k1 is not None and config.k1 > patch**2 * channels:
+        raise GeometryError(f"k1 {config.k1} exceeds {patch**2 * channels}, the size of a {patch}x{patch}x{channels} "
+                            "patch")
+    if config.cw_k is not None and config.cw_k > side * side:
+        raise GeometryError(f"cw_k {config.cw_k} exceeds {side * side}, the size of a {side}x{side} pooled map")
 
     timings: dict[str, float] = {}
     tick = time.perf_counter()
@@ -338,6 +336,8 @@ def fit_pipeline(real: ImageSet, generated: ImageSet, config: RunConfig) -> tupl
     )
     del train_pixels
     timings["representation"] = time.perf_counter() - tick
+    if config.select_mode == "top_k" and config.top_k > saab.width:
+        raise GeometryError(f"top_k {config.top_k} exceeds the representation width {saab.width}")
 
     tick = time.perf_counter()
     ranking = rank_features(representation_blocks(pooled, cw), train_labels, num_bins=config.num_bins)

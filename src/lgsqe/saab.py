@@ -274,12 +274,12 @@ def _fix_signs(kernels: np.ndarray) -> np.ndarray:
 def _kept_ac_count(eigenvalues: np.ndarray, energy_threshold: float | None, explicit_channels: int | None) -> int:
     if explicit_channels is None and energy_threshold is None:
         raise ValueError("either an energy threshold or an explicit channel count is required")
+    if explicit_channels is not None and not 1 <= explicit_channels <= eigenvalues.size + 1:
+        raise ValueError(f"explicit channel count {explicit_channels} outside [1, {eigenvalues.size + 1}]")
     total = float(eigenvalues.sum())
     if total <= _ZERO_ENERGY * max(1, eigenvalues.size):
         return 0  # zero-variance input: keep the DC channel only
     if explicit_channels is not None:
-        if not 1 <= explicit_channels <= eigenvalues.size + 1:
-            raise ValueError(f"explicit channel count {explicit_channels} outside [1, {eigenvalues.size + 1}]")
         return explicit_channels - 1
     if energy_threshold >= 1.0:
         return eigenvalues.size

@@ -135,6 +135,31 @@ class TestFit:
         one_error_line(capsys, f"patch size {patch_size} at stride {stride}", "2x2")
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--k1", "10"], "k1 10 exceeds 9, the size of a 3x3x1 patch"),
+         (["--cw-k", "10"], "cw_k 10 exceeds 9, the size of a 3x3 pooled map")],
+        ids=["k1", "cw-k"],
+    )
+    def test_channel_count_above_its_bound_refused_first(self, cli_data, tmp_path, capsys, monkeypatch, flags, message):
+        _, real_path, gen_path = cli_data
+        refuse_first_hop(monkeypatch)
+        assert main(["fit", str(real_path), str(gen_path), "-o", str(tmp_path / "m.json"), *FIT_FLAGS, *flags]) == 1
+        one_error_line(capsys, message)
+        assert not (tmp_path / "m.json").exists()
+
+    def test_top_k_above_the_width_refused_before_ranking(self, cli_data, tmp_path, capsys, monkeypatch):
+        _, real_path, gen_path = cli_data
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the ranking ran")
+
+        monkeypatch.setattr(lgsqe.pipeline, "rank_features", refuse)
+        flags = [*FIT_FLAGS, "--top-k", "100000"]
+        assert main(["fit", str(real_path), str(gen_path), "-o", str(tmp_path / "m.json"), *flags]) == 1
+        one_error_line(capsys, "top_k 100000 exceeds the representation width")
+        assert not (tmp_path / "m.json").exists()
+
     def test_one_source_training_split_refused_first(self, cli_data, tmp_path, capsys, monkeypatch):
         _, real_path, gen_path = cli_data
         refuse_first_hop(monkeypatch)
@@ -486,6 +511,27 @@ class TestEval:
         assert len(err) == 1 and err[0].startswith(f"lgsqe: error: {bad}: ") and "fingerprints" in err[0], err
         assert not (tmp_path / "r.json").exists()
 
+    def test_overrides_recorded_in_the_report(self, cli_data, fitted_model, tmp_path):
+        _, real_path, gen_path = cli_data
+        out = tmp_path / "r.json"
+        argv = ["eval", str(fitted_model), str(real_path), str(gen_path), "-o", str(out)]
+        assert main([*argv, "--threshold", "0.3", "--histogram-bins", "7"]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["threshold"] == doc["metadata"]["config"]["threshold"] == 0.3
+        assert len(doc["histogram"]["real"]) == doc["metadata"]["config"]["histogram_bins"] == 7
+        # Every other config key is the model's.
+        assert {**doc["metadata"]["config"], "threshold": 0.5, "histogram_bins": 50} == json.loads(
+            fitted_model.read_text()
+        )["config"]
+
+    def test_help_shows_the_schema_text(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["eval", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        for key in ("threshold", "histogram_bins"):
+            assert f"--{key.replace('_', '-')} {key.upper()} {CONFIG_FIELDS[key][0].metadata['help']}" in text
+        assert "--config" not in text
+
     def test_svg_flag(self, cli_data, fitted_model, tmp_path):
         tmp, real_path, gen_path = cli_data
         svg = tmp_path / "hist.svg"
@@ -532,7 +578,7 @@ class TestFilter:
     [
         ("filter", "--keep-fraction", "1.5", "keep_fraction must lie in (0, 1], got 1.5"),
         ("eval", "--threshold", "2", "threshold must lie in [0, 1], got 2.0"),
-        ("eval", "--histogram-bins", "0", "bins must be >= 2, got 0"),
+        ("eval", "--histogram-bins", "0", "histogram_bins must be >= 2, got 0"),
         ("fit", "--learning-rate", "nan", "learning_rate must be positive and finite"),
         ("fit", "--config", "run.cfg", "reg_lambda must be >= 0 and finite"),
     ],

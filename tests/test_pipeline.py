@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -302,6 +303,21 @@ class TestPipelineModel:
         with pytest.raises(GeometryError):
             fit_pipeline(real, generated, config)
 
+    @pytest.mark.parametrize(
+        "counts, message",
+        [({"k1": 1000}, "k1 1000 exceeds 25, the size of a 5x5x1 patch"),
+         ({"cw_k": 1000}, "cw_k 1000 exceeds 1, the size of a 1x1 pooled map")],
+        ids=["k1", "cw_k"],
+    )
+    def test_channel_count_above_its_bound_refused_first(self, monkeypatch, counts, message):
+        # Constant images have zero variance, where the energy rule keeps only the DC channel.
+        real = lgsqe.ImageSet(np.full((20, 8, 8, 1), 0.5, dtype=np.float32))
+        generated = lgsqe.ImageSet(np.full((20, 8, 8, 1), 0.25, dtype=np.float32), "generated")
+        extracted = spy_on_extraction(monkeypatch)
+        with pytest.raises(GeometryError, match=re.escape(message)):
+            fit_pipeline(real, generated, RunConfig(**counts))
+        assert extracted == []
+
 
 # The CPU flag each OpenBLAS kernel needs; forcing a kernel whose instructions the CPU lacks crashes the process.
 CORETYPE_FLAGS = {"SandyBridge": "avx", "Haswell": "avx2", "Zen": "avx2", "SkylakeX": "avx512f"}
@@ -476,3 +492,16 @@ class TestEvaluateEndToEnd:
         assert report.metadata["note"] == "x"
         assert report.metadata["config"]["patch_size"] == model.config.patch_size
         assert report.metadata["entropy_base"] == "e"
+
+    def test_settings_come_from_the_config(self, small_pipeline):
+        # Another threshold and bin count: a model with a replaced config, whose report records them.
+        model, real, generated = small_pipeline
+        split = holdout_split(model, real, generated)
+        config = replace(model.config, threshold=0.3, histogram_bins=7)
+        report = replace(model, config=config).evaluate(split.test_real, split.test_generated)
+        scores = np.concatenate([model.score_images(split.test_real), model.score_images(split.test_generated)])
+        labels = np.repeat([0, 1], [split.test_real.count, split.test_generated.count])
+        expected = lgsqe.aggregate_report(scores, labels, 0.3, 7, metadata={"entropy_base": "e"}).to_dict()
+        doc = report.to_dict()
+        assert doc["metadata"].pop("config") == config.to_dict()
+        assert doc == expected and len(doc["histogram"]["real"]) == 7 and doc["threshold"] == 0.3

@@ -117,6 +117,15 @@ class TestFitSaab:
         model = lgsqe.fit_saab(patch_matrix_from_array(data), explicit_channels=4)
         assert model.num_channels == 4
 
+    def test_explicit_channel_count_checked_on_zero_variance(self):
+        # Constant patches keep only the DC channel, but a count above the patch dimension is still refused.
+        constant = patch_matrix_from_array(np.full((50, 25), 0.5))
+        assert lgsqe.fit_saab(constant, explicit_channels=25).num_channels == 1
+        with pytest.raises(ValueError, match=r"explicit channel count 1000 outside \[1, 25\]"):
+            lgsqe.fit_saab(constant, explicit_channels=1000)
+        with pytest.raises(ValueError, match=r"explicit channel count 17 outside \[1, 16\]"):
+            lgsqe.fit_cw_saab(np.zeros((30, 4, 4, 2)), explicit_channels=17)
+
     def test_orthonormal_basis(self):
         data = np.random.default_rng(1).normal(size=(120, 16))
         model = lgsqe.fit_saab(patch_matrix_from_array(data), energy_threshold=1.0)
