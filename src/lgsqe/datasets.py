@@ -233,6 +233,10 @@ def make_labeled_split(
 
     Shrinking ``real_fraction`` keeps a prefix of the shuffled real training
     indices, so splits at different fractions are nested for a fixed seed.
+    The counts are ``int`` of float products, which can fall one short of the
+    decimal product (``filter_samples`` takes the decimal one). They stay so,
+    because ``eval`` recomputes a stored model's holdout split from them and
+    must find the same test images as the fit did.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from decimal import Decimal
 
 import numpy as np
 
@@ -130,7 +131,9 @@ def score_histogram(scores: np.ndarray, provenance: np.ndarray, bins: int = 50) 
 
 
 def filter_samples(sample_ids: np.ndarray, scores: np.ndarray, keep_fraction: float) -> np.ndarray:
-    """Keep the floor(keep_fraction * n) ids with the smallest scores.
+    """Keep the floor(keep_fraction * n) ids with the smallest scores, with
+    keep_fraction read as the shortest decimal that prints it, so 0.29 of 100
+    keeps 29 where the float product, 28.999999999999996, would keep 28.
 
     Ties break by sample id; output is ordered by ascending score.
     """
@@ -139,7 +142,7 @@ def filter_samples(sample_ids: np.ndarray, scores: np.ndarray, keep_fraction: fl
     scores = np.asarray(scores, dtype=np.float64)
     if sample_ids.shape != scores.shape:
         raise GeometryError("sample_ids and scores must have identical shape")
-    keep = int(keep_fraction * sample_ids.size)
+    keep = int(Decimal(str(float(keep_fraction))) * sample_ids.size)
     order = np.lexsort((sample_ids, scores))
     return sample_ids[order[:keep]]
 

@@ -1,33 +1,36 @@
-"""Gradient-boosted regression trees with a logistic objective, from scratch.
+"""Gradient-boosted oblivious regression trees with a logistic objective, from scratch.
 
 Boosting follows the second-order scheme: per round, gradients g = p - y and
-hessians h = p(1 - p) are computed from the current margin, a binary tree is
+hessians h = p(1 - p) are computed from the current margin, one tree is
 grown by histogram split search, and leaf weights are -G/(H + lambda).
 Split gain is
 
     0.5 * [G_L^2/(H_L + lambda) + G_R^2/(H_R + lambda) - (G_L+G_R)^2/(H_L+H_R + lambda)]
 
-Each feature column is quantized once per fit into at most MAX_BINS = 256
-uint8 bins with cuts at rank quantiles; a column with at most 256 distinct
-values gets one bin per value, and on such columns the search picks the same
-splits as exact greedy (up to partitions whose gains tie in exact arithmetic,
-which the two searches, summing in different orders, may round apart).
-Histograms are bin-major: a row's value in feature f with code c counts at
-``c * d + f``, so a node's (g, h, count) histogram is a (MAX_BINS, 3, d) array
-from one ``np.bincount`` each. Only the smaller child is counted, the larger
-one is its parent minus it (as in XGBoost ``hist`` and LightGBM), subtracted
-in place; a round that grows on all rows counts its root without gathering
-rows and reuses the counts taken once per fit. Trees grow depth first from an
-explicit stack, so the histograms alive are the current node's and those of
-right children still to grow. The split search takes the prefix sums over bins
-as one vector add per bin across every feature and scores only the candidate
-bins, with each feature's parent term computed once. A split's threshold is
-the midpoint between the largest value going left and the smallest going
-right, or the latter if the midpoint rounds onto the former. Gain ties break
-toward the lowest feature index, then the lowest threshold, so fits are fully
-deterministic. Everything runs on plain numpy ops (sorts, gathers, bincounts,
-elementwise adds) whose results do not depend on BLAS thread counts, which
-keeps refits byte-identical.
+The trees are oblivious (as in CatBoost): every node of a level splits on one
+shared (feature, threshold), the one whose gain summed over the level's nodes
+is largest. Each feature column is quantized once per fit into at most
+MAX_BINS = 64 bins with cuts at rank quantiles; a column with at most 64
+distinct values gets one bin per value. A node's histogram is a
+(statistic, bin, feature) array of g, h and row-count sums, so a level holds
+nodes x 64 x 3 x d doubles for d features. Each level counts only the smaller
+child of every node, from one ``np.bincount`` per statistic over the bin-major
+index ``code * d + feature``; the larger child is its parent minus it (as in
+XGBoost ``hist`` and LightGBM), subtracted in place. A round that grows on
+all rows counts its root without gathering rows and reuses the counts taken
+once per fit. A split must leave each child of each node empty or holding at
+least ``min_samples_leaf`` sampled rows, and a node it does not divide gains
+0. Gain ties break toward the lowest feature index, then the lowest bin, so
+fits are fully deterministic. A split's threshold is the midpoint between the
+largest value of the column, over all rows, that falls in a bin going left
+and the smallest going right, or the latter if the midpoint rounds onto the
+former. A tree stops at ``max_depth`` or at the first level where no split
+gains; a node that no sampled row reaches becomes a leaf of value 0. Each
+tree is packed in preorder into the forest's node arrays, which can hold any
+binary tree, so prediction does not rely on the trees being oblivious.
+Everything runs on plain numpy ops (sorts, gathers, bincounts, elementwise
+adds) whose results do not depend on BLAS thread counts, which keeps refits
+byte-identical.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .dft import _binary_labels
 from .errors import FormatError, GeometryError, integer_array
 
 _PROB_EPS = 1e-15
-MAX_BINS = 256  # uint8 codes
+MAX_BINS = 64  # uint8 codes
 QUANTIZE_VALUES = 2**18  # values per column block of _quantize
 
 
@@ -70,7 +73,9 @@ class GbdtParams:
     max_depth: int = field(default=4, metadata={"help": "tree depth limit"})
     learning_rate: float = field(default=0.1, metadata={"help": "boosting learning rate"})
     reg_lambda: float = field(default=1.0, metadata={"help": "L2 leaf regularization"})
-    min_samples_leaf: int = field(default=5, metadata={"help": "minimum samples per leaf"})
+    min_samples_leaf: int = field(
+        default=5, metadata={"help": "each child of each split node holds no sampled row or at least this many"}
+    )
     subsample: float = field(default=1.0, metadata={"help": "per-round row subsample fraction"})
 
     def validate(self):
@@ -115,137 +120,96 @@ def _quantize(x: np.ndarray) -> np.ndarray:
     return codes
 
 
-class _TreeBuilder:
-    """Grows trees from (g, h, count) histograms over quantized features onto
-    forest-wide node lists, in preorder: a split's left child is the next node."""
+def _histogram(flat: np.ndarray, rows: np.ndarray, g: np.ndarray, h: np.ndarray, all_counts: np.ndarray):
+    """(3, MAX_BINS, d) sums of g, h and row counts per bin and feature over ascending ``rows``;
+    ``flat`` is the (n, d) bin-major index, ``all_counts`` its counts over all rows."""
+    n, d = flat.shape
+    size = MAX_BINS * d
+    if rows.size == n:  # the rows ascend without repeats, so they are all rows, in order
+        idx, counts = flat.ravel(), all_counts
+    else:
+        idx, g, h = flat[rows].ravel(), g[rows], h[rows]
+        counts = np.bincount(idx, minlength=size)
+    sums = [np.bincount(idx, weights=np.repeat(w, d), minlength=size) for w in (g, h)]
+    return np.stack(sums + [counts]).reshape(3, MAX_BINS, d)
 
-    def __init__(self, x, flat, params: GbdtParams):
-        self.x = x
-        self.flat = flat  # (n, d) bin-major index code * d + feature
-        self.params = params
-        self.feature, self.threshold, self.right, self.value, self.roots = [], [], [], [], []
-        # The root's counts whenever a round grows on all rows (no subsample): counted once per fit.
-        self.all_counts = np.bincount(flat.ravel(), minlength=MAX_BINS * x.shape[1])
-        self.cum = np.empty((MAX_BINS, 3, x.shape[1]))  # every split search's prefix sums
 
-    def grow(self, rows: np.ndarray, g: np.ndarray, h: np.ndarray) -> int:
-        """Append one tree grown over ascending row indices; return its root."""
-        self.g, self.h = g, h
-        self.roots.append(len(self.value))
-        # Depth first, so nodes append in preorder. The stack holds the nodes
-        # still to grow: rows, histogram, depth and the node whose right child
-        # it is (-1 for the root and left children).
-        stack = [(rows, self._histogram(rows) if self._can_split(rows.size, 0) else None, 0, -1)]
-        while stack:
-            stack += self._grow_node(*stack.pop())
-        return self.roots[-1]
-
-    def _can_split(self, n_rows: int, depth: int) -> bool:
-        return depth < self.params.max_depth and n_rows >= 2 * self.params.min_samples_leaf
-
-    def _histogram(self, rows: np.ndarray) -> np.ndarray:
-        """(MAX_BINS, 3, d) sums of g, h and row counts per bin and feature."""
-        n, d = self.flat.shape
-        size = MAX_BINS * d
-        if rows.size == n:  # the rows ascend without repeats, so they are all rows, in order
-            idx, g, h, counts = self.flat.ravel(), self.g, self.h, self.all_counts
-        else:
-            idx, g, h = self.flat[rows].ravel(), self.g[rows], self.h[rows]
-            counts = np.bincount(idx, minlength=size)
-        hist = np.empty((MAX_BINS, 3, d))
-        hist[:, 0] = np.bincount(idx, weights=np.repeat(g, d), minlength=size).reshape(MAX_BINS, d)
-        hist[:, 1] = np.bincount(idx, weights=np.repeat(h, d), minlength=size).reshape(MAX_BINS, d)
-        hist[:, 2] = counts.reshape(MAX_BINS, d)
-        return hist
-
-    def _grow_node(self, rows: np.ndarray, hist: np.ndarray | None, depth: int, parent: int) -> tuple:
-        """Append a node; return its children to grow, right first. hist is
-        None iff the node cannot split; a split reuses it for a child's."""
-        node = len(self.value)
-        if parent >= 0:
-            self.right[parent] = node
-        split = None if hist is None else _best_split(hist, self.params, self.cum)
+def _grow_tree(forest: dict, x, flat, all_counts, rows: np.ndarray, g, h, params: GbdtParams) -> int:
+    """Append one oblivious tree, grown over ascending row indices, to the
+    ``forest`` node lists in preorder; return its root."""
+    d = flat.shape[1]
+    levels = [{0: rows}]  # per depth, the rows of each node that sampled rows reach, keyed by path bits
+    hists = [_histogram(flat, rows, g, h, all_counts)]  # the last level's, in key order
+    splits = []  # per depth, the shared (feature, threshold)
+    while len(splits) < params.max_depth:
+        split = _best_split(hists, params)
         if split is None:
-            denom = float(self.h[rows].sum()) + self.params.reg_lambda
-            self._append(-1, 0.0, -float(self.g[rows].sum()) / denom if denom > 0 else 0.0)
-            return ()
-
+            break
         feat, bin_ = split
-        goes_left = self.flat[rows, feat] <= bin_ * self.flat.shape[1] + feat
-        left_rows, right_rows = rows[goes_left], rows[~goes_left]
-        need_left = self._can_split(left_rows.size, depth + 1)
-        need_right = self._can_split(right_rows.size, depth + 1)
-        left_hist = right_hist = None
-        if need_left or need_right:  # then the larger child can split
-            if left_rows.size <= right_rows.size:
-                left_hist = self._histogram(left_rows)
-                right_hist = np.subtract(hist, left_hist, out=hist)
-            else:
-                right_hist = self._histogram(right_rows)
-                left_hist = np.subtract(hist, right_hist, out=hist)
-
-        values = self.x[rows, feat]
+        goes_left = flat[:, feat] <= bin_ * d + feat
+        values = x[:, feat]
         max_left, min_right = float(values[goes_left].max()), float(values[~goes_left].min())
         mid = (max_left + min_right) / 2.0  # rounds onto max_left when the two are adjacent doubles
-        self._append(feat, mid if max_left < mid <= min_right else min_right, 0.0)
-        return (
-            (right_rows, right_hist if need_right else None, depth + 1, node),
-            (left_rows, left_hist if need_left else None, depth + 1, -1),
-        )
+        splits.append((feat, mid if max_left < mid <= min_right else min_right))
+        deeper = len(splits) < params.max_depth
+        children, hists_next = {}, []
+        for (path, node_rows), hist in zip(levels[-1].items(), hists):
+            left = goes_left[node_rows]
+            sides, side_hists = [node_rows[left], node_rows[~left]], [None, None]
+            if deeper:  # count the smaller child; the larger is the parent minus it
+                small = int(sides[1].size < sides[0].size)
+                side_hists[small] = _histogram(flat, sides[small], g, h, all_counts)
+                side_hists[1 - small] = np.subtract(hist, side_hists[small], out=hist)
+            for bit in (0, 1):
+                if sides[bit].size:
+                    children[2 * path + bit] = sides[bit]
+                    hists_next.append(side_hists[bit])
+        levels.append(children)
+        hists = hists_next
 
-    def _append(self, feature: int, threshold: float, value: float) -> None:
-        self.feature.append(feature)
-        self.threshold.append(threshold)
-        self.right.append(-1)
-        self.value.append(value)
+    root = len(forest["value"])
+    forest["roots"].append(root)
+    stack = [(0, 0, -1)]  # (depth, path, the node whose right child it is)
+    while stack:
+        depth, path, parent = stack.pop()
+        node = len(forest["value"])
+        if parent >= 0:
+            forest["right"][parent] = node
+        node_rows = levels[depth].get(path)  # None if no sampled row reaches the node
+        feat, threshold, value = -1, 0.0, 0.0
+        if node_rows is not None and depth < len(splits):
+            feat, threshold = splits[depth]
+            stack += [(depth + 1, 2 * path + 1, node), (depth + 1, 2 * path, -1)]
+        elif node_rows is not None:
+            denom = float(h[node_rows].sum()) + params.reg_lambda
+            value = -float(g[node_rows].sum()) / denom if denom > 0 else 0.0
+        for name, item in (("feature", feat), ("threshold", threshold), ("right", -1), ("value", value)):
+            forest[name].append(item)
+    return root
 
 
-def _best_split(hist: np.ndarray, params: GbdtParams, cum: np.ndarray) -> tuple[int, int] | None:
-    """(feature, last left bin) of the best split in a (MAX_BINS, 3, d)
-    histogram, or None if none gains; ``cum`` is scratch of hist's shape."""
-    lam = params.reg_lambda
-    min_leaf = params.min_samples_leaf
-    d = hist.shape[2]
-    # Per-feature prefix sums over bins, one add per bin across every feature.
-    cum[0] = hist[0]
-    for prev, h, out in zip(cum, hist[1:], cum[1:]):
-        np.add(prev, h, out=out)
-    g_tot, h_tot, n_tot = cum[-1]
-    n_cum = cum[:, 2]
-    # One candidate per distinct partition: the last non-empty bin going
-    # left, in bin-major order (bin * d + feature).
-    cand = np.flatnonzero((hist[:, 2] > 0) & (n_cum >= min_leaf) & (n_cum <= n_tot[0] - min_leaf))
-    if cand.size == 0:
-        return None
-    bins = cand // d
-    feat = cand - bins * d
-    at = cand + bins * (2 * d)  # (bin, 0, feature) in cum
-    gl = cum.ravel()[at]
-    at += d
-    hl = cum.ravel()[at]
-    gr = g_tot[feat]
-    gr -= gl
-    hr = h_tot[feat]
-    hr -= hl
+def _best_split(hists: list[np.ndarray], params: GbdtParams) -> tuple[int, int] | None:
+    """(feature, last left bin) of the split with the largest gain summed over
+    a level's nodes, given their (3, MAX_BINS, d) histograms, or None if none
+    gains. A candidate bin holds a row of the level, so it is the lowest of
+    the bins that part the level alike."""
+    lam, min_leaf = params.reg_lambda, params.min_samples_leaf
+    total = np.zeros(hists[0].shape[1:])  # twice the level's gain per (last left bin, feature)
+    valid = np.zeros(total.shape, dtype=bool)
+    allowed = np.ones(total.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        parent = g_tot**2 / (h_tot + lam)
-        # gain = 0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - parent), in place
-        gain = np.square(gl, out=gl)
-        gain /= np.add(hl, lam, out=hl)
-        np.square(gr, out=gr)
-        gr /= np.add(hr, lam, out=hr)
-        gain += gr
-        gain -= parent[feat]
-        gain *= 0.5
-    gain[~np.isfinite(gain)] = -np.inf
-    best = gain.max()
-    if best <= 0.0:
-        return None
-    # Ties break toward the lowest feature, then the lowest bin: among the
-    # tied candidates, which ascend by bin, the first of the lowest feature.
-    tied = np.flatnonzero(gain == best)
-    first = tied[np.argmin(feat[tied])]
-    return int(feat[first]), int(bins[first])
+        for hist in hists:
+            valid |= hist[2] > 0
+            g, h, n = np.cumsum(hist, axis=1)  # each statistic left of the split
+            smaller = np.minimum(n, n[-1] - n)  # the rows of the smaller child
+            allowed &= (smaller == 0) | (smaller >= min_leaf)
+            gain = g**2 / (h + lam) + (g[-1] - g) ** 2 / (h[-1] - h + lam) - g[-1] ** 2 / (h[-1] + lam)
+            total += np.where(smaller > 0, gain, 0.0)  # a node the split does not divide gains 0
+    valid &= allowed & np.isfinite(total)
+    total[~valid] = -np.inf
+    # Feature-major, so ties break toward the lowest feature, then the lowest bin.
+    feat, bin_ = divmod(int(np.argmax(total.T)), MAX_BINS)
+    return (feat, bin_) if total[bin_, feat] > 0.0 else None
 
 
 def _descend(x, rows, node, feature, threshold, right) -> np.ndarray:
@@ -360,7 +324,8 @@ def fit_ensemble(
     all_rows = np.arange(y.size)
     rng = np.random.default_rng(seed)
 
-    forest = _TreeBuilder(x, flat, params)
+    forest = {name: [] for name in _NODE_ARRAYS}
+    all_counts = np.bincount(flat.ravel(), minlength=MAX_BINS * x.shape[1])  # a whole-sample root's counts
     losses: list[float] = []
     p = _sigmoid(margin)
     for _ in range(params.n_rounds):
@@ -371,15 +336,15 @@ def fit_ensemble(
             rows = np.sort(picked)
         else:
             rows = all_rows
-        root = forest.grow(rows, g, h)  # then every row descends the new tree, indexed from its root
-        feature, threshold, right, value = (np.asarray(getattr(forest, k)[root:]) for k in list(_NODE_ARRAYS)[:4])
+        root = _grow_tree(forest, x, flat, all_counts, rows, g, h, params)  # then every row descends the new tree
+        feature, threshold, right, value = (np.asarray(forest[k][root:]) for k in list(_NODE_ARRAYS)[:4])
         leaf = _descend(x, all_rows, np.zeros_like(all_rows), feature, threshold, right - root)
         margin = margin + params.learning_rate * value[leaf]
         p = _sigmoid(margin)  # this round's loss and the next round's gradients
         losses.append(_log_loss(y, p))
 
     return BoostedEnsemble(
-        **{name: np.asarray(getattr(forest, name), dtype=dtype) for name, dtype in _NODE_ARRAYS.items()},
+        **{name: np.asarray(forest[name], dtype=dtype) for name, dtype in _NODE_ARRAYS.items()},
         learning_rate=params.learning_rate,
         base_score=base,
         n_features=x.shape[1],

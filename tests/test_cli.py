@@ -29,6 +29,9 @@ FIT_FLAGS = [
     "--patch-size", "3", "--stride", "2", "--top-k", "25",
     "--rounds", "12", "--max-depth", "2", "--min-samples-leaf", "2",
 ]
+# The flags of the fitted_model fixture: at patch 5 its forest splits on a spectral column, which TestScore's
+# model corruptions need.
+MODEL_FLAGS = [*FIT_FLAGS, "--patch-size", "5"]
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +50,7 @@ def cli_data(tmp_path_factory):
 def fitted_model(cli_data):
     tmp, real_path, gen_path = cli_data
     model_path = tmp / "model.json"
-    code = main(["fit", str(real_path), str(gen_path), "-o", str(model_path), *FIT_FLAGS])
+    code = main(["fit", str(real_path), str(gen_path), "-o", str(model_path), *MODEL_FLAGS])
     assert code == 0
     return model_path
 
@@ -612,7 +615,7 @@ class TestSweep:
     def test_single_fraction_matches_fit_eval(self, cli_data, fitted_model, tmp_path):
         tmp, real_path, gen_path = cli_data
         sweep_csv = tmp_path / "sweep.csv"
-        code = main(["sweep", str(real_path), str(gen_path), "-o", str(sweep_csv), "--fractions", "1.0", *FIT_FLAGS])
+        code = main(["sweep", str(real_path), str(gen_path), "-o", str(sweep_csv), "--fractions", "1.0", *MODEL_FLAGS])
         assert code == 0
         with open(sweep_csv) as fh:
             rows = list(csv.DictReader(fh))

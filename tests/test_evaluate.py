@@ -224,6 +224,16 @@ class TestFilterSamples:
         scores = np.array([0.5, 0.5, 0.5])
         np.testing.assert_array_equal(lgsqe.filter_samples(ids, scores, 0.67), [2, 5])
 
+    @pytest.mark.parametrize("fraction, n, kept", [(0.29, 100, 29), (0.35, 180, 63), (0.5, 5000, 2500)])
+    def test_count_is_floor_of_the_decimal(self, fraction, n, kept):
+        # 0.29 * 100 and 0.35 * 180 fall just below 29 and 63 in float arithmetic.
+        assert lgsqe.filter_samples(np.arange(n), np.zeros(n), fraction).size == kept
+
+    def test_count_over_percent_grid(self):
+        for n in range(0, 2001, 50):
+            counts = [lgsqe.filter_samples(np.arange(n), np.zeros(n), k / 100).size for k in range(1, 100)]
+            assert counts == [k * n // 100 for k in range(1, 100)], n
+
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
             lgsqe.filter_samples(np.arange(3), np.zeros(3), 0.0)

@@ -152,59 +152,48 @@ def _reference_margin(ensemble, features):
     return margin
 
 
-def _exact_greedy_split(x, g, h, rows, params):
-    """Reference: exact greedy split search over each feature's sorted values.
+def _level_gain(x, g, h, nodes, feat, threshold, params):
+    """Reference: the gain of the shared split ``x[:, feat] < threshold`` summed
+    over a level's nodes (row index arrays), each side summed exactly from its
+    rows; None if a child holds rows but fewer than min_samples_leaf."""
+    lam = params.reg_lambda
+    total = 0.0
+    for rows in nodes:
+        left = x[rows, feat] < threshold
+        sides = rows[left], rows[~left]
+        if min(side.size for side in sides) == 0:
+            continue  # a node the split does not divide gains 0
+        if min(side.size for side in sides) < params.min_samples_leaf:
+            return None
+        (gl, hl), (gr, hr) = [(g[side].sum(), h[side].sum()) for side in sides]
+        total += 0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - (gl + gr) ** 2 / (hl + hr + lam))
+    return total
 
-    Returns (gain, feature, threshold, left rows, right rows) of the best
-    split of the node holding ``rows``, or None if no split gains.
-    """
-    lam, min_leaf = params.reg_lambda, params.min_samples_leaf
-    best_gain, best = -np.inf, None
+
+def _oblivious_split(x, g, h, nodes, params):
+    """Reference for a level's shared split: every feature, and every threshold
+    between consecutive distinct values of its column, by the midpoint rule.
+    Returns (gain, feature, threshold) of the best, ties going to the lowest
+    feature, then the lowest threshold, or None if no split gains."""
+    best = None
     for feat in range(x.shape[1]):
-        order = rows[np.argsort(x[rows, feat], kind="stable")]
-        vals = x[order, feat]
-        g_cum, h_cum = np.cumsum(g[order]), np.cumsum(h[order])
-        gl, hl = g_cum[:-1], h_cum[:-1]
-        gr, hr = g_cum[-1] - gl, h_cum[-1] - hl
-        gain = 0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - g_cum[-1] ** 2 / (h_cum[-1] + lam))
-        counts = np.arange(1, rows.size)
-        valid = (vals[:-1] != vals[1:]) & (counts >= min_leaf) & (rows.size - counts >= min_leaf)
-        gain = np.where(valid, gain, -np.inf)
-        pos = int(np.argmax(gain))
-        if gain[pos] > best_gain:
-            best_gain = gain[pos]
-            best = feat, (vals[pos] + vals[pos + 1]) / 2.0, np.sort(order[: pos + 1]), np.sort(order[pos + 1 :])
-    return None if best is None or best_gain <= 0.0 else (best_gain, *best)
+        values = np.unique(x[:, feat])
+        for lo, hi in zip(values[:-1], values[1:]):
+            mid = (lo + hi) / 2.0
+            threshold = float(mid if lo < mid <= hi else hi)
+            gain = _level_gain(x, g, h, nodes, feat, threshold, params)
+            if gain is not None and 0.0 < gain < np.inf and (best is None or gain > best[0]):
+                best = gain, feat, threshold
+    return best
 
 
-def _can_split(rows, depth, params):
-    return depth < params.max_depth and rows.size >= 2 * params.min_samples_leaf
-
-
-def _exact_greedy_tree(x, g, h, rows, params):
-    """Reference: a tree of exact greedy splits.
-
-    Returns (feature, threshold, left, right, value) lists in preorder, the
-    node order of the library's builder.
-    """
-    nodes = {"feature": [], "threshold": [], "left": [], "right": [], "value": []}
-
-    def grow(rows, depth):
-        node = len(nodes["feature"])
-        for key, blank in (("feature", -1), ("threshold", 0.0), ("left", -1), ("right", -1), ("value", 0.0)):
-            nodes[key].append(blank)
-        best = _exact_greedy_split(x, g, h, rows, params) if _can_split(rows, depth, params) else None
-        if best is None:
-            nodes["value"][node] = -g[rows].sum() / (h[rows].sum() + params.reg_lambda)
-            return node
-        _, feat, thr, left_rows, right_rows = best
-        nodes["feature"][node], nodes["threshold"][node] = feat, thr
-        nodes["left"][node] = grow(left_rows, depth + 1)
-        nodes["right"][node] = grow(right_rows, depth + 1)
-        return node
-
-    grow(rows, 0)
-    return nodes
+def _tree_levels(ensemble, root):
+    """The nodes of the packed tree at ``root``, one list per depth."""
+    levels, level = [], [root]
+    while level:
+        levels.append(level)
+        level = [kid for node in level if ensemble.feature[node] >= 0 for kid in (node + 1, ensemble.right[node])]
+    return levels
 
 
 def _few_valued_fixture(seed, n=300, levels=(2, 7, 40, MAX_BINS)):
@@ -216,107 +205,111 @@ def _few_valued_fixture(seed, n=300, levels=(2, 7, 40, MAX_BINS)):
     return features, labels
 
 
-class TestHistogramOracle:
+class TestObliviousOracle:
+    """Each tree against a level-by-level search over exact sums, on columns of
+    at most MAX_BINS values, where every bin holds one value."""
+
     @pytest.mark.parametrize(
-        "seed, params",
+        "seed, levels, params",
         [
-            (0, GbdtParams(n_rounds=8, max_depth=4, min_samples_leaf=1)),
-            (1, GbdtParams(n_rounds=8, max_depth=3, min_samples_leaf=7, reg_lambda=0.5)),
-            (2, GbdtParams(n_rounds=8, max_depth=4, min_samples_leaf=3, subsample=0.7)),
+            pytest.param(0, (2, 7, 40, MAX_BINS), GbdtParams(n_rounds=8, max_depth=4, min_samples_leaf=1), id="plain"),
+            pytest.param(
+                1, (2, 7, 40, MAX_BINS), GbdtParams(n_rounds=8, max_depth=3, min_samples_leaf=7, reg_lambda=0.5),
+                id="min-leaf-7",
+            ),
+            pytest.param(
+                2, (2, 7, 40, MAX_BINS), GbdtParams(n_rounds=8, max_depth=4, min_samples_leaf=3, subsample=0.7),
+                id="subsample",
+            ),
+            # Many columns of 3 to 6 values and deep trees: small nodes, where partitions often tie in exact arithmetic.
+            pytest.param(3, (3, 4, 5, 6) * 6, GbdtParams(n_rounds=4, max_depth=6, min_samples_leaf=1), id="small-nodes"),
         ],
     )
-    def test_same_splits_as_exact_greedy(self, seed, params):
-        features, labels = _few_valued_fixture(seed)
+    def test_level_splits_and_leaves_match_oracle(self, seed, levels, params):
+        """Each level's shared split is the oracle's, or, where gains tie in
+        exact arithmetic and the two searches round the tie apart, gains what
+        the oracle's best gains. A node is a split iff a sampled row reaches it
+        above the last level; a leaf holds -G/(H + lambda) of its sampled rows,
+        or 0 if none reaches it."""
+        features, labels = _few_valued_fixture(seed, levels=levels)
         ensemble = fit_ensemble(features, labels, params, seed=seed)  # seed also drives the subsample
         rng = np.random.default_rng(seed)
-        margin = np.full(labels.size, ensemble.base_score)
-        leaves = _reference_leaves(ensemble, features)
-        ends = np.append(ensemble.roots[1:], ensemble.value.size)
-        for t, (root, end) in enumerate(zip(ensemble.roots, ends)):
-            p = _sigmoid(margin)
-            rows = np.arange(labels.size)
-            if params.subsample < 1.0:
-                rows = np.sort(rng.choice(labels.size, size=int(params.subsample * labels.size), replace=False))
-            ref = _exact_greedy_tree(features, p - labels, p * (1.0 - p), rows, params)
-            splits = [i for i, f in enumerate(ref["feature"]) if f >= 0]
-            assert [ref["left"][i] for i in splits] == [i + 1 for i in splits]
-            right = ensemble.right[root:end]
-            assert ensemble.feature[root:end].tolist() == ref["feature"]
-            assert ensemble.threshold[root:end].tolist() == ref["threshold"]
-            assert np.where(right >= 0, right - root, -1).tolist() == ref["right"]
-            np.testing.assert_allclose(ensemble.value[root:end], ref["value"], rtol=0, atol=1e-12)
-            margin = margin + params.learning_rate * ensemble.value[leaves[:, t]]
-
-    def test_small_nodes_split_as_well_as_exact_greedy(self):
-        """Many columns of 3 to 6 values and single-row leaves: deep trees end
-        in nodes of a few rows (3 at the median leaf), where most of the bin
-        grid is empty. There, several partitions often tie in exact
-        arithmetic, and the two searches, summing in different orders, may
-        round the tie apart. So each node is checked on its own: a split must
-        gain what exact greedy's best gains, and a leaf must be a node exact
-        greedy would not split either."""
-        features, labels = _few_valued_fixture(3, levels=(3, 4, 5, 6) * 6)
-        params = GbdtParams(n_rounds=6, max_depth=7, min_samples_leaf=1)
-        lam = params.reg_lambda
-        ensemble = fit_ensemble(features, labels, params)
         margin = np.full(labels.size, ensemble.base_score)
         leaves = _reference_leaves(ensemble, features)
         for t, root in enumerate(ensemble.roots):
             p = _sigmoid(margin)
             g, h = p - labels, p * (1.0 - p)
-
-            def check(node, rows, depth):
-                best = _exact_greedy_split(features, g, h, rows, params) if _can_split(rows, depth, params) else None
-                feat = ensemble.feature[node]
-                if feat < 0:
-                    assert best is None or best[0] < 1e-12
-                    assert ensemble.value[node] == pytest.approx(-g[rows].sum() / (h[rows].sum() + lam), abs=1e-12)
-                    return
-                goes_left = features[rows, feat] < ensemble.threshold[node]
-                sides = [(g[side].sum(), h[side].sum()) for side in (rows[goes_left], rows[~goes_left])]
-                (gl, hl), (gr, hr) = sides
-                gain = 0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - (gl + gr) ** 2 / (hl + hr + lam))
-                assert best is not None and gain == pytest.approx(best[0], rel=1e-9, abs=1e-12)
-                check(node + 1, rows[goes_left], depth + 1)
-                check(ensemble.right[node], rows[~goes_left], depth + 1)
-
-            check(root, np.arange(labels.size), 0)
+            rows = np.arange(labels.size)
+            if params.subsample < 1.0:
+                rows = np.sort(rng.choice(labels.size, size=int(params.subsample * labels.size), replace=False))
+            depths = _tree_levels(ensemble, root)
+            nodes = [rows]  # the level's nodes that a sampled row reaches
+            for depth, level in enumerate(depths):
+                split_nodes = [node for node in level if ensemble.feature[node] >= 0]
+                best = _oblivious_split(features, g, h, nodes, params) if depth < params.max_depth else None
+                if best is None:
+                    assert not split_nodes
+                    break
+                assert len(split_nodes) == len(nodes)
+                shared = {(int(ensemble.feature[node]), float(ensemble.threshold[node])) for node in split_nodes}
+                assert len(shared) == 1
+                ((feat, threshold),) = shared
+                if (feat, threshold) != best[1:]:
+                    gain = _level_gain(features, g, h, nodes, feat, threshold, params)
+                    assert gain == pytest.approx(best[0], rel=1e-9)
+                goes_left = features[:, feat] < threshold
+                nodes = [side for node in nodes for side in (node[goes_left[node]], node[~goes_left[node]]) if side.size]
+            for node in (node for level in depths for node in level if ensemble.feature[node] < 0):
+                reached = rows[leaves[rows, t] == node]
+                expected = -g[reached].sum() / (h[reached].sum() + params.reg_lambda) if reached.size else 0.0
+                assert ensemble.value[node] == pytest.approx(expected, rel=0, abs=1e-12)
+                assert reached.size == 0 or node in depths[-1]
             margin = margin + params.learning_rate * ensemble.value[leaves[:, t]]
 
+    def test_unreached_leaf_is_zero_at_lambda_0(self):
+        """Rows hold (0, 0), (0, 1) and (1, 0), but not (1, 1): each tree splits
+        feature 0, then feature 1, which leaves the right child of the first
+        level's right node with no row."""
+        features = np.repeat([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]], 20, axis=0)
+        labels = (features.sum(axis=1) == 1).astype(float)
+        ensemble = fit_ensemble(features, labels, GbdtParams(n_rounds=3, max_depth=2, reg_lambda=0.0))
+        unreached = np.setdiff1d(np.flatnonzero(ensemble.feature < 0), _reference_leaves(ensemble, features))
+        assert unreached.size == 3 and np.all(ensemble.value[unreached] == 0.0)
+        corner = np.array([[1.0, 1.0]])
+        assert np.isin(ensemble.leaves(corner), unreached).all()
+        assert ensemble.predict_margin(corner)[0] == ensemble.base_score
+        assert np.isfinite(ensemble.predict_score(features)).all()
 
-def _reference_best_split(hist, params):
-    """Oracle for _best_split: the feature-major scan over a (3, d, MAX_BINS) histogram."""
-    lam = params.reg_lambda
-    min_leaf = params.min_samples_leaf
-    g_cum, h_cum, n_cum = np.cumsum(hist, axis=2)
-    n_node = n_cum[0, -1]
-    # Ascending feature-major order makes argmax tie-break (feature, threshold).
-    cand = np.flatnonzero((hist[2] > 0) & (n_cum >= min_leaf) & (n_cum <= n_node - min_leaf))
-    if cand.size == 0:
-        return None
-    feat = cand // MAX_BINS
-    gl = g_cum.ravel()[cand]
-    hl = h_cum.ravel()[cand]
-    g_tot = g_cum[feat, -1]
-    h_tot = h_cum[feat, -1]
-    gr = g_tot - gl
-    hr = h_tot - hl
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gain = 0.5 * (gl**2 / (hl + lam) + gr**2 / (hr + lam) - g_tot**2 / (h_tot + lam))
-    gain = np.where(np.isfinite(gain), gain, -np.inf)
-    best = int(np.argmax(gain))
-    if gain[best] <= 0.0:
-        return None
-    return divmod(int(cand[best]), MAX_BINS)
+
+def _reference_best_split(hists, params):
+    """Oracle for _best_split: a feature-major scan over a level's (3, MAX_BINS, d)
+    histograms, each (feature, last left bin)'s gain summed node by node."""
+    lam, min_leaf = params.reg_lambda, params.min_samples_leaf
+    best_gain, best = 0.0, None
+    for feat in range(hists[0].shape[2]):
+        total = np.zeros(MAX_BINS)
+        ok = np.any([hist[2, :, feat] > 0 for hist in hists], axis=0)  # a bin holding a row of the level
+        for hist in hists:
+            g, h, n = np.cumsum(hist[:, :, feat], axis=1)
+            divided = (n > 0) & (n < n[-1])
+            ok &= ~divided | (np.minimum(n, n[-1] - n) >= min_leaf)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gain = g**2 / (h + lam) + (g[-1] - g) ** 2 / (h[-1] - h + lam) - g[-1] ** 2 / (h[-1] + lam)
+            total += np.where(divided, gain, 0.0)
+        total[~(ok & np.isfinite(total))] = -np.inf
+        bin_ = int(np.argmax(total))
+        if total[bin_] > best_gain:
+            best_gain, best = total[bin_], (feat, bin_)
+    return best
 
 
 def _bin_major_histogram(codes, g, h, rows):
-    """(MAX_BINS, 3, d) sums of g, h and counts over ``rows``, as the builder counts them."""
+    """(3, MAX_BINS, d) sums of g, h and counts over ``rows``, as the fit counts them."""
     d = codes.shape[1]
     idx = (codes[rows] * d + np.arange(d)).ravel()
     sums = [np.bincount(idx, weights=np.repeat(w[rows], d), minlength=MAX_BINS * d) for w in (g, h)]
-    counts = np.bincount(idx, minlength=MAX_BINS * d).astype(np.float64)
-    return np.stack(sums + [counts]).reshape(3, MAX_BINS, d).transpose(1, 0, 2).copy()
+    counts = np.bincount(idx, minlength=MAX_BINS * d)
+    return np.stack(sums + [counts]).reshape(3, MAX_BINS, d)
 
 
 def _random_node_histograms(seed):
@@ -347,15 +340,19 @@ def _random_node_histograms(seed):
 
 
 class TestBestSplit:
-    """The bin-major scan against the feature-major oracle, on bit-equal histograms."""
+    """The level search against the feature-major oracle, on levels of 1 to 4
+    bit-equal node histograms."""
 
     @pytest.mark.parametrize("reg_lambda, min_samples_leaf", [(1.0, 1), (0.0, 1), (0.5, 3), (0.0, 7)])
     def test_same_split_as_feature_major_scan(self, reg_lambda, min_samples_leaf):
         params = GbdtParams(reg_lambda=reg_lambda, min_samples_leaf=min_samples_leaf)
         for seed in range(48):
-            for hist in _random_node_histograms(seed):
-                expected = _reference_best_split(hist.transpose(1, 2, 0), params)
-                assert _best_split(hist, params, np.empty_like(hist)) == expected, f"seed {seed}"
+            pool = _random_node_histograms(seed) + _random_node_histograms(seed + 48)[:1]
+            for size in range(1, 5):
+                for start in range(len(pool) - size + 1):
+                    level = pool[start : start + size]
+                    expected = _reference_best_split(level, params)
+                    assert _best_split(level, params) == expected, f"seed {seed}, nodes {start}:{start + size}"
 
 
 class TestQuantized:
