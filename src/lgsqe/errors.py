@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer check of model fields."""
+"""Exception types shared across the package, and the type check of model arrays."""
 
 import numpy as np
 
@@ -23,10 +23,16 @@ class VersionError(LgsqeError):
     """A serialized artifact declares an unsupported format version."""
 
 
-def integer_array(values, name: str) -> np.ndarray:
-    """A JSON list of integers as an int64 array. Floats, strings and booleans
-    are refused: numpy would read ``39.5``, ``"39"`` and ``true`` as integers."""
-    if isinstance(values, list) and all(type(v) is int for v in values):
-        return np.asarray(values, dtype=np.int64)
-    bad = next(v for v in values if type(v) is not int) if isinstance(values, list) else values
-    raise FormatError(f"{name} must be a list of integers, got {bad!r}")
+def json_array(values, name: str, ndim: int = 1, dtype=np.int64) -> np.ndarray:
+    """A JSON list of numbers (``ndim`` 1) or of equal-length lists of them (``ndim`` 2) as a ``dtype`` array; an empty
+    list is an empty array of that depth. An integer dtype takes integers only: numpy would read ``39.5``, ``"39"``
+    and ``true`` as integers. Anything else raises a FormatError naming ``name``."""
+    if values == []:
+        return np.empty((0,) * ndim, dtype)
+    kinds = (int,) if np.issubdtype(dtype, np.integer) else (int, float)
+    array = np.array(values, dtype=object)  # a ragged list keeps its rows as objects
+    bad = next((v for v in array.flat if type(v) not in kinds), None)
+    if bad is None and array.ndim == ndim:
+        return array.astype(dtype)
+    what = ("a list of", "a list of equal-length lists of")[ndim - 1] + (" integers" if kinds == (int,) else " numbers")
+    raise FormatError(f"{name} must be {what}" + ("" if bad is None or isinstance(bad, list) else f", got {bad!r}"))

@@ -24,10 +24,14 @@ least ``min_samples_leaf`` sampled rows, and a node it does not divide gains
 fits are fully deterministic. A split's threshold is the midpoint between the
 largest value of the column, over all rows, that falls in a bin going left
 and the smallest going right, or the latter if the midpoint rounds onto the
-former. A tree stops at ``max_depth`` or at the first level where no split
-gains; a node that no sampled row reaches becomes a leaf of value 0. Each
-tree is packed in preorder into the forest's node arrays, which can hold any
-binary tree, so prediction does not rely on the trees being oblivious.
+former. A tree stops at ``max_depth`` (at most MAX_DEPTH) or at the first
+level where no split gains. It is stored as its levels: D = ``max_depth``
+(feature, threshold) pairs and 2**D leaf values. A row's leaf is the sum over
+levels l of 2**(D-1-l) times its bit, 0 if ``x[feature] < threshold`` and 1
+if not, so one gather of the rows per level finds their leaves in every tree
+at once. A level below a tree's last split has feature -1 and bit 0, so each
+leaf of a tree that stops at depth k repeats 2**(D-k) times; a leaf that no
+sampled row reaches holds 0. The fit updates its margins by the same predictor.
 Everything runs on plain numpy ops (sorts, gathers, bincounts, elementwise
 adds) whose results do not depend on BLAS thread counts, which keeps refits
 byte-identical.
@@ -40,11 +44,12 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .dft import _binary_labels
-from .errors import FormatError, GeometryError, integer_array
+from .errors import FormatError, GeometryError, json_array
 
 _PROB_EPS = 1e-15
 MAX_BINS = 64  # uint8 codes
 QUANTIZE_VALUES = 2**18  # values per column block of _quantize
+MAX_DEPTH = 12  # a tree stores 2**max_depth leaf values
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -70,7 +75,7 @@ class GbdtParams:
     """
 
     n_rounds: int = field(default=200, metadata={"help": "boosting rounds", "flag": "--rounds"})
-    max_depth: int = field(default=4, metadata={"help": "tree depth limit"})
+    max_depth: int = field(default=4, metadata={"help": f"tree depth limit, 1 to {MAX_DEPTH}"})
     learning_rate: float = field(default=0.1, metadata={"help": "boosting learning rate"})
     reg_lambda: float = field(default=1.0, metadata={"help": "L2 leaf regularization"})
     min_samples_leaf: int = field(
@@ -81,8 +86,8 @@ class GbdtParams:
     def validate(self):
         if self.n_rounds < 0:
             raise ValueError("n_rounds must be >= 0")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+        if not 1 <= self.max_depth <= MAX_DEPTH:
+            raise ValueError(f"max_depth must lie in [1, {MAX_DEPTH}], got {self.max_depth}")
         if not 0 < self.learning_rate < np.inf:  # also false for NaN
             raise ValueError("learning_rate must be positive and finite")
         if not 0 <= self.reg_lambda < np.inf:
@@ -134,14 +139,15 @@ def _histogram(flat: np.ndarray, rows: np.ndarray, g: np.ndarray, h: np.ndarray,
     return np.stack(sums + [counts]).reshape(3, MAX_BINS, d)
 
 
-def _grow_tree(forest: dict, x, flat, all_counts, rows: np.ndarray, g, h, params: GbdtParams) -> int:
-    """Append one oblivious tree, grown over ascending row indices, to the
-    ``forest`` node lists in preorder; return its root."""
+def _grow_tree(tree, x, flat, all_counts, rows: np.ndarray, g, h, params: GbdtParams) -> None:
+    """Grow one oblivious tree over ascending row indices into ``tree``, its (feature, threshold, value) rows of
+    the level arrays, which hold -1, 0 and 0."""
+    feature, threshold, value = tree
     d = flat.shape[1]
-    levels = [{0: rows}]  # per depth, the rows of each node that sampled rows reach, keyed by path bits
-    hists = [_histogram(flat, rows, g, h, all_counts)]  # the last level's, in key order
-    splits = []  # per depth, the shared (feature, threshold)
-    while len(splits) < params.max_depth:
+    nodes = {0: rows}  # the rows of each node of the level that sampled rows reach, keyed by path bits
+    hists = [_histogram(flat, rows, g, h, all_counts)]  # the level's, in key order
+    depth = 0
+    while depth < params.max_depth:
         split = _best_split(hists, params)
         if split is None:
             break
@@ -150,10 +156,11 @@ def _grow_tree(forest: dict, x, flat, all_counts, rows: np.ndarray, g, h, params
         values = x[:, feat]
         max_left, min_right = float(values[goes_left].max()), float(values[~goes_left].min())
         mid = (max_left + min_right) / 2.0  # rounds onto max_left when the two are adjacent doubles
-        splits.append((feat, mid if max_left < mid <= min_right else min_right))
-        deeper = len(splits) < params.max_depth
+        feature[depth], threshold[depth] = feat, mid if max_left < mid <= min_right else min_right
+        depth += 1
+        deeper = depth < params.max_depth
         children, hists_next = {}, []
-        for (path, node_rows), hist in zip(levels[-1].items(), hists):
+        for (path, node_rows), hist in zip(nodes.items(), hists):
             left = goes_left[node_rows]
             sides, side_hists = [node_rows[left], node_rows[~left]], [None, None]
             if deeper:  # count the smaller child; the larger is the parent minus it
@@ -164,28 +171,11 @@ def _grow_tree(forest: dict, x, flat, all_counts, rows: np.ndarray, g, h, params
                 if sides[bit].size:
                     children[2 * path + bit] = sides[bit]
                     hists_next.append(side_hists[bit])
-        levels.append(children)
-        hists = hists_next
-
-    root = len(forest["value"])
-    forest["roots"].append(root)
-    stack = [(0, 0, -1)]  # (depth, path, the node whose right child it is)
-    while stack:
-        depth, path, parent = stack.pop()
-        node = len(forest["value"])
-        if parent >= 0:
-            forest["right"][parent] = node
-        node_rows = levels[depth].get(path)  # None if no sampled row reaches the node
-        feat, threshold, value = -1, 0.0, 0.0
-        if node_rows is not None and depth < len(splits):
-            feat, threshold = splits[depth]
-            stack += [(depth + 1, 2 * path + 1, node), (depth + 1, 2 * path, -1)]
-        elif node_rows is not None:
-            denom = float(h[node_rows].sum()) + params.reg_lambda
-            value = -float(g[node_rows].sum()) / denom if denom > 0 else 0.0
-        for name, item in (("feature", feat), ("threshold", threshold), ("right", -1), ("value", value)):
-            forest[name].append(item)
-    return root
+        nodes, hists = children, hists_next
+    repeat = 1 << (params.max_depth - depth)  # the leaves a path ends in when the tree stops above max_depth
+    for path, node_rows in nodes.items():
+        denom = float(h[node_rows].sum()) + params.reg_lambda
+        value[path * repeat : (path + 1) * repeat] = -float(g[node_rows].sum()) / denom if denom > 0 else 0.0
 
 
 def _best_split(hists: list[np.ndarray], params: GbdtParams) -> tuple[int, int] | None:
@@ -212,54 +202,47 @@ def _best_split(hists: list[np.ndarray], params: GbdtParams) -> tuple[int, int] 
     return (feat, bin_) if total[bin_, feat] > 0.0 else None
 
 
-def _descend(x, rows, node, feature, threshold, right) -> np.ndarray:
-    """Advance each node to the leaf its row of x (``rows``, broadcast against
-    ``node``) reaches: ``x < threshold`` goes to the next node, else to ``right``."""
-    # One flat gather per level, in x's own memory order so that x is not copied (the fit's x is F-ordered).
-    flat, offset, step = (x.ravel(), rows * x.shape[1], 1) if x.flags.c_contiguous else (x.ravel("F"), rows, len(x))
-    while True:
-        feat = feature[node]
+def _leaves(x: np.ndarray, feature: np.ndarray, threshold: np.ndarray) -> np.ndarray:
+    """(n, trees) index of the leaf each row of x reaches in each tree of the level arrays, one gather per level."""
+    leaf = np.zeros((len(x), len(feature)), dtype=np.intp)
+    for feat, thresh in zip(feature.T, threshold.T):
+        leaf <<= 1
         split = feat >= 0
-        if not split.any():
-            return node
-        goes_left = flat[offset + feat * step] < threshold[node]  # a leaf's -1 reads a value it ignores
-        node = np.where(split, np.where(goes_left, node + 1, right[node]), node)
+        if split.any():  # else x may have no column to read
+            leaf += split & ~(x[:, np.maximum(feat, 0)] < thresh)  # a NaN goes right, as it fails x < threshold
+    return leaf
 
 
-# The packed forest: node arrays and each tree's first node, with their dtypes.
-_NODE_ARRAYS = dict(feature=np.int64, threshold=np.float64, right=np.int64, value=np.float64, roots=np.int64)
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(eq=False)
 class BoostedEnsemble:
     """Fitted boosting model mapping feature rows to soft scores in (0, 1).
 
-    The trees are packed into node arrays, each tree in preorder from its
-    ``roots`` entry. Node i is a leaf iff ``feature[i] == -1``; a split sends
-    ``x[feature[i]] < threshold[i]`` to ``i + 1``, anything else to ``right[i]``.
+    Tree t is row t of the level arrays: ``feature`` and ``threshold`` of shape (trees, D) and ``value`` of shape
+    (trees, 2**D). Level l adds 2**(D-1-l) to a row's leaf unless ``x[feature[t, l]] < threshold[t, l]``, and
+    nothing where ``feature[t, l]`` is -1; the row scores ``value[t, leaf]``.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
-    right: np.ndarray
     value: np.ndarray
-    roots: np.ndarray
     learning_rate: float
     base_score: float
     n_features: int
     train_loss: list[float] = field(default_factory=list)
 
     def leaves(self, features: np.ndarray) -> np.ndarray:
-        """(n, n_trees) index of the leaf each row reaches in each tree."""
+        """(n, n_trees) index in [0, 2**D) of the leaf each row reaches in each tree."""
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != self.n_features:
             raise GeometryError(f"expected {self.n_features} feature columns, got shape {features.shape}")
-        rows = np.arange(features.shape[0])[:, None]
-        start = np.broadcast_to(self.roots, (rows.size, self.roots.size))
-        return _descend(features, rows, start, self.feature, self.threshold, self.right)
+        return _leaves(features, self.feature, self.threshold)
 
     def predict_margin(self, features: np.ndarray) -> np.ndarray:
-        steps = self.learning_rate * self.value[self.leaves(features)]
+        steps = self.learning_rate * self.value[np.arange(len(self.value)), self.leaves(features)]
         # cumsum adds tree by tree from base_score, in the fit's order, so margins match it bit for bit.
         return np.cumsum(np.insert(steps, 0, self.base_score, axis=1), axis=1)[:, -1]
 
@@ -272,30 +255,27 @@ class BoostedEnsemble:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BoostedEnsemble":
-        """Inverse of ``to_dict``: each field read by name, the node arrays as their ``_NODE_ARRAYS`` dtype."""
+        """Inverse of ``to_dict``: each field read by name, the level arrays as lists of rows of their dtype."""
         values = {f.name: doc[f.name] for f in fields(cls)}
-        for name, dtype in _NODE_ARRAYS.items():
-            value = values[name]
-            values[name] = integer_array(value, f"ensemble {name}") if dtype is np.int64 else np.asarray(value, dtype)
+        for name, dtype in (("feature", np.int64), ("threshold", np.float64), ("value", np.float64)):
+            values[name] = json_array(values[name], f"ensemble {name}", ndim=2, dtype=dtype)
         return cls(**values)
 
     def __post_init__(self):
-        """Check that children follow their parent inside its tree, so every descent ends at a leaf."""
+        """Check the field types and the level arrays' shapes and features, so prediction reads inside every array."""
         for name in ("learning_rate", "base_score"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not _is_number(value):
                 raise FormatError(f"ensemble {name} must be a number, got {value!r}")
-        n = self.value.size
-        if self.roots.ndim != 1 or {a.shape for a in (self.feature, self.threshold, self.right, self.value)} != {(n,)}:
-            raise FormatError("ensemble node arrays must be flat and of equal length")
-        bounds = np.append(self.roots, n)
-        if bounds[0] != 0 or np.any(np.diff(bounds) <= 0):
-            raise FormatError("ensemble roots must start at 0 and ascend inside the node arrays")
+        if not isinstance(self.train_loss, list) or not all(map(_is_number, self.train_loss)):
+            raise FormatError("ensemble train_loss must be a list of numbers")
+        if type(self.n_features) is not int or self.n_features < 0:
+            raise FormatError(f"ensemble n_features must be an integer >= 0, got {self.n_features!r}")
+        trees, depth = self.feature.shape
+        if self.threshold.shape != (trees, depth) or len(self.value) != trees or self.value.size != trees << depth:
+            raise FormatError("ensemble feature, threshold and value must be of shapes (T, D), (T, D) and (T, 2**D)")
         if np.any(self.feature < -1) or np.any(self.feature >= self.n_features):
-            raise FormatError(f"ensemble node features must be -1 (a leaf) or lie in [0, {self.n_features})")
-        split_ok = (self.right > np.arange(n) + 1) & (self.right < np.repeat(bounds[1:], np.diff(bounds)))
-        if not np.where(self.feature >= 0, split_ok, self.right == -1).all():
-            raise FormatError("an ensemble right child must follow the left subtree inside its tree (-1 at a leaf)")
+            raise FormatError(f"ensemble features must be -1 (no split) or lie in [0, {self.n_features})")
 
 
 def fit_ensemble(
@@ -324,11 +304,13 @@ def fit_ensemble(
     all_rows = np.arange(y.size)
     rng = np.random.default_rng(seed)
 
-    forest = {name: [] for name in _NODE_ARRAYS}
+    feature = np.full((params.n_rounds, params.max_depth), -1, dtype=np.int64)
+    threshold = np.zeros(feature.shape)
+    value = np.zeros((params.n_rounds, 1 << params.max_depth))
     all_counts = np.bincount(flat.ravel(), minlength=MAX_BINS * x.shape[1])  # a whole-sample root's counts
     losses: list[float] = []
     p = _sigmoid(margin)
-    for _ in range(params.n_rounds):
+    for t in range(params.n_rounds):
         g = p - y
         h = p * (1.0 - p)
         if params.subsample < 1.0:
@@ -336,15 +318,16 @@ def fit_ensemble(
             rows = np.sort(picked)
         else:
             rows = all_rows
-        root = _grow_tree(forest, x, flat, all_counts, rows, g, h, params)  # then every row descends the new tree
-        feature, threshold, right, value = (np.asarray(forest[k][root:]) for k in list(_NODE_ARRAYS)[:4])
-        leaf = _descend(x, all_rows, np.zeros_like(all_rows), feature, threshold, right - root)
-        margin = margin + params.learning_rate * value[leaf]
+        _grow_tree((feature[t], threshold[t], value[t]), x, flat, all_counts, rows, g, h, params)
+        leaf = _leaves(x, feature[t : t + 1], threshold[t : t + 1])[:, 0]  # every row, sampled or not
+        margin = margin + params.learning_rate * value[t, leaf]
         p = _sigmoid(margin)  # this round's loss and the next round's gradients
         losses.append(_log_loss(y, p))
 
     return BoostedEnsemble(
-        **{name: np.asarray(forest[name], dtype=dtype) for name, dtype in _NODE_ARRAYS.items()},
+        feature=feature,
+        threshold=threshold,
+        value=value,
         learning_rate=params.learning_rate,
         base_score=base,
         n_features=x.shape[1],

@@ -24,7 +24,7 @@ import numpy as np
 
 from .datasets import REAL, ImageSet, LabeledSplit, make_labeled_split
 from .dft import rank_features, select_features
-from .errors import FormatError, GeometryError, VersionError, integer_array
+from .errors import FormatError, GeometryError, VersionError, json_array
 from .evaluate import EvaluationReport, accuracy, aggregate_report, confusion
 from .gbdt import BoostedEnsemble, GbdtParams, fit_ensemble
 from .saab import (
@@ -37,7 +37,7 @@ from .saab import (
     split_columns,
 )
 
-MODEL_VERSION = "7.0.0"
+MODEL_VERSION = "8.0.0"
 
 
 def derive_seed(master: int, stage: str) -> int:
@@ -251,7 +251,7 @@ class PipelineModel:
         kernels = np.asarray(doc["selection"]["spectral_kernels"], dtype=np.float64)
         model = cls(
             saab=saab,
-            indices=integer_array(doc["selection"]["indices"], "selection.indices"),
+            indices=json_array(doc["selection"]["indices"], "selection.indices"),
             spectral_kernels=kernels.reshape(-1, saab.pooled_side**2),
             ensemble=BoostedEnsemble.from_dict(doc["ensemble"]),
             config=config,

@@ -73,7 +73,7 @@ from itertools import chain
 import numpy as np
 
 from .datasets import ImageSet
-from .errors import GeometryError, integer_array
+from .errors import GeometryError, json_array
 
 _ZERO_ENERGY = 1e-12
 
@@ -174,7 +174,7 @@ class SaabModel:
         dim = values["patch_size"] ** 2 * values["channels"]
         values["ac_kernels"] = np.asarray(values["ac_kernels"], dtype=np.float64).reshape(-1, dim)
         values["eigenvalues"] = np.asarray(values["eigenvalues"], dtype=np.float64)
-        values["cw_widths"] = tuple(integer_array(values["cw_widths"], "saab.cw_widths").tolist())
+        values["cw_widths"] = tuple(json_array(values["cw_widths"], "saab.cw_widths").tolist())
         return cls(**values)
 
 

@@ -130,11 +130,10 @@ def test_c04_gbdt_correctness():
     features = np.array([[0.0], [1.0], [2.0], [3.0]])
     labels = np.array([0.0, 0.0, 1.0, 1.0])
     ensemble = fit_ensemble(features, labels, GbdtParams(n_rounds=1, max_depth=1, min_samples_leaf=1))
-    tree = ensemble  # one packed tree: the root is node 0, its left child node 1
-    left, right = 1, tree.right[0]
     hand_left = -(0.5 + 0.5) / (0.25 + 0.25 + 1.0)
-    assert abs(tree.value[left] - hand_left) < 1e-12
-    assert abs(tree.value[right] + hand_left) < 1e-12
+    # One tree: leaf 0 is the left side of its split, leaf 1 the right.
+    assert abs(ensemble.value[0, 0] - hand_left) < 1e-12
+    assert abs(ensemble.value[0, 1] + hand_left) < 1e-12
 
     rng = np.random.default_rng(13)
     wide = rng.normal(size=(2000, 12))

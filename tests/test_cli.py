@@ -202,7 +202,7 @@ class TestScore:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("lgsqe: error:") and "'1.0.0'" in err[0]
 
-    @pytest.mark.parametrize("version", ["2.0.0", "3.0.0", "4.0.0", "5.0.0", "6.0.0"])
+    @pytest.mark.parametrize("version", ["2.0.0", "3.0.0", "4.0.0", "5.0.0", "6.0.0", "7.0.0"])
     def test_format_refused(self, cli_data, fitted_model, tmp_path, capsys, version):
         _, _, gen_path = cli_data
         doc = json.loads(fitted_model.read_text())
@@ -216,7 +216,7 @@ class TestScore:
     @pytest.mark.parametrize(
         "fault, key",
         [
-            ("no-ensemble-roots", "'roots'"),
+            ("no-ensemble-feature", "'feature'"),
             ("no-saab-stride", "'stride'"),
             ("no-selection", "'selection'"),
             ("feature-object", None),
@@ -233,8 +233,13 @@ class TestScore:
             ("float-feature", "ensemble feature"),
             ("string-feature", "ensemble feature"),
             ("bool-feature", "ensemble feature"),
-            ("float-right", "ensemble right"),
-            ("string-root", "ensemble roots"),
+            ("scalar-feature-row", "ensemble feature"),
+            ("out-of-range-feature", "ensemble features"),
+            ("truncated-value", "ensemble feature, threshold and value"),
+            ("float-n-features", "ensemble n_features"),
+            ("string-n-features", "ensemble n_features"),
+            ("bool-n-features", "ensemble n_features"),
+            ("string-train-loss", "ensemble train_loss"),
             ("float-cw-width", "saab.cw_widths"),
             ("short-cw-widths", "cw_widths"),
             ("zero-cw-width", "cw_widths"),
@@ -256,7 +261,7 @@ class TestScore:
         doc = json.loads(fitted_model.read_text())
         assert doc["selection"]["spectral_kernels"], "the fixture model selects a spectral column"
         saab, selection, forest = doc["saab"], doc["selection"], doc["ensemble"]
-        split = int(np.flatnonzero(np.asarray(forest["feature"]) >= 0)[0])  # a node whose feature and right are not -1
+        assert forest["feature"][0][0] >= 0, "the first tree splits at its first level"
         map_size = (((saab["input_side"] - saab["patch_size"]) // saab["stride"] + 1) // 2) ** 2  # pooled_side**2
         # Wrong types and values that would otherwise load, then fail later (if at all) without naming the file.
         edits = {
@@ -270,12 +275,19 @@ class TestScore:
             "string-learning-rate": (forest, "learning_rate", "x"),
             "string-base-score": (forest, "base_score", "x"),
             "wrong-representation-width": (doc["training"], "representation_width", 5),
+            "scalar-feature-row": (forest["feature"], 0, forest["feature"][0][0]),
+            "out-of-range-feature": (forest["feature"][0], 0, forest["n_features"]),
+            "truncated-value": (forest, "value", forest["value"][:-1]),
+            "float-n-features": (forest, "n_features", float(forest["n_features"])),
+            "string-n-features": (forest, "n_features", str(forest["n_features"])),
+            "bool-n-features": (forest, "n_features", True),
+            "string-train-loss": (forest, "train_loss", "abc"),
         }
         if fault in edits:
             block, name, value = edits[fault]
             block[name] = value
-        elif fault == "no-ensemble-roots":
-            del forest["roots"]
+        elif fault == "no-ensemble-feature":
+            del forest["feature"]
         elif fault == "no-saab-stride":
             del saab["stride"]
         elif fault == "no-selection":
@@ -304,9 +316,7 @@ class TestScore:
             kind, name = fault.split("-", 1)
             values, i = {
                 "index": (selection["indices"], 0),
-                "feature": (forest["feature"], split),
-                "right": (forest["right"], split),
-                "root": (forest["roots"], 0),
+                "feature": (forest["feature"][0], 0),
                 "cw-width": (saab["cw_widths"], 0),
             }[name]
             values[i] = {"float": values[i] + 0.5, "string": str(values[i]), "bool": True}[kind]
@@ -329,11 +339,9 @@ class TestScore:
         _, _, gen_path = cli_data
         doc = json.loads(fitted_model.read_text())
         forest = doc["ensemble"]
-        feature = np.asarray(forest["feature"])
-        leaf, split = int(np.flatnonzero(feature < 0)[0]), int(np.flatnonzero(feature >= 0)[0])
         array, index = {
-            "leaf-value": (forest["value"], leaf),
-            "threshold": (forest["threshold"], split),
+            "leaf-value": (forest["value"][0], 0),
+            "threshold": (forest["threshold"][0], 0),
             "spectral-kernel": (doc["selection"]["spectral_kernels"][0], 0),
         }[where]
         array[index] = "NON-FINITE"
@@ -342,43 +350,6 @@ class TestScore:
         assert main(["score", str(bad), str(gen_path), "-o", str(tmp_path / "s.csv")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"lgsqe: error: {bad}: malformed model: non-finite number {text}"]
-        assert not (tmp_path / "s.csv").exists()
-
-    @pytest.mark.parametrize(
-        "key, fault",
-        [
-            ("right", "out-of-range"),
-            ("right", "back-to-node"),
-            ("right", "into-next-tree"),
-            ("feature", "n-features"),
-            ("value", "truncated"),
-        ],
-    )
-    def test_corrupted_forest_one_error_line(self, cli_data, fitted_model, tmp_path, key, fault):
-        # Run in a child process: a descent that never ends must fail the
-        # timeout instead of hanging the suite.
-        _, _, gen_path = cli_data
-        doc = json.loads(fitted_model.read_text())
-        forest = doc["ensemble"]
-        split = int(np.flatnonzero(np.asarray(forest["feature"]) >= 0)[0])
-        if fault == "out-of-range":
-            forest["right"][split] = len(forest["value"]) + 5
-        elif fault == "back-to-node":
-            forest["right"][split] = split
-        elif fault == "into-next-tree":
-            forest["right"][split] = forest["roots"][1]
-        elif fault == "n-features":
-            forest["feature"][split] = forest["n_features"]
-        else:
-            forest["value"] = forest["value"][:-1]
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        proc = subprocess.run(
-            [sys.executable, "-m", "lgsqe.cli", "score", str(bad), str(gen_path), "-o", str(tmp_path / "s.csv")],
-            env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60,
-        )
-        err = proc.stderr.splitlines()
-        assert proc.returncode == 1 and len(err) == 1 and err[0].startswith("lgsqe: error:"), proc.stderr
         assert not (tmp_path / "s.csv").exists()
 
     def test_zero_byte_file_names_the_file(self, fitted_model, tmp_path, capsys):
@@ -583,9 +554,10 @@ class TestFilter:
         ("eval", "--threshold", "2", "threshold must lie in [0, 1], got 2.0"),
         ("eval", "--histogram-bins", "0", "histogram_bins must be >= 2, got 0"),
         ("fit", "--learning-rate", "nan", "learning_rate must be positive and finite"),
+        ("fit", "--max-depth", "13", "max_depth must lie in [1, 12], got 13"),
         ("fit", "--config", "run.cfg", "reg_lambda must be >= 0 and finite"),
     ],
-    ids=["keep-fraction", "threshold", "histogram-bins", "learning-rate-nan", "config-reg-lambda-inf"],
+    ids=["keep-fraction", "threshold", "histogram-bins", "learning-rate-nan", "max-depth-13", "config-reg-lambda-inf"],
 )
 def test_bad_value_fails_before_images_are_read(
     cli_data, fitted_model, tmp_path, monkeypatch, capsys, command, flag, value, message

@@ -37,14 +37,11 @@ class TestFit:
         params = GbdtParams(n_rounds=1, max_depth=1, min_samples_leaf=1, reg_lambda=1.0)
         ensemble = fit_ensemble(features, labels, params)
         assert ensemble.base_score == 0.0
-        assert ensemble.roots.tolist() == [0]
-        assert ensemble.feature.tolist() == [0, -1, -1]
-        assert ensemble.threshold[0] == 1.5
-        left, right = 1, ensemble.right[0]
-        assert right == 2
+        assert ensemble.feature.tolist() == [[0]]
+        assert ensemble.threshold[0, 0] == 1.5
         g_l, h_l = 0.5 + 0.5, 0.25 + 0.25
-        assert abs(ensemble.value[left] - (-g_l / (h_l + 1.0))) < 1e-12
-        assert abs(ensemble.value[right] - (g_l / (h_l + 1.0))) < 1e-12
+        assert abs(ensemble.value[0, 0] - (-g_l / (h_l + 1.0))) < 1e-12
+        assert abs(ensemble.value[0, 1] - (g_l / (h_l + 1.0))) < 1e-12
 
     @pytest.mark.parametrize("low, high", [(1.0, 1.0 + 2**-52), (0.0, 5e-324)])
     def test_threshold_between_adjacent_doubles(self, low, high):
@@ -53,7 +50,7 @@ class TestFit:
         features = np.array([[low], [low], [high], [high]])
         labels = np.array([0.0, 0.0, 1.0, 1.0])
         ensemble = fit_ensemble(features, labels, GbdtParams(n_rounds=1, max_depth=1, min_samples_leaf=1))
-        assert ensemble.threshold[0] == high
+        assert ensemble.threshold[0, 0] == high
         scores = ensemble.predict_score(features)
         assert np.all(scores[:2] < 0.5) and np.all(scores[2:] > 0.5)
 
@@ -123,33 +120,33 @@ class TestFit:
     def test_min_samples_leaf_respected(self):
         features, labels = separable_1d(40)
         ensemble = fit_ensemble(features, labels, GbdtParams(n_rounds=3, max_depth=6, min_samples_leaf=10))
-        _, counts = np.unique(_reference_leaves(ensemble, features), return_counts=True)
-        assert counts.min() >= 10
+        assert _leaf_counts(ensemble, features).min() >= 10
 
 
 def _reference_leaves(ensemble, features):
-    """Oracle for the packed descent: walk each tree on its own, one level at a time."""
-    leaves = np.empty((features.shape[0], ensemble.roots.size), dtype=np.int64)
-    for t, root in enumerate(ensemble.roots):
-        idx = np.full(features.shape[0], root, dtype=np.int64)
-        while True:
-            feat = ensemble.feature[idx]
-            active = feat >= 0
-            if not active.any():
-                break
-            rows = np.nonzero(active)[0]
-            goes_left = features[rows, feat[rows]] < ensemble.threshold[idx[rows]]
-            idx[rows] = np.where(goes_left, idx[rows] + 1, ensemble.right[idx[rows]])
-        leaves[:, t] = idx
+    """Oracle for the level predictor: walk each tree on its own, row by row, one level at a time."""
+    trees, depth = ensemble.feature.shape
+    leaves = np.zeros((features.shape[0], trees), dtype=np.int64)
+    for t in range(trees):
+        for i, row in enumerate(features):
+            for feat, threshold in zip(ensemble.feature[t], ensemble.threshold[t]):
+                goes_right = feat >= 0 and not row[feat] < threshold
+                leaves[i, t] = 2 * leaves[i, t] + goes_right
     return leaves
 
 
 def _reference_margin(ensemble, features):
     """Oracle for predict_margin: add the trees' leaf values one tree at a time."""
     margin = np.full(features.shape[0], ensemble.base_score)
-    for leaf in _reference_leaves(ensemble, features).T:
-        margin += ensemble.learning_rate * ensemble.value[leaf]
+    for t, leaf in enumerate(_reference_leaves(ensemble, features).T):
+        margin += ensemble.learning_rate * ensemble.value[t, leaf]
     return margin
+
+
+def _leaf_counts(ensemble, features):
+    """The number of rows in each (tree, leaf) that some row reaches."""
+    leaves = _reference_leaves(ensemble, features) + np.arange(len(ensemble.value)) * ensemble.value.shape[1]
+    return np.unique(leaves, return_counts=True)[1]
 
 
 def _level_gain(x, g, h, nodes, feat, threshold, params):
@@ -187,13 +184,11 @@ def _oblivious_split(x, g, h, nodes, params):
     return best
 
 
-def _tree_levels(ensemble, root):
-    """The nodes of the packed tree at ``root``, one list per depth."""
-    levels, level = [], [root]
-    while level:
-        levels.append(level)
-        level = [kid for node in level if ensemble.feature[node] >= 0 for kid in (node + 1, ensemble.right[node])]
-    return levels
+def _tree_levels(ensemble, t):
+    """The (feature, threshold) of each level at which tree t splits; every level below its last split is -1."""
+    split = ensemble.feature[t] >= 0
+    assert not np.any(split[1:] & ~split[:-1])
+    return list(zip(ensemble.feature[t, split].tolist(), ensemble.threshold[t, split].tolist()))
 
 
 def _few_valued_fixture(seed, n=300, levels=(2, 7, 40, MAX_BINS)):
@@ -226,45 +221,41 @@ class TestObliviousOracle:
         ],
     )
     def test_level_splits_and_leaves_match_oracle(self, seed, levels, params):
-        """Each level's shared split is the oracle's, or, where gains tie in
-        exact arithmetic and the two searches round the tie apart, gains what
-        the oracle's best gains. A node is a split iff a sampled row reaches it
-        above the last level; a leaf holds -G/(H + lambda) of its sampled rows,
-        or 0 if none reaches it."""
+        """Each level's split is the oracle's, or, where gains tie in exact
+        arithmetic and the two searches round the tie apart, gains what the
+        oracle's best gains; the tree stops where the oracle finds no split.
+        Each leaf holds -G/(H + lambda) of the sampled rows of its path, or 0
+        if none reaches it."""
         features, labels = _few_valued_fixture(seed, levels=levels)
         ensemble = fit_ensemble(features, labels, params, seed=seed)  # seed also drives the subsample
         rng = np.random.default_rng(seed)
         margin = np.full(labels.size, ensemble.base_score)
         leaves = _reference_leaves(ensemble, features)
-        for t, root in enumerate(ensemble.roots):
+        for t in range(len(ensemble.value)):
             p = _sigmoid(margin)
             g, h = p - labels, p * (1.0 - p)
             rows = np.arange(labels.size)
             if params.subsample < 1.0:
                 rows = np.sort(rng.choice(labels.size, size=int(params.subsample * labels.size), replace=False))
-            depths = _tree_levels(ensemble, root)
+            levels = _tree_levels(ensemble, t)
             nodes = [rows]  # the level's nodes that a sampled row reaches
-            for depth, level in enumerate(depths):
-                split_nodes = [node for node in level if ensemble.feature[node] >= 0]
+            for depth in range(params.max_depth + 1):
                 best = _oblivious_split(features, g, h, nodes, params) if depth < params.max_depth else None
-                if best is None:
-                    assert not split_nodes
+                if depth == len(levels):
+                    assert best is None
                     break
-                assert len(split_nodes) == len(nodes)
-                shared = {(int(ensemble.feature[node]), float(ensemble.threshold[node])) for node in split_nodes}
-                assert len(shared) == 1
-                ((feat, threshold),) = shared
+                feat, threshold = levels[depth]
                 if (feat, threshold) != best[1:]:
                     gain = _level_gain(features, g, h, nodes, feat, threshold, params)
                     assert gain == pytest.approx(best[0], rel=1e-9)
                 goes_left = features[:, feat] < threshold
                 nodes = [side for node in nodes for side in (node[goes_left[node]], node[~goes_left[node]]) if side.size]
-            for node in (node for level in depths for node in level if ensemble.feature[node] < 0):
-                reached = rows[leaves[rows, t] == node]
+            shift = params.max_depth - len(levels)  # each level below the last split adds bit 0
+            for leaf in range(ensemble.value.shape[1]):
+                reached = rows[leaves[rows, t] >> shift == leaf >> shift]
                 expected = -g[reached].sum() / (h[reached].sum() + params.reg_lambda) if reached.size else 0.0
-                assert ensemble.value[node] == pytest.approx(expected, rel=0, abs=1e-12)
-                assert reached.size == 0 or node in depths[-1]
-            margin = margin + params.learning_rate * ensemble.value[leaves[:, t]]
+                assert ensemble.value[t, leaf] == pytest.approx(expected, rel=0, abs=1e-12)
+            margin = margin + params.learning_rate * ensemble.value[t, leaves[:, t]]
 
     def test_unreached_leaf_is_zero_at_lambda_0(self):
         """Rows hold (0, 0), (0, 1) and (1, 0), but not (1, 1): each tree splits
@@ -273,10 +264,11 @@ class TestObliviousOracle:
         features = np.repeat([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]], 20, axis=0)
         labels = (features.sum(axis=1) == 1).astype(float)
         ensemble = fit_ensemble(features, labels, GbdtParams(n_rounds=3, max_depth=2, reg_lambda=0.0))
-        unreached = np.setdiff1d(np.flatnonzero(ensemble.feature < 0), _reference_leaves(ensemble, features))
-        assert unreached.size == 3 and np.all(ensemble.value[unreached] == 0.0)
+        assert ensemble.feature.tolist() == [[0, 1]] * 3
+        assert np.setdiff1d(np.arange(4), _reference_leaves(ensemble, features)).tolist() == [3]
+        assert np.all(ensemble.value[:, 3] == 0.0)
         corner = np.array([[1.0, 1.0]])
-        assert np.isin(ensemble.leaves(corner), unreached).all()
+        assert ensemble.leaves(corner).tolist() == [[3, 3, 3]]
         assert ensemble.predict_margin(corner)[0] == ensemble.base_score
         assert np.isfinite(ensemble.predict_score(features)).all()
 
@@ -373,8 +365,7 @@ class TestQuantized:
         features = np.hstack([features, rng.normal(size=(600, 3))])
         labels = np.where(rng.random(600) < 0.15, 1.0 - labels, labels)
         ensemble = fit_ensemble(features, labels, GbdtParams(n_rounds=5, max_depth=6, min_samples_leaf=40))
-        _, counts = np.unique(_reference_leaves(ensemble, features), return_counts=True)
-        assert counts.min() >= 40
+        assert _leaf_counts(ensemble, features).min() >= 40
 
     def test_monotone_feature_transform_keeps_decisions(self):
         rng = np.random.default_rng(4)
@@ -389,21 +380,22 @@ class TestQuantized:
         assert not np.array_equal(base.threshold, transformed.threshold)
 
 
-def _set(key, node, value):
-    """A corruption that writes ``value(doc)`` into ``doc[key][node]``."""
-    return lambda doc: doc[key].__setitem__(node, value(doc))
+def _set(key, tree, level, value):
+    """A corruption that writes ``value(doc)`` into ``doc[key][tree][level]``."""
+    return lambda doc: doc[key][tree].__setitem__(level, value(doc))
 
 
 PACKED_FIXTURES = {
     "no-trees": GbdtParams(n_rounds=0),
     "stumps": GbdtParams(n_rounds=25, max_depth=1, min_samples_leaf=1),
     "depth-6": GbdtParams(n_rounds=15, max_depth=6, min_samples_leaf=2),
+    "early-stops": GbdtParams(n_rounds=15, max_depth=6, min_samples_leaf=20),  # trees stop at depth 4, 5 or 6
     "subsample": GbdtParams(n_rounds=15, max_depth=4, min_samples_leaf=3, subsample=0.7),
 }
 
 
 class TestPackedForest:
-    """The one-pass descent over all trees against the per-tree oracle."""
+    """The level predictor over all trees at once against the per-tree oracle."""
 
     @staticmethod
     def _fit(params):
@@ -422,34 +414,28 @@ class TestPackedForest:
 
     @pytest.mark.parametrize("name", ["stumps", "depth-6", "subsample"])
     def test_final_train_loss_matches_prediction(self, name):
-        # The fit finds every training row's leaf by the descent prediction
-        # uses, subsampled or not, so its last margin is prediction's margin.
+        # The fit finds every training row's leaf by the predictor that
+        # prediction uses, subsampled or not, so its last margin is prediction's margin.
         features, labels, ensemble = self._fit(PACKED_FIXTURES[name])
         assert ensemble.train_loss[-1] == _log_loss(labels, _sigmoid(ensemble.predict_margin(features)))
 
     @pytest.mark.parametrize(
         "corrupt",
         [
-            pytest.param(_set("right", 0, lambda doc: len(doc["value"])), id="right-out-of-range"),
-            pytest.param(_set("right", 0, lambda doc: 0), id="right-back-to-node"),
-            pytest.param(_set("right", 0, lambda doc: 1), id="right-onto-left-child"),
-            pytest.param(_set("right", 0, lambda doc: doc["roots"][1]), id="right-into-next-tree"),
-            pytest.param(_set("right", 1, lambda doc: 0), id="right-at-leaf"),
-            pytest.param(_set("feature", 0, lambda doc: doc["n_features"]), id="feature-out-of-range"),
-            pytest.param(_set("feature", 0, lambda doc: -2), id="feature-below-leaf-mark"),
-            pytest.param(_set("roots", 0, lambda doc: 1), id="first-root-not-0"),
-            pytest.param(lambda doc: doc["roots"].append(doc["roots"][-1]), id="roots-repeat"),
-            pytest.param(lambda doc: doc["roots"].append(len(doc["value"])), id="root-past-end"),
-            pytest.param(lambda doc: doc.update(roots=[]), id="nodes-without-roots"),
+            pytest.param(_set("feature", 0, 0, lambda doc: doc["n_features"]), id="feature-out-of-range"),
+            pytest.param(_set("feature", 0, 0, lambda doc: -2), id="feature-below-leaf-mark"),
             pytest.param(lambda doc: doc["value"].pop(), id="value-truncated"),
-            pytest.param(lambda doc: doc.update(threshold=[doc["threshold"]]), id="threshold-2d"),
-            pytest.param(lambda doc: doc.update(value=[doc["value"]]), id="value-2d"),
+            pytest.param(lambda doc: doc.update(value=[row[:-1] for row in doc["value"]]), id="value-rows-not-2-to-the-d"),
+            pytest.param(lambda doc: doc["threshold"][0].append(0.0), id="threshold-row-ragged"),
+            pytest.param(lambda doc: doc.update(feature=[row[0] for row in doc["feature"]]), id="feature-1d"),
+            pytest.param(lambda doc: doc.update(threshold=[doc["threshold"]]), id="threshold-3d"),
+            pytest.param(lambda doc: doc.update(value=[doc["value"]]), id="value-3d"),
         ],
     )
     def test_corrupted_structure_rejected(self, corrupt):
         _, _, ensemble = self._fit(PACKED_FIXTURES["stumps"])
         doc = json.loads(json.dumps(ensemble.to_dict()))
-        assert doc["feature"][:3] == [doc["feature"][0], -1, -1] and doc["feature"][0] >= 0
+        assert len(doc["feature"]) == 25 and doc["feature"][0][0] >= 0
         BoostedEnsemble.from_dict(doc)
         corrupt(doc)
         with pytest.raises(FormatError):
@@ -507,10 +493,11 @@ class TestParams:
             {"learning_rate": 0.0},
             {"subsample": 0.0},
             {"max_depth": 0},
+            {"max_depth": 13},
             *({"learning_rate": v} for v in (nan, inf, -inf)),
             *({"reg_lambda": v} for v in (nan, inf, -inf)),
         ]
         for kwargs in bad:
             with pytest.raises(ValueError):
                 GbdtParams(**kwargs).validate()
-        GbdtParams(learning_rate=1e300, reg_lambda=0.0).validate()
+        GbdtParams(learning_rate=1e300, reg_lambda=0.0, max_depth=12).validate()

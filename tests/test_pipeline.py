@@ -136,9 +136,13 @@ class TestPipelineModel:
         assert first.read_bytes() == second.read_bytes()
 
     def test_golden_file_resaves_to_its_bytes(self):
-        """A committed format-7.0.0 file (a seeded 16x16x3 fit at patch 3,
-        stride 1, 5 rounds, with spatial and spectral columns) loads and
-        serializes to its own bytes, which pins every record's codec."""
+        """A committed format-8.0.0 file loads and serializes to its own bytes,
+        which pins every record's codec. It stores two spatial columns and one
+        spectral column, and was written by ``fit_pipeline`` on
+        ``random_image_set(24, side=16, channels=3, seed=7)`` against
+        ``gaussian_degrade(random_image_set(24, side=16, channels=3, seed=8), 0.3, seed=9)``
+        with ``RunConfig(patch_size=3, stride=1, k1=4, cw_k=3, top_k=40, seed=1,
+        gbdt=GbdtParams(n_rounds=5, max_depth=2))``."""
         path = Path(__file__).parent / "golden" / "model-16x16x3.json"
         assert lgsqe.PipelineModel.load(path).to_json().encode() == path.read_bytes()
 
@@ -186,7 +190,7 @@ class TestPipelineModel:
         model.save(tmp_path / "model.json")
         doc = json.loads((tmp_path / "model.json").read_text())
         assert "cw_models" not in doc["saab"] and "provenance" not in doc["selection"]
-        assert doc["format_version"] == "7.0.0" and doc["saab"]["cw_widths"] == list(model.saab.cw_widths)
+        assert doc["format_version"] == "8.0.0" and doc["saab"]["cw_widths"] == list(model.saab.cw_widths)
         loaded = lgsqe.PipelineModel.load(tmp_path / "model.json")
         assert loaded.indices.tobytes() == indices.tobytes() and loaded.saab.cw_widths == model.saab.cw_widths
         assert loaded.spectral_kernels.tobytes() == model.spectral_kernels.tobytes()
